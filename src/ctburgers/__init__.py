@@ -18,7 +18,14 @@ from .exact import (
     sine_wave_exact,
     traveling_wave_exact,
 )
-from .linalg import BandedSystem, TridiagonalSystem, ZeroPivotError, banded_solve, thomas_solve
+from .linalg import (
+    BandedSystem,
+    TridiagonalSystem,
+    ZeroPivotError,
+    banded_solve,
+    thomas_solve,
+    thomas_sweep,
+)
 from .metrics import ErrorReport, error_norms, table_report
 from .problems import exact_solution, sine_problem, traveling_problem
 from .scheme import (
@@ -27,7 +34,6 @@ from .scheme import (
     ProblemSpec,
     advance,
     assemble_step,
-    eliminate_boundary,
     initialize_coefficients,
     nodal_values,
     solve_to_time,
@@ -48,12 +54,12 @@ __all__ = [
     "nodal_values",
     "initialize_coefficients",
     "assemble_step",
-    "eliminate_boundary",
     "advance",
     "solve_to_time",
     "TridiagonalSystem",
     "BandedSystem",
     "ZeroPivotError",
+    "thomas_sweep",
     "thomas_solve",
     "banded_solve",
     "SeriesControl",

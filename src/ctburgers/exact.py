@@ -10,6 +10,7 @@ even when the raw function values overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,11 +141,13 @@ def bessel_i_ratio(order: int, z: float) -> float:
     return vals[order] / vals[0]
 
 
-def _bessel_ratios(jmax: int, z: float) -> list[float]:
-    # one backward recurrence yields every ratio up to jmax
+@functools.lru_cache(maxsize=16)
+def _bessel_ratios(jmax: int, z: float) -> tuple[float, ...]:
+    # one backward recurrence yields every ratio up to jmax; cached because
+    # every (x, t) of one viscosity needs the same ratios
     vals, _ = _miller_backward(jmax, z)
     b0 = vals[0]
-    return [v / b0 for v in vals]
+    return tuple(v / b0 for v in vals)
 
 
 def _sinpi(y: float) -> float:

@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TridiagonalSystem", "BandedSystem", "ZeroPivotError", "thomas_solve", "banded_solve"]
+__all__ = [
+    "TridiagonalSystem",
+    "BandedSystem",
+    "ZeroPivotError",
+    "thomas_sweep",
+    "thomas_solve",
+    "banded_solve",
+]
 
 PIVOT_TOL = 1e-300
 
@@ -77,56 +84,74 @@ class BandedSystem:
         return a
 
 
-def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve a tridiagonal system by forward elimination / back substitution."""
-    n = len(sys.diag)
-    d = [float(v) for v in sys.diag]
-    r = [float(v) for v in sys.rhs]
-    sub, sup = sys.sub, sys.sup
+def thomas_sweep(
+    sub: list[float], diag: list[float], sup: list[float], rhs: list[float]
+) -> list[float]:
+    """Thomas elimination on plain float lists; the one tridiagonal kernel.
+
+    ``sub``/``sup`` have length n-1 (``sub[i-1]`` couples row i to unknown
+    i-1, ``sup[i]`` row i to unknown i+1).  ``diag`` and ``rhs`` are
+    overwritten with the eliminated pivots and the solution, which is
+    returned (it is the ``rhs`` list itself).
+    """
+    n = len(diag)
+    piv = diag[0]
+    acc = rhs[0]
     for i in range(1, n):
-        piv = d[i - 1]
         if abs(piv) < PIVOT_TOL:
             raise ZeroPivotError(i - 1)
-        m = float(sub[i - 1]) / piv
-        d[i] -= m * float(sup[i - 1])
-        r[i] -= m * r[i - 1]
-    if abs(d[n - 1]) < PIVOT_TOL:
+        m = sub[i - 1] / piv
+        piv = diag[i] - m * sup[i - 1]
+        acc = rhs[i] - m * acc
+        diag[i] = piv
+        rhs[i] = acc
+    if abs(piv) < PIVOT_TOL:
         raise ZeroPivotError(n - 1)
-    x = np.empty(n)
-    x[n - 1] = r[n - 1] / d[n - 1]
+    x = acc / piv
+    rhs[n - 1] = x
     for i in range(n - 2, -1, -1):
-        x[i] = (r[i] - float(sup[i]) * x[i + 1]) / d[i]
-    return x
+        x = (rhs[i] - sup[i] * x) / diag[i]
+        rhs[i] = x
+    return rhs
+
+
+def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
+    """Solve a tridiagonal system with :func:`thomas_sweep` on copies of its bands."""
+    return np.array(thomas_sweep(*(
+        np.asarray(v, dtype=float).tolist() for v in (sys.sub, sys.diag, sys.sup, sys.rhs)
+    )))
 
 
 def banded_solve(sys: BandedSystem) -> np.ndarray:
     """Solve a bandwidth-2 system by elimination restricted to the band."""
     n = sys.n
-    band = sys.bands.copy()
-    rhs = sys.rhs.copy()
+    band = sys.bands.tolist()
+    rhs = sys.rhs.tolist()
     for col in range(n - 1):
-        piv = band[col, 2]
+        pivot_row = band[col]
+        piv = pivot_row[2]
         if abs(piv) < PIVOT_TOL:
             raise ZeroPivotError(col)
         for below in range(col + 1, min(col + 3, n)):
+            row = band[below]
             off = col - below + 2  # column ``col`` as seen from row ``below``
-            if band[below, off] == 0.0:
+            if row[off] == 0.0:
                 continue
-            m = band[below, off] / piv
-            band[below, off] = 0.0
+            m = row[off] / piv
+            row[off] = 0.0
             for k in range(1, 3):
                 j = col + k
                 if j < n:
-                    band[below, off + k] -= m * band[col, 2 + k]
+                    row[off + k] -= m * pivot_row[2 + k]
             rhs[below] -= m * rhs[col]
-    if abs(band[n - 1, 2]) < PIVOT_TOL:
+    if abs(band[n - 1][2]) < PIVOT_TOL:
         raise ZeroPivotError(n - 1)
-    x = np.zeros(n)
+    x = [0.0] * n
     for row in range(n - 1, -1, -1):
         acc = rhs[row]
         for k in range(1, 3):
             j = row + k
             if j < n:
-                acc -= band[row, 2 + k] * x[j]
-        x[row] = acc / band[row, 2]
-    return x
+                acc -= band[row][2 + k] * x[j]
+        x[row] = acc / band[row][2]
+    return np.array(x)

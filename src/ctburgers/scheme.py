@@ -6,27 +6,31 @@ linearized in the Rubin-Graves fashion, so every step costs one
 tridiagonal solve.  The two phantom spline parameters beyond each end of
 the domain are removed with the Dirichlet boundary values before the
 solve and reconstructed afterwards.
+
+One step is one kernel: :func:`assemble_step` builds the bands with numpy
+and folds the phantoms into the end rows on Python floats,
+:func:`~ctburgers.linalg.thomas_sweep` solves on those lists, and
+:func:`advance` restores the phantoms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .basis import SchemeCoefficients, UniformPartition, knot_coefficients
-from .linalg import BandedSystem, TridiagonalSystem, banded_solve, thomas_solve
+from .linalg import BandedSystem, banded_solve, thomas_sweep
 
 __all__ = [
     "ProblemSpec",
     "CoefficientVector",
     "NodalState",
-    "CollocationSystem",
     "nodal_values",
     "initialize_coefficients",
     "assemble_step",
-    "eliminate_boundary",
     "advance",
     "solve_to_time",
 ]
@@ -62,6 +66,10 @@ class ProblemSpec:
     name: str = "custom"
 
     def validate(self) -> None:
+        for field_name in ("lam", "dt", "end_time", "a", "b", "boundary_left", "boundary_right"):
+            value = getattr(self, field_name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field_name} must be finite, got {value}")
         if not self.lam > 0.0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not self.dt > 0.0:
@@ -109,26 +117,16 @@ class NodalState:
     uxx: np.ndarray
 
 
-@dataclass
-class CollocationSystem:
-    """The n_cells+1 collocation rows before boundary elimination.
-
-    Row m couples the three unknown parameters (m-1, m, m+1); the system
-    is rectangular (two more unknowns than rows) until
-    :func:`eliminate_boundary` folds the phantom parameters into the rhs.
-    """
-
-    lower: np.ndarray
-    center: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
+def _value_and_slope(d: np.ndarray, sc: SchemeCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    u = sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1] + sc.alpha1 * d[2:]
+    ux = sc.beta1 * d[:-2] + sc.beta2 * d[2:]
+    return u, ux
 
 
 def nodal_values(c: CoefficientVector, sc: SchemeCoefficients) -> NodalState:
     """Evaluate U, U_x, U_xx at every knot from the spline parameters."""
     d = c.delta
-    u = sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1] + sc.alpha1 * d[2:]
-    ux = sc.beta1 * d[:-2] + sc.beta2 * d[2:]
+    u, ux = _value_and_slope(d, sc)
     uxx = sc.gamma1 * d[:-2] + sc.gamma2 * d[1:-1] + sc.gamma1 * d[2:]
     return NodalState(u=u, ux=ux, uxx=uxx)
 
@@ -150,11 +148,10 @@ def initialize_coefficients(
     bands[0, 2] = sc.beta1
     bands[0, 4] = sc.beta2
     rhs[0] = p.initial_derivative(part.a)
-    for i in range(part.n_cells + 1):
-        bands[i + 1, 1] = sc.alpha1
-        bands[i + 1, 2] = sc.alpha2
-        bands[i + 1, 3] = sc.alpha1
-        rhs[i + 1] = p.initial_condition(part.knot(i))
+    bands[1:-1, 1] = sc.alpha1
+    bands[1:-1, 2] = sc.alpha2
+    bands[1:-1, 3] = sc.alpha1
+    rhs[1:-1] = [p.initial_condition(x) for x in part.knots()]
     bands[n - 1, 0] = sc.beta1
     bands[n - 1, 2] = sc.beta2
     rhs[n - 1] = p.initial_derivative(part.b)
@@ -164,85 +161,69 @@ def initialize_coefficients(
 
 def assemble_step(
     c: CoefficientVector, p: ProblemSpec, sc: SchemeCoefficients
-) -> CollocationSystem:
-    """Build the linearized collocation rows for one step from state ``c``.
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The square (N+1) x (N+1) tridiagonal system of one step from ``c``.
 
     Collocating the trapezoidal-in-time, Rubin-Graves-linearized equation
     at knot m gives left-hand coefficients
     ``alpha_k + dt/2 (alpha_k U'_m + beta_k U_m - lam gamma_k)`` on the
     new-level parameters and ``(alpha_k + lam dt/2 gamma_k)`` on the old
-    ones, with U_m, U'_m taken from ``c``.
+    ones, with U_m, U'_m taken from ``c``.  Row m couples parameters
+    m-1, m, m+1, so the N+1 rows have two unknowns too many; the Dirichlet
+    values fix the phantoms ``delta_{-1}`` and ``delta_{N+1}`` in terms of
+    their two interior neighbours, and substituting them into the first
+    and last rows squares the system.
+
+    Returns plain float lists ``(sub, diag, sup, rhs)`` in the layout of
+    :func:`~ctburgers.linalg.thomas_sweep`.
     """
-    state = nodal_values(c, sc)
-    u, ux = state.u, state.ux
+    d = c.delta
+    u, ux = _value_and_slope(d, sc)
+    a1, a2 = sc.alpha1, sc.alpha2
+    if a1 == 0.0:
+        raise ZeroDivisionError("alpha1 = 0: phantom parameters cannot be eliminated")
     half_dt = 0.5 * p.dt
     lam_g1 = p.lam * sc.gamma1
     lam_g2 = p.lam * sc.gamma2
-    lower = sc.alpha1 + half_dt * (sc.alpha1 * ux + sc.beta1 * u - lam_g1)
-    center = sc.alpha2 + half_dt * (sc.alpha2 * ux - lam_g2)
-    upper = sc.alpha1 + half_dt * (sc.alpha1 * ux + sc.beta2 * u - lam_g1)
-    d = c.delta
+    a1_ux = a1 * ux
+    lower = (a1 + half_dt * (a1_ux + sc.beta1 * u - lam_g1)).tolist()
+    diag = (a2 + half_dt * (a2 * ux - lam_g2)).tolist()
+    upper = (a1 + half_dt * (a1_ux + sc.beta2 * u - lam_g1)).tolist()
     rhs = (
-        (sc.alpha1 + half_dt * lam_g1) * (d[:-2] + d[2:])
-        + (sc.alpha2 + half_dt * lam_g2) * d[1:-1]
-    )
-    return CollocationSystem(lower=lower, center=center, upper=upper, rhs=rhs)
-
-
-def eliminate_boundary(
-    sys: CollocationSystem, p: ProblemSpec, sc: SchemeCoefficients
-) -> TridiagonalSystem:
-    """Fold the two phantom parameters into the first and last rows.
-
-    The Dirichlet values fix ``delta_{-1}`` and ``delta_{N+1}`` in terms of
-    their two interior neighbours; substituting them makes the system a
-    strict (N+1) x (N+1) tridiagonal one.
-    """
-    if sc.alpha1 == 0.0:
-        raise ZeroDivisionError("alpha1 = 0: phantom parameters cannot be eliminated")
-    lower = sys.lower.copy()
-    center = sys.center.copy()
-    upper = sys.upper.copy()
-    rhs = sys.rhs.copy()
+        (a1 + half_dt * lam_g1) * (d[:-2] + d[2:]) + (a2 + half_dt * lam_g2) * d[1:-1]
+    ).tolist()
     # delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1
-    center[0] -= lower[0] * sc.alpha2 / sc.alpha1
-    upper[0] -= lower[0]
-    rhs[0] -= lower[0] * p.boundary_left / sc.alpha1
+    first = lower[0]
+    diag[0] -= first * a2 / a1
+    upper[0] -= first
+    rhs[0] -= first * p.boundary_left / a1
     # delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1
-    center[-1] -= upper[-1] * sc.alpha2 / sc.alpha1
-    lower[-1] -= upper[-1]
-    rhs[-1] -= upper[-1] * p.boundary_right / sc.alpha1
-    return TridiagonalSystem(sub=lower[1:], diag=center, sup=upper[:-1], rhs=rhs)
-
-
-def _reconstruct_phantoms(
-    mid: np.ndarray, p: ProblemSpec, sc: SchemeCoefficients
-) -> np.ndarray:
-    delta = np.empty(len(mid) + 2)
-    delta[1:-1] = mid
-    delta[0] = (p.boundary_left - sc.alpha2 * mid[0] - sc.alpha1 * mid[1]) / sc.alpha1
-    delta[-1] = (
-        p.boundary_right - sc.alpha1 * mid[-2] - sc.alpha2 * mid[-1]
-    ) / sc.alpha1
-    return delta
+    last = upper.pop()
+    diag[-1] -= last * a2 / a1
+    lower[-1] -= last
+    rhs[-1] -= last * p.boundary_right / a1
+    del lower[0]
+    return lower, diag, upper, rhs
 
 
 def advance(
     c: CoefficientVector, p: ProblemSpec, sc: SchemeCoefficients
 ) -> CoefficientVector:
-    """One time step: assemble, eliminate boundaries, solve, reconstruct.
+    """One time step: assemble the square system, solve it, restore the phantoms.
 
     Exactly one linear solve per step; the linearization uses the previous
     level only, with no inner iteration.
     """
-    tri = eliminate_boundary(assemble_step(c, p, sc), p, sc)
-    mid = thomas_solve(tri)
-    return CoefficientVector(
-        delta=_reconstruct_phantoms(mid, p, sc), time=c.time + p.dt
-    )
+    mid = thomas_sweep(*assemble_step(c, p, sc))
+    a1, a2 = sc.alpha1, sc.alpha2
+    mid.insert(0, (p.boundary_left - a2 * mid[0] - a1 * mid[1]) / a1)
+    mid.append((p.boundary_right - a1 * mid[-2] - a2 * mid[-1]) / a1)
+    return CoefficientVector(delta=np.array(mid), time=c.time + p.dt)
 
 
 def _step_index(t: float, dt: float) -> int:
+    if not math.isfinite(t):
+        raise ValueError(f"time {t} must be finite")
     k = round(t / dt)
     if abs(t - k * dt) > TIME_ALIGN_TOL * dt:
         raise ValueError(
@@ -274,7 +255,10 @@ def solve_to_time(
         k = _step_index(t, p.dt)
         if k > n_steps:
             raise ValueError(f"sample time {t} beyond t_end={t_end}")
-        wanted[k] = t
+        if wanted.setdefault(k, t) != t:
+            raise ValueError(
+                f"sample times {wanted[k]} and {t} both fall on step {k} (dt={p.dt})"
+            )
     sc = knot_coefficients(part.h)
     c = initialize_coefficients(p, part, sc)
     out: dict[float, NodalState] = {}

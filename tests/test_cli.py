@@ -1,5 +1,9 @@
 """Command-line interface tests: flags, config files, outputs, exit codes."""
 
+import hashlib
+
+import pytest
+
 from ctburgers import cli
 from ctburgers.linalg import ZeroPivotError
 
@@ -75,6 +79,17 @@ class TestRunCommand:
         assert code == cli.EXIT_CONFIG
         assert "lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--dt", "--lambda", "--t-end"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_parameter_exits_config_error(self, flag, value, capsys):
+        # the repeated flag wins over the finite default before it
+        code = run_main(
+            ["run", "--problem", "sine", "--dt", "0.001", "--lambda", "1", "--t-end", "0",
+             flag, value]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_flag_exits_config_error(self, capsys):
         assert run_main(["run", "--nope", "1"]) == cli.EXIT_CONFIG
 
@@ -148,6 +163,20 @@ class TestReproduce:
         profile = tmp_path / "fig7_error_profile.csv"
         assert profile.exists()
         assert profile.read_text().splitlines()[0] == "x,t,abs_error"
+
+    @pytest.mark.parametrize(
+        "target,digest",
+        [
+            ("fig7", "f633ce4479a69a7d997ae85ad355b29ec4d29d9a264644e7f8574f2c1a5d4f2d"),
+            ("fig8", "426ce6322edee0074ce2b8327234ea4a9969ae72de6e84937685c2fd83856dc7"),
+        ],
+    )
+    def test_figure_csv_is_byte_identical(self, target, digest, tmp_path, capsys):
+        # the published error profiles are a fixed floor: any change in the
+        # arithmetic of the fit, the step or the exact solution shows here
+        assert run_main(["reproduce", target, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+        data = (tmp_path / f"{target}_error_profile.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_invalid_target_exits_config_error(self):
         assert run_main(["reproduce", "table9"]) == cli.EXIT_CONFIG

@@ -70,6 +70,17 @@ class TestThomas:
         with pytest.raises(ZeroPivotError, match="row 0"):
             thomas_solve(sys)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_zero_pivot_after_elimination_names_row(self, n):
+        # unit bands: the second pivot is 1 - 1*1 = 0, in the last row for
+        # n = 2 and inside the forward sweep for n = 4
+        sys = TridiagonalSystem(
+            sub=np.ones(n - 1), diag=np.ones(n), sup=np.ones(n - 1), rhs=np.ones(n)
+        )
+        with pytest.raises(ZeroPivotError, match="row 1") as err:
+            thomas_solve(sys)
+        assert err.value.row == 1
+
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ValueError):
             TridiagonalSystem(

@@ -7,15 +7,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ctburgers.basis import UniformPartition, knot_coefficients
+from ctburgers.basis import SchemeCoefficients, UniformPartition, knot_coefficients
 from ctburgers.exact import sine_wave_exact, traveling_wave_exact
+from ctburgers.linalg import ZeroPivotError
 from ctburgers.problems import sine_problem, traveling_problem
 from ctburgers.scheme import (
     CoefficientVector,
     ProblemSpec,
     advance,
     assemble_step,
-    eliminate_boundary,
     initialize_coefficients,
     nodal_values,
     solve_to_time,
@@ -96,19 +96,24 @@ class TestAssembleAndEliminate:
         p = replace(constant_problem(0.0), lam=0.0)
         part, sc = setup(p)
         c = CoefficientVector(delta=np.zeros(part.n_cells + 3), time=0.0)
-        sys = assemble_step(c, p, sc)
-        npt.assert_allclose(sys.lower, sc.alpha1, rtol=1e-12)
-        npt.assert_allclose(sys.center, sc.alpha2, rtol=1e-12)
-        npt.assert_allclose(sys.upper, sc.alpha1, rtol=1e-12)
-        npt.assert_array_equal(sys.rhs, 0.0)
+        sub, diag, sup, rhs = assemble_step(c, p, sc)
+        # interior rows are untouched by the phantom fold
+        npt.assert_allclose(sub[:-1], sc.alpha1, rtol=1e-12)
+        npt.assert_allclose(diag[1:-1], sc.alpha2, rtol=1e-12)
+        npt.assert_allclose(sup[1:], sc.alpha1, rtol=1e-12)
+        npt.assert_array_equal(rhs, 0.0)
+        # end rows: the fold subtracts the phantom coefficient (alpha1 here)
+        # from the outer off-diagonal and alpha2/alpha1 of it from the pivot
+        assert sup[0] == 0.0 and sub[-1] == 0.0
+        assert diag[0] == sc.alpha2 - sc.alpha1 * sc.alpha2 / sc.alpha1
 
     def test_elimination_shrinks_to_square_tridiagonal(self):
         p = sine_problem(0.1, 10, 1e-3)
         part, sc = setup(p)
         c = initialize_coefficients(p, part, sc)
-        tri = eliminate_boundary(assemble_step(c, p, sc), p, sc)
-        assert len(tri.diag) == 11
-        assert len(tri.sub) == 10 and len(tri.sup) == 10
+        sub, diag, sup, rhs = assemble_step(c, p, sc)
+        assert len(diag) == len(rhs) == 11
+        assert len(sub) == 10 and len(sup) == 10
 
     def test_homogeneous_boundary_phantom_formula(self):
         # U_a = 0: delta_{-1} = -(alpha2 d0 + alpha1 d1)/alpha1
@@ -172,6 +177,17 @@ class TestAdvance:
             c = advance(c, p, sc)
             u = nodal_values(c, sc).u
             assert abs(u[0]) < 1e-9 and abs(u[-1]) < 1e-9
+
+    def test_zero_pivot_names_row(self):
+        # with these constants the folded first row is 1 - 1*1/1 = 0
+        sc = SchemeCoefficients(
+            alpha1=1.0, alpha2=1.0, beta1=0.0, beta2=0.0, gamma1=0.0, gamma2=0.0
+        )
+        p = constant_problem(0.0, n_cells=5)
+        c = CoefficientVector(delta=np.zeros(8), time=0.0)
+        with pytest.raises(ZeroPivotError, match="row 0") as err:
+            advance(c, p, sc)
+        assert err.value.row == 0
 
     def test_time_advances_by_dt(self):
         p = sine_problem(1.0, 10, 1e-3)
@@ -267,6 +283,22 @@ class TestSolveToTime:
         with pytest.raises(ValueError, match="beyond"):
             solve_to_time(p, p.partition(), 0.01, [0.02])
 
+    def test_colliding_sample_times_rejected(self):
+        # distinct times that round to the same step must not merge silently
+        p = sine_problem(1.0, 10, 1e-4)
+        with pytest.raises(ValueError, match=r"0\.0004 and 0\.00040000000001"):
+            solve_to_time(p, p.partition(), 0.001, [0.0004, 0.00040000000001])
+
+    def test_duplicate_sample_times_collapse(self):
+        p = sine_problem(1.0, 10, 1e-4)
+        states = solve_to_time(p, p.partition(), 0.001, [0.0004, 0.001, 0.0004])
+        assert list(states) == [0.0004, 0.001]
+
+    def test_nonfinite_sample_time_rejected(self):
+        p = sine_problem(1.0, 10, 1e-3)
+        with pytest.raises(ValueError, match="finite"):
+            solve_to_time(p, p.partition(), 0.001, [math.inf])
+
     def test_mismatched_partition_rejected(self):
         p = sine_problem(1.0, 10, 1e-3)
         with pytest.raises(ValueError, match="partition"):
@@ -290,6 +322,14 @@ class TestProblemSpecValidation:
     def test_rejects_negative_end_time(self):
         with pytest.raises(ValueError, match="end_time"):
             replace(constant_problem(0.0), end_time=-0.5).validate()
+
+    @pytest.mark.parametrize(
+        "field", ["lam", "dt", "end_time", "a", "b", "boundary_left", "boundary_right"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_nonfinite_parameters(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(constant_problem(0.0), **{field: value}).validate()
 
     def test_rejects_incompatible_boundary(self):
         with pytest.raises(ValueError, match="boundary_left"):
