@@ -137,9 +137,9 @@ def run(config: RunConfig, out=None) -> int:
             config.output_dir.mkdir(parents=True, exist_ok=True)
             knots = part.knots()
             for t, state in sorted(states.items()):
-                exacts = [exact_fn(x, t) for x in knots] if exact_fn else [None] * len(knots)
+                exacts = exact_fn(np.array(knots), t).tolist() if exact_fn else [None] * len(knots)
                 name = f"{config.problem}_lam{_fmt12(config.lam)}_t{_fmt12(t)}.csv"
-                _write_csv(config.output_dir / name, t, knots, state.u, exacts)
+                _write_csv(config.output_dir / name, t, knots, state.u.tolist(), exacts)
     except SeriesConvergenceError as e:
         print(f"error: exact series did not converge: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -234,11 +234,11 @@ def _reproduce_fig(num: int, config_lam: float, out, output_dir: Path) -> bool:
     u = states[t].u
     exact_fn = exact_solution(problem)
     knots = part.knots()
-    errs = np.array([abs(float(u[i]) - exact_fn(x, t)) for i, x in enumerate(knots)])
+    errs = np.abs(u - exact_fn(np.array(knots), t))
     output_dir.mkdir(parents=True, exist_ok=True)
     path = output_dir / f"fig{num}_error_profile.csv"
     lines = ["x,t,abs_error"]
-    for x, e in zip(knots, errs):
+    for x, e in zip(knots, errs.tolist()):
         lines.append(f"{_fmt12(x)},{_fmt12(t)},{_fmt12(e)}")
     path.write_text("\n".join(lines) + "\n")
     front = 0.6 * t + 0.125

@@ -14,6 +14,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SeriesControl",
     "SeriesConvergenceError",
@@ -150,59 +152,80 @@ def _bessel_ratios(jmax: int, z: float) -> tuple[float, ...]:
     return tuple(v / b0 for v in vals)
 
 
-def _sinpi(y: float) -> float:
-    # sin(pi*y) with the half-period reduction done on y itself, so the
-    # zeros at integer y are exact (the series must vanish identically at
-    # the domain ends, where the sum otherwise cancels catastrophically)
-    y = math.fmod(y, 2.0)
-    if y == math.floor(y):
-        return 0.0
-    return math.sin(math.pi * y)
-
-
-def _cospi(y: float) -> float:
-    y = abs(math.fmod(y, 2.0))
-    if y == 0.0:
-        return 1.0
-    if y == 1.0:
-        return -1.0
-    return math.cos(math.pi * y)
-
-
-def sine_wave_exact(
-    x: float, t: float, lam: float, ctl: SeriesControl = SeriesControl()
-) -> float:
-    """Decaying sine-wave solution on [0, 1] with U(0,t) = U(1,t) = 0.
-
-    Evaluates the Fourier-Bessel quotient with both sums expressed through
-    the ratios I_j(z)/I_0(z), z = 1/(2 pi lam).  Truncation stops once the
-    x-independent bound on the next term of each sum falls below
-    ``ctl.abs_tol``.  At t = 0 the series does not decay and the value is
-    the initial condition sin(pi x) itself.
-    """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return math.sin(math.pi * x)
+def _series_factors(
+    t: float, lam: float, ctl: SeriesControl
+) -> tuple[list[float], list[float], list[float]]:
+    """x-independent factors ``j*r_j``, ``2*r_j`` and ``exp(-j^2 pi^2 lam t)``
+    of the terms j = 1..J, r_j = I_j(z)/I_0(z).  J is the first j at which
+    the bound on the next term of each sum falls below ``ctl.abs_tol``; the
+    bound holds for every x, so one J serves a whole column of points."""
     z = 1.0 / (2.0 * math.pi * lam)
     decay = math.pi * math.pi * lam * t
-    num = 0.0
-    den = 1.0
+    jr, r2, es = [], [], []
     ratios = _bessel_ratios(min(64, ctl.max_terms), z)
     for j in range(1, ctl.max_terms + 1):
         if j >= len(ratios):
             ratios = _bessel_ratios(2 * len(ratios), z)
         r = ratios[j]
         e = math.exp(-j * j * decay) if j * j * decay < 745.0 else 0.0
-        num += j * r * _sinpi(j * x) * e
-        den += 2.0 * r * _cospi(j * x) * e
+        jr.append(j * r)
+        r2.append(2.0 * r)
+        es.append(e)
         if j * r * e < ctl.abs_tol and 2.0 * r * e < ctl.abs_tol:
-            return 4.0 * math.pi * lam * num / den
+            return jr, r2, es
     raise SeriesConvergenceError(
         f"series not converged within {ctl.max_terms} terms (lam={lam}, t={t})"
     )
+
+
+def _sincospi(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # sin(pi*y) and cos(pi*y) with the period reduction done on y itself,
+    # so sin is exactly 0 and cos exactly +-1 at integer y (the series must
+    # vanish identically at the domain ends, where the sum otherwise
+    # cancels catastrophically)
+    y = np.fmod(y, 2.0)
+    s = np.sin(np.pi * y)
+    s[y == np.floor(y)] = 0.0
+    y = np.abs(y)
+    c = np.cos(np.pi * y)
+    c[y == 0.0] = 1.0
+    c[y == 1.0] = -1.0
+    return s, c
+
+
+def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl()):
+    """Decaying sine-wave solution on [0, 1] with U(0,t) = U(1,t) = 0.
+
+    ``x`` is a float or a 1-D array; a float gives a float, an array an
+    array of the same length.  Evaluates the Fourier-Bessel quotient with
+    both sums expressed through the ratios I_j(z)/I_0(z), z = 1/(2 pi lam).
+    Truncation stops once the x-independent bound on the next term of each
+    sum falls below ``ctl.abs_tol``, so every point of one call sums the
+    same J terms, in ascending j; each value is bit-identical to a call
+    with that point alone.  At t = 0 the series does not decay and the
+    value is the initial condition sin(pi x) itself.
+    """
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    if t < 0.0:
+        raise ValueError("t must be >= 0")
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError("x must be a float or a 1-D array")
+    xs = xs.reshape(-1)
+    if t == 0.0:
+        u = np.sin(np.pi * xs)
+    else:
+        jr, r2, e = (np.array(f)[:, None] for f in _series_factors(t, lam, ctl))
+        s, c = _sincospi(np.multiply.outer(np.arange(1, len(e) + 1), xs))
+        num = np.zeros_like(xs)
+        den = np.ones_like(xs)
+        # one row per term, added in ascending j like the scalar sum
+        for num_j, den_j in zip(jr * s * e, r2 * c * e):
+            num += num_j
+            den += den_j
+        u = 4.0 * math.pi * lam * num / den
+    return float(u[0]) if np.ndim(x) == 0 else u
 
 
 def traveling_wave_exact(

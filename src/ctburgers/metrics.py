@@ -31,21 +31,19 @@ class ErrorReport:
 
 def error_norms(
     num: NodalState,
-    exact_fn: Callable[[float, float], float],
+    exact_fn: Callable,
     t: float,
     part: UniformPartition,
 ) -> ErrorReport:
-    """Compare a nodal state against an exact solution at time ``t``."""
-    rows = []
-    errs = []
-    for i in range(part.n_cells + 1):
-        x = part.knot(i)
-        ue = exact_fn(x, t)
-        un = float(num.u[i])
-        err = abs(un - ue)
-        rows.append((x, t, un, ue, err))
-        errs.append(err)
-    e = np.asarray(errs)
+    """Compare a nodal state against an exact solution at time ``t``.
+
+    ``exact_fn(xs, t)`` is called once with the array of knots and returns
+    their exact values (or one value for all of them).
+    """
+    xs = part.knots()
+    ue = np.broadcast_to(exact_fn(np.array(xs), t), len(xs))
+    e = np.abs(num.u - ue)
+    rows = list(zip(xs, [t] * len(xs), num.u.tolist(), ue.tolist(), e.tolist()))
     return ErrorReport(
         l_inf=float(np.max(e)),
         l2=float(math.sqrt(part.h * float(np.sum(e * e)))),
@@ -63,7 +61,7 @@ def _knot_index(x: float, part: UniformPartition) -> int:
 def table_report(
     states: dict[float, NodalState],
     sample_xs: list[float],
-    exact_fn: Callable[[float, float], float] | None,
+    exact_fn: Callable | None,
     part: UniformPartition,
     decimals: int = 5,
 ) -> str:
@@ -71,7 +69,8 @@ def table_report(
 
     Rows are grouped by x (ascending) with times ascending inside each
     group, matching the layout of the published benchmark tables.  Sample
-    points must coincide with knots.
+    points must coincide with knots.  ``exact_fn(xs, t)`` is called once
+    per time with the array of sorted sample points.
     """
     width = max(decimals + 4, 9)
     header = (
@@ -79,11 +78,15 @@ def table_report(
         + (f" {'exact':>{width}}" if exact_fn is not None else "")
     )
     lines = [header]
-    for x in sorted(sample_xs):
-        i = _knot_index(x, part)
-        for t in sorted(states):
+    xs = sorted(sample_xs)
+    indices = [_knot_index(x, part) for x in xs]
+    times = sorted(states)
+    if exact_fn is not None:
+        exact = {t: np.broadcast_to(exact_fn(np.array(xs), t), len(xs)).tolist() for t in times}
+    for k, (x, i) in enumerate(zip(xs, indices)):
+        for t in times:
             row = f"{x:8.3f} {t:8.3f} {states[t].u[i]:{width}.{decimals}f}"
             if exact_fn is not None:
-                row += f" {exact_fn(x, t):{width}.{decimals}f}"
+                row += f" {exact[t][k]:{width}.{decimals}f}"
             lines.append(row)
     return "\n".join(lines) + "\n"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .exact import (
     SeriesControl,
     sine_wave_exact,
@@ -79,9 +81,23 @@ def exact_solution(
     gamma: float = TRAVELING_GAMMA,
     ctl: SeriesControl = SeriesControl(),
 ):
-    """Exact (x, t) -> U for a benchmark problem, or None if unavailable."""
+    """Exact (x, t) -> U for a benchmark problem, or None if unavailable.
+
+    ``x`` is a float or a 1-D array of points; a float gives a float, an
+    array an array, so callers evaluate one column per time.
+    """
     if p.name == "sine":
         return lambda x, t: sine_wave_exact(x, t, p.lam, ctl)
     if p.name == "traveling":
-        return lambda x, t: traveling_wave_exact(x, t, alpha, mu, gamma, p.lam)
+
+        def front(x, t):
+            # point by point: math.exp and np.exp differ in the last bit
+            # for some arguments, and the published error profiles are
+            # pinned byte for byte
+            if np.ndim(x) == 0:
+                return traveling_wave_exact(x, t, alpha, mu, gamma, p.lam)
+            xs = np.asarray(x).tolist()
+            return np.array([traveling_wave_exact(v, t, alpha, mu, gamma, p.lam) for v in xs])
+
+        return front
     return None

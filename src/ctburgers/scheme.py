@@ -16,7 +16,7 @@ and folds the phantoms into the end rows on Python floats,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -269,8 +269,3 @@ def solve_to_time(
         if k in wanted:
             out[wanted[k]] = nodal_values(c, sc)
     return out
-
-
-def with_time_step(p: ProblemSpec, dt: float) -> ProblemSpec:
-    """Copy of ``p`` with a different step size."""
-    return replace(p, dt=dt)

@@ -74,6 +74,24 @@ class TestRunCommand:
         assert len(lines) == 12  # header + 11 knots
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
+    def test_sine_csv_is_byte_identical(self, tmp_path):
+        # the exact column of these CSVs is the Fourier-Bessel series at
+        # lam = 0.01: any change in the series arithmetic or its truncation
+        # shows here, as in the pinned figure profiles below
+        args = [
+            "run", "--problem", "sine", "--lambda", "0.01", "--n-cells", "400",
+            "--dt", "0.01", "--t-end", "1", "--sample-times", "0.7,1",
+            "--outputs", "csv", "--output-dir", str(tmp_path),
+        ]
+        assert run_main(args) == cli.EXIT_OK
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert digests == {
+            "sine_lam0.01_t0.7.csv":
+                "08489aa10d7b5e85fcaa12de3dcffaf0db717f2b3cdab63e2c55f043c00f0db8",
+            "sine_lam0.01_t1.csv":
+                "c0ff7875f3c48a512be524a8691e2b09e2c9f8bd07f9b83c331c8c49b8e4f9e8",
+        }
+
     def test_invalid_viscosity_exits_config_error(self, capsys):
         code = run_main(["run", "--problem", "sine", "--lambda", "-2", "--t-end", "0.1"])
         assert code == cli.EXIT_CONFIG

@@ -9,6 +9,7 @@ import pytest
 from ctburgers.exact import (
     SeriesControl,
     SeriesConvergenceError,
+    _bessel_ratios,
     bessel_i,
     bessel_i_ratio,
     sine_wave_exact,
@@ -141,6 +142,77 @@ class TestSineWaveSeries:
             sine_wave_exact(0.5, 0.4, 0.0)
         with pytest.raises(ValueError):
             sine_wave_exact(0.5, -0.1, 1.0)
+
+
+def sine_wave_point(x, t, lam, ctl=SeriesControl()):
+    """The series summed one point at a time on Python floats: the
+    arithmetic that the array evaluation must reproduce bit for bit."""
+    if t == 0.0:
+        return math.sin(math.pi * x)
+    z = 1.0 / (2.0 * math.pi * lam)
+    decay = math.pi * math.pi * lam * t
+    num, den = 0.0, 1.0
+    ratios = _bessel_ratios(min(64, ctl.max_terms), z)
+    for j in range(1, ctl.max_terms + 1):
+        if j >= len(ratios):
+            ratios = _bessel_ratios(2 * len(ratios), z)
+        r = ratios[j]
+        e = math.exp(-j * j * decay) if j * j * decay < 745.0 else 0.0
+        y = math.fmod(j * x, 2.0)
+        s = 0.0 if y == math.floor(y) else math.sin(math.pi * y)
+        y = abs(y)
+        c = 1.0 if y == 0.0 else -1.0 if y == 1.0 else math.cos(math.pi * y)
+        num += j * r * s * e
+        den += 2.0 * r * c * e
+        if j * r * e < ctl.abs_tol and 2.0 * r * e < ctl.abs_tol:
+            return 4.0 * math.pi * lam * num / den
+    raise SeriesConvergenceError("reference sum not converged")
+
+
+class TestSineWaveColumns:
+    XS = np.concatenate([np.linspace(0.0, 1.0, 41), [0.3, 0.98, -0.25, 1.5]])
+
+    @pytest.mark.parametrize("lam", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("t", [0.0, 0.02, 0.4, 1.0])
+    def test_array_call_is_bit_identical_to_float_calls(self, lam, t):
+        col = sine_wave_exact(self.XS, t, lam)
+        floats = np.array([sine_wave_exact(x, t, lam) for x in self.XS.tolist()])
+        reference = np.array([sine_wave_point(x, t, lam) for x in self.XS.tolist()])
+        assert col.shape == self.XS.shape
+        assert col.tobytes() == floats.tobytes() == reference.tobytes()
+
+    def test_float_in_gives_python_float(self):
+        for x in (0.3, np.float64(0.3), 1):
+            for t in (0.0, 0.4):
+                assert type(sine_wave_exact(x, t, 0.1)) is float
+
+    def test_domain_ends_are_exact_zeros(self):
+        for lam in (1.0, 0.1, 0.01):
+            for t in (0.01, 0.4, 3.0):
+                col = sine_wave_exact(np.array([0.0, 0.5, 1.0]), t, lam)
+                assert col[0] == 0.0 and col[2] == 0.0
+
+    def test_non_convergence_raises_for_arrays(self):
+        ctl = SeriesControl(abs_tol=1e-12, max_terms=3)
+        with pytest.raises(SeriesConvergenceError):
+            sine_wave_exact(np.linspace(0.0, 1.0, 11), 0.01, 0.01, ctl)
+
+    def test_rejects_two_dimensional_x(self):
+        with pytest.raises(ValueError, match="1-D"):
+            sine_wave_exact(np.zeros((2, 2)), 0.4, 1.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the denominator 1 + 2 sum r_j cos(pi j x) e_j cancels near x=1 "
+        "at small lam and t, so the double-precision sum loses ~2 digits",
+    )
+    def test_small_viscosity_near_right_end(self):
+        # 40-digit mpmath sum of the same series (mp.besseli, j = 1..399,
+        # x = 0.98, t = 0.05, lam = 0.01); the scheme at N=400, dt=1e-3
+        # agrees with it to 7 digits
+        assert sine_wave_exact(0.98, 0.05, 0.01) == pytest.approx(
+            0.07394522089704537, abs=1e-6
+        )
 
 
 ALPHA, MU, GAMMA = 0.4, 0.6, 0.125

@@ -63,6 +63,32 @@ class TestErrorNorms:
         assert abs(peak_x - front) <= 2.0 / 36.0
 
 
+class TestExactColumns:
+    @pytest.mark.parametrize("factory", [sine_problem, traveling_problem])
+    def test_column_equals_points(self, factory):
+        fn = exact_solution(factory(0.01, 36, 1e-3))
+        xs = np.linspace(0.0, 1.0, 37)
+        col = fn(xs, 0.4)
+        assert isinstance(col, np.ndarray)
+        assert col.tolist() == [fn(x, 0.4) for x in xs.tolist()]
+
+    def test_one_exact_call_per_time(self):
+        p = sine_problem(0.1, 40, 1e-3)
+        states = solve_to_time(p, p.partition(), 0.003, [0.001, 0.002, 0.003])
+        fn = exact_solution(p)
+        calls = []
+
+        def counted(x, t):
+            calls.append((len(x), t))
+            return fn(x, t)
+
+        table_report(states, [0.25, 0.5, 0.75], counted, p.partition())
+        assert sorted(calls) == [(3, 0.001), (3, 0.002), (3, 0.003)]
+        calls.clear()
+        error_norms(states[0.003], counted, 0.003, p.partition())
+        assert calls == [(41, 0.003)]
+
+
 class TestTableReport:
     def test_empty_sample_list_is_header_only(self):
         part = UniformPartition(0.0, 1.0, 4)

@@ -19,7 +19,6 @@ from ctburgers.scheme import (
     initialize_coefficients,
     nodal_values,
     solve_to_time,
-    with_time_step,
 )
 
 
@@ -304,10 +303,18 @@ class TestSolveToTime:
         with pytest.raises(ValueError, match="partition"):
             solve_to_time(p, UniformPartition(0.0, 1.0, 12), 0.0)
 
-    def test_with_time_step_helper(self):
+    def test_replaced_time_step_drives_the_march(self):
+        # a copy with another dt marches on its own step grid: 0.0005 is a
+        # step of dt=1e-4 but not of dt=1e-3
         p = sine_problem(1.0, 10, 1e-3)
-        assert with_time_step(p, 1e-4).dt == 1e-4
-        assert with_time_step(p, 1e-4).lam == p.lam
+        q = replace(p, dt=1e-4)
+        assert q.lam == p.lam
+        states = solve_to_time(q, q.partition(), 0.001, [0.0005, 0.001])
+        direct = sine_problem(1.0, 10, 1e-4)
+        expected = solve_to_time(direct, direct.partition(), 0.001, [0.0005, 0.001])
+        assert list(states) == [0.0005, 0.001]
+        for t in states:
+            npt.assert_array_equal(states[t].u, expected[t].u)
 
 
 class TestProblemSpecValidation:
