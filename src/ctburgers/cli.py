@@ -24,7 +24,14 @@ from . import reference as ref
 from .exact import SeriesConvergenceError, sine_wave_exact
 from .linalg import ZeroPivotError
 from .metrics import table_report
-from .problems import exact_solution, sine_problem, traveling_problem
+from .problems import (
+    TRAVELING_ALPHA,
+    TRAVELING_GAMMA,
+    TRAVELING_MU,
+    exact_solution,
+    sine_problem,
+    traveling_problem,
+)
 from .scheme import NodalState, solve_to_time
 
 __all__ = ["RunConfig", "ConfigError", "run", "reproduce", "main"]
@@ -52,9 +59,9 @@ class RunConfig:
     sample_xs: list[float] | str = "all-knots"
     outputs: set[str] = field(default_factory=lambda: {"table"})
     output_dir: Path = Path(".")
-    alpha: float = 0.4
-    mu: float = 0.6
-    gamma: float = 0.125
+    alpha: float = TRAVELING_ALPHA
+    mu: float = TRAVELING_MU
+    gamma: float = TRAVELING_GAMMA
 
     def build_problem(self):
         if self.problem == "sine":
@@ -83,16 +90,28 @@ def _fmt12(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _write_csv(path: Path, t: float, xs, nums, exacts):
-    lines = ["x,t,numerical,exact,abs_error"]
-    for x, un, ue in zip(xs, nums, exacts):
-        err = abs(un - ue) if ue is not None else ""
-        lines.append(
-            f"{_fmt12(x)},{_fmt12(t)},{_fmt12(un)},"
-            f"{_fmt12(ue) if ue is not None else ''},"
-            f"{_fmt12(err) if ue is not None else ''}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, row: str, columns) -> None:
+    """Write ``header`` and one ``row`` line per element of ``columns``.
+
+    ``row`` is a %-template ending in a newline, with one conversion per
+    column; it is filled once for the whole file.  ``"%.12g" % v`` and
+    ``f"{v:.12g}"`` format a float through the same routine, so the bytes
+    are those of a per-row f-string writer.
+    """
+    width, n = len(columns), len(columns[0])
+    flat = [None] * (width * n)
+    for k, col in enumerate(columns):
+        flat[k::width] = col
+    path.write_text(header + "\n" + (row * n) % tuple(flat))
+
+
+def _write_snapshot(path: Path, x_text: list[str], t: float, u: np.ndarray, ue: np.ndarray):
+    """One ``run`` snapshot: the knots (already formatted), t, U, exact and |error|."""
+    row = "%s," + _fmt12(t).replace("%", "%%") + ",%.12g,%.12g,%.12g\n"
+    err = np.abs(np.subtract(u, ue))
+    _write_csv(
+        path, "x,t,numerical,exact,abs_error", row, [x_text, u.tolist(), ue.tolist(), err.tolist()]
+    )
 
 
 def run(config: RunConfig, out=None) -> int:
@@ -136,10 +155,14 @@ def run(config: RunConfig, out=None) -> int:
         if config.outputs & {"csv", "plotdata"}:
             config.output_dir.mkdir(parents=True, exist_ok=True)
             knots = part.knots()
+            knot_array = np.array(knots)
+            # every snapshot of a run shares the knots: format them once
+            x_text = ["%.12g" % x for x in knots]
             for t, state in sorted(states.items()):
-                exacts = exact_fn(np.array(knots), t).tolist() if exact_fn else [None] * len(knots)
                 name = f"{config.problem}_lam{_fmt12(config.lam)}_t{_fmt12(t)}.csv"
-                _write_csv(config.output_dir / name, t, knots, state.u.tolist(), exacts)
+                _write_snapshot(
+                    config.output_dir / name, x_text, t, state.u, exact_fn(knot_array, t)
+                )
     except SeriesConvergenceError as e:
         print(f"error: exact series did not converge: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -237,11 +260,11 @@ def _reproduce_fig(num: int, config_lam: float, out, output_dir: Path) -> bool:
     errs = np.abs(u - exact_fn(np.array(knots), t))
     output_dir.mkdir(parents=True, exist_ok=True)
     path = output_dir / f"fig{num}_error_profile.csv"
-    lines = ["x,t,abs_error"]
-    for x, e in zip(knots, errs.tolist()):
-        lines.append(f"{_fmt12(x)},{_fmt12(t)},{_fmt12(e)}")
-    path.write_text("\n".join(lines) + "\n")
-    front = 0.6 * t + 0.125
+    _write_csv(
+        path, "x,t,abs_error", "%.12g," + _fmt12(t).replace("%", "%%") + ",%.12g\n",
+        [knots, errs.tolist()],
+    )
+    front = TRAVELING_MU * t + TRAVELING_GAMMA
     peak_x = knots[int(np.argmax(errs))]
     ok = abs(peak_x - front) <= 3.0 / 36.0
     out.write(

@@ -123,35 +123,41 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 
 
 def banded_solve(sys: BandedSystem) -> np.ndarray:
-    """Solve a bandwidth-2 system by elimination restricted to the band."""
+    """Solve a bandwidth-2 system by elimination restricted to the band.
+
+    Each pivot row eliminates the two rows below it, offset 1 then 0 in
+    their band rows; an entry that is exactly zero is skipped.
+    """
     n = sys.n
     band = sys.bands.tolist()
     rhs = sys.rhs.tolist()
     for col in range(n - 1):
-        pivot_row = band[col]
-        piv = pivot_row[2]
+        _, _, piv, p3, p4 = band[col]
         if abs(piv) < PIVOT_TOL:
             raise ZeroPivotError(col)
-        for below in range(col + 1, min(col + 3, n)):
-            row = band[below]
-            off = col - below + 2  # column ``col`` as seen from row ``below``
-            if row[off] == 0.0:
-                continue
-            m = row[off] / piv
-            row[off] = 0.0
-            for k in range(1, 3):
-                j = col + k
-                if j < n:
-                    row[off + k] -= m * pivot_row[2 + k]
-            rhs[below] -= m * rhs[col]
+        b = rhs[col]
+        row = band[col + 1]
+        if row[1] != 0.0:
+            m = row[1] / piv
+            row[2] -= m * p3
+            row[3] -= m * p4  # outside the matrix, and never read, in the last row
+            rhs[col + 1] -= m * b
+        if col + 2 < n:
+            row = band[col + 2]
+            if row[0] != 0.0:
+                m = row[0] / piv
+                row[1] -= m * p3
+                # column col + 2 is inside the matrix whenever row col + 2 is
+                row[2] -= m * p4
+                rhs[col + 2] -= m * b
     if abs(band[n - 1][2]) < PIVOT_TOL:
         raise ZeroPivotError(n - 1)
     x = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        acc = rhs[row]
-        for k in range(1, 3):
-            j = row + k
-            if j < n:
-                acc -= band[row][2 + k] * x[j]
-        x[row] = acc / band[row][2]
+    x[n - 1] = rhs[n - 1] / band[n - 1][2]
+    if n > 1:
+        r = band[n - 2]
+        x[n - 2] = (rhs[n - 2] - r[3] * x[n - 1]) / r[2]
+    for i in range(n - 3, -1, -1):
+        r = band[i]
+        x[i] = ((rhs[i] - r[3] * x[i + 1]) - r[4] * x[i + 2]) / r[2]
     return np.array(x)

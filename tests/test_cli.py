@@ -2,7 +2,10 @@
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctburgers import cli
 from ctburgers.linalg import ZeroPivotError
@@ -92,6 +95,21 @@ class TestRunCommand:
                 "c0ff7875f3c48a512be524a8691e2b09e2c9f8bd07f9b83c331c8c49b8e4f9e8",
         }
 
+    def test_traveling_csv_is_byte_identical(self, tmp_path):
+        args = [
+            "run", "--problem", "traveling", "--lambda", "0.005", "--n-cells", "400",
+            "--dt", "0.001", "--t-end", "0.03", "--sample-times", "0.02,0.03",
+            "--outputs", "csv", "--output-dir", str(tmp_path),
+        ]
+        assert run_main(args) == cli.EXIT_OK
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert digests == {
+            "traveling_lam0.005_t0.02.csv":
+                "8d525f8ac51d0e38784e3e9bc82e959b5995cbae6d10df57d7aa02eea3fb9abf",
+            "traveling_lam0.005_t0.03.csv":
+                "461637536334491510185b84870f9524a1aff8e0ff3e27f248c8409d6e38007e",
+        }
+
     def test_invalid_viscosity_exits_config_error(self, capsys):
         code = run_main(["run", "--problem", "sine", "--lambda", "-2", "--t-end", "0.1"])
         assert code == cli.EXIT_CONFIG
@@ -131,6 +149,42 @@ class TestRunCommand:
         code = run_main(["run", "--problem", "sine", "--t-end", "0.001", "--dt", "0.001"])
         assert code == cli.EXIT_NUMERICAL
         assert "numerical" in capsys.readouterr().err
+
+
+def reference_snapshot_text(t, xs, nums, exacts):
+    """A snapshot CSV written row by row with f-strings."""
+    lines = ["x,t,numerical,exact,abs_error"]
+    for x, un, ue in zip(xs, nums, exacts):
+        lines.append(f"{x:.12g},{t:.12g},{un:.12g},{ue:.12g},{abs(un - ue):.12g}")
+    return "\n".join(lines) + "\n"
+
+
+# finite floats of every magnitude, plus the forms whose text is easiest
+# to get wrong: signed zeros, subnormals, 1e+-16 and integers stored as floats
+csv_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, -1e-16, 1e-16]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        t=csv_floats,
+        rows=st.lists(st.tuples(csv_floats, csv_floats, csv_floats), min_size=1, max_size=40),
+    )
+    def test_snapshot_matches_per_row_fstrings(self, t, rows, tmp_path):
+        xs, nums, exacts = (list(col) for col in zip(*rows))
+        path = tmp_path / "snapshot.csv"
+        # the difference of two huge finite floats is inf in both writers;
+        # numpy would also warn about it
+        with np.errstate(over="ignore"):
+            cli._write_snapshot(
+                path, ["%.12g" % x for x in xs], t, np.array(nums), np.array(exacts)
+            )
+        assert path.read_text() == reference_snapshot_text(t, xs, nums, exacts)
 
 
 class TestConfigFile:

@@ -88,6 +88,43 @@ class TestThomas:
             )
 
 
+def reference_banded_solve(sys):
+    """Band elimination with the offset loops written out generically.
+
+    ``banded_solve`` unrolls these loops; it must do the same IEEE
+    operations in the same order, so the results agree bit for bit.
+    """
+    n = sys.n
+    band = sys.bands.tolist()
+    rhs = sys.rhs.tolist()
+    for col in range(n - 1):
+        pivot_row = band[col]
+        piv = pivot_row[2]
+        if abs(piv) < 1e-300:
+            raise ZeroPivotError(col)
+        for below in range(col + 1, min(col + 3, n)):
+            row = band[below]
+            off = col - below + 2
+            if row[off] == 0.0:
+                continue
+            m = row[off] / piv
+            row[off] = 0.0
+            for k in range(1, 3):
+                if col + k < n:
+                    row[off + k] -= m * pivot_row[2 + k]
+            rhs[below] -= m * rhs[col]
+    if abs(band[n - 1][2]) < 1e-300:
+        raise ZeroPivotError(n - 1)
+    x = [0.0] * n
+    for row in range(n - 1, -1, -1):
+        acc = rhs[row]
+        for k in range(1, 3):
+            if row + k < n:
+                acc -= band[row][2 + k] * x[row + k]
+        x[row] = acc / band[row][2]
+    return np.array(x)
+
+
 def banded_from_dense(a, rhs):
     n = len(rhs)
     bands = np.zeros((n, 5))
@@ -143,6 +180,29 @@ class TestBanded:
         x = banded_solve(sys)
         res = np.max(np.abs(a @ x - rhs))
         assert res <= RESIDUAL_TOL * (1.0 + np.max(np.abs(rhs)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=29),
+        seed=st.integers(0, 2**31),
+        zero_share=st.sampled_from([0.0, 0.2, 0.6]),
+    )
+    def test_bit_identical_to_reference_loop(self, n, seed, zero_share):
+        rng = np.random.default_rng(seed)
+        bands = rng.uniform(-1, 1, (n, 5))
+        bands[:, 2] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.5, 4.0, n)
+        # exact zeros of both signs in the off-diagonals exercise the skip
+        off = rng.uniform(size=(n, 5)) < zero_share
+        off[:, 2] = False
+        bands[off] = rng.choice([0.0, -0.0], int(off.sum()))
+        for i in range(n):
+            for j in range(5):
+                if not 0 <= i + j - 2 < n:
+                    bands[i, j] = 0.0
+        sys = BandedSystem(n=n, bands=bands, rhs=rng.uniform(-3, 3, n))
+        got = banded_solve(sys)
+        want = reference_banded_solve(sys)
+        assert got.tobytes() == want.tobytes()
 
     def test_zero_pivot_names_row(self):
         n = 3
