@@ -9,6 +9,7 @@ import numpy as np
 from .exact import (
     SeriesControl,
     sine_wave_exact,
+    traveling_wave_column,
     traveling_wave_exact,
     traveling_wave_slope,
 )
@@ -91,13 +92,9 @@ def exact_solution(
     if p.name == "traveling":
 
         def front(x, t):
-            # point by point: math.exp and np.exp differ in the last bit
-            # for some arguments, and the published error profiles are
-            # pinned byte for byte
             if np.ndim(x) == 0:
                 return traveling_wave_exact(x, t, alpha, mu, gamma, p.lam)
-            xs = np.asarray(x).tolist()
-            return np.array([traveling_wave_exact(v, t, alpha, mu, gamma, p.lam) for v in xs])
+            return traveling_wave_column(x, t, alpha, mu, gamma, p.lam)
 
         return front
     return None

@@ -7,10 +7,15 @@ tridiagonal solve.  The two phantom spline parameters beyond each end of
 the domain are removed with the Dirichlet boundary values before the
 solve and reconstructed afterwards.
 
-One step is one kernel: :func:`assemble_step` builds the bands with numpy
-and folds the phantoms into the end rows on Python floats,
-:func:`~ctburgers.linalg.thomas_sweep` solves on those lists, and
-:func:`advance` restores the phantoms.
+One step is one kernel, built once per march with the step constants
+and preallocated buffers: it computes U, U_x and the four bands of the
+square system with ``out=`` ufuncs on a sliding window of its state
+buffer, converts them to lists once, folds the phantoms into the end rows
+on Python floats, solves with :func:`~ctburgers.linalg.thomas_sweep` and
+writes the new parameters, phantoms restored, back into the buffer.
+:func:`solve_to_time` marches on one kernel and copies the state out only
+at sample times; :func:`assemble_step` and :func:`advance` are one-step
+wrappers over the same kernel.
 """
 
 from __future__ import annotations
@@ -117,16 +122,11 @@ class NodalState:
     uxx: np.ndarray
 
 
-def _value_and_slope(d: np.ndarray, sc: SchemeCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    u = sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1] + sc.alpha1 * d[2:]
-    ux = sc.beta1 * d[:-2] + sc.beta2 * d[2:]
-    return u, ux
-
-
 def nodal_values(c: CoefficientVector, sc: SchemeCoefficients) -> NodalState:
     """Evaluate U, U_x, U_xx at every knot from the spline parameters."""
     d = c.delta
-    u, ux = _value_and_slope(d, sc)
+    u = sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1] + sc.alpha1 * d[2:]
+    ux = sc.beta1 * d[:-2] + sc.beta2 * d[2:]
     uxx = sc.gamma1 * d[:-2] + sc.gamma2 * d[1:-1] + sc.gamma1 * d[2:]
     return NodalState(u=u, ux=ux, uxx=uxx)
 
@@ -159,6 +159,108 @@ def initialize_coefficients(
     return CoefficientVector(delta=delta, time=0.0)
 
 
+class _StepKernel:
+    """One Crank-Nicolson step on preallocated buffers, built once per march.
+
+    ``delta`` is the state buffer (N+3 parameters) the kernel steps in
+    place.  A read-only (3, N+1) sliding window over it holds the
+    parameters d_{m-1}, d_m, d_{m+1} of every collocation row m, so U and
+    U_x take one broadcast multiply each; lower and upper, which differ
+    only in beta, are computed as one (2, N+1) block.  Every ufunc writes
+    into a buffer allocated here.  Each IEEE operation is the one of the
+    band-by-band formulas (U, U_x, then each band and the rhs from them)
+    with the same operands in the same order, so grouping rows into
+    blocks changes no bit of the result.
+    """
+
+    def __init__(self, delta: np.ndarray, p: ProblemSpec, sc: SchemeCoefficients):
+        a1, a2 = sc.alpha1, sc.alpha2
+        if a1 == 0.0:
+            raise ZeroDivisionError("alpha1 = 0: phantom parameters cannot be eliminated")
+        half_dt = 0.5 * p.dt
+        lam_g1 = p.lam * sc.gamma1
+        lam_g2 = p.lam * sc.gamma2
+        self.delta = np.array(delta, dtype=float)
+        rows = len(self.delta) - 2
+        # the (3, rows) sliding window as a plain strided view: the same
+        # array sliding_window_view gives, at a twentieth of its set-up cost
+        step = self.delta.itemsize
+        window = np.ndarray((3, rows), buffer=self.delta, strides=(step, step))
+        window.flags.writeable = False
+        terms = np.empty((3, rows))
+        u = np.empty(rows)
+        ux = np.empty(rows)
+        a1_ux = np.empty(rows)
+        # lower and upper (one block), diag, rhs
+        bands = np.empty((4, rows))
+        # a step unpacks these two tuples instead of loading each value as an attribute
+        self._constants = (
+            a1, a2, half_dt, lam_g1, lam_g2,
+            a1 + half_dt * lam_g1, a2 + half_dt * lam_g2,
+            p.boundary_left, p.boundary_right,
+        )
+        self._buffers = (
+            window, window[::2], window[0], window[1], window[2],
+            np.array([[a1], [a2], [a1]]), np.array([[sc.beta1], [sc.beta2]]),
+            terms, terms[0], terms[1], terms[2], terms[:2],
+            u, ux, a1_ux, bands, bands[:2], bands[2], bands[3],
+        )
+
+    def assemble(self) -> tuple[list[float], list[float], list[float], list[float]]:
+        """The folded square system of the current state, as :func:`assemble_step`."""
+        a1, a2, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre, bc_left, bc_right = (
+            self._constants
+        )
+        (w, w02, d0, d1, d2, alphas, betas, t, t0, t1, t2, t01,
+         u, ux, a1_ux, bands, lu, diag, rhs) = self._buffers
+        mul, add, sub = np.multiply, np.add, np.subtract
+        # U = (a1 d0 + a2 d1) + a1 d2,  U_x = b1 d0 + b2 d2
+        mul(alphas, w, out=t)
+        add(t0, t1, out=u)
+        add(u, t2, out=u)
+        mul(betas, w02, out=t01)
+        add(t0, t1, out=ux)
+        # lower, upper = a1 + dt/2 ((a1 U_x + beta U) - lam g1)
+        mul(a1, ux, out=a1_ux)
+        mul(betas, u, out=lu)
+        add(a1_ux, lu, out=lu)
+        sub(lu, lam_g1, out=lu)
+        mul(half_dt, lu, out=lu)
+        add(a1, lu, out=lu)
+        # diag = a2 + dt/2 (a2 U_x - lam g2)
+        mul(a2, ux, out=diag)
+        sub(diag, lam_g2, out=diag)
+        mul(half_dt, diag, out=diag)
+        add(a2, diag, out=diag)
+        # rhs = (a1 + dt/2 lam g1)(d0 + d2) + (a2 + dt/2 lam g2) d1
+        add(d0, d2, out=rhs)
+        mul(rhs_outer, rhs, out=rhs)
+        mul(rhs_centre, d1, out=u)  # U is not needed any more
+        add(rhs, u, out=rhs)
+        lower, upper, diag, rhs = bands.tolist()
+        # delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1
+        first = lower[0]
+        diag[0] -= first * a2 / a1
+        upper[0] -= first
+        rhs[0] -= first * bc_left / a1
+        # delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1
+        last = upper.pop()
+        diag[-1] -= last * a2 / a1
+        lower[-1] -= last
+        rhs[-1] -= last * bc_right / a1
+        del lower[0]
+        return lower, diag, upper, rhs
+
+    def step(self) -> None:
+        """Advance ``delta`` in place by one time step."""
+        mid = thomas_sweep(*self.assemble())
+        a1, a2 = self._constants[:2]
+        bc_left, bc_right = self._constants[7:]
+        mid.insert(0, (bc_left - a2 * mid[0] - a1 * mid[1]) / a1)
+        mid.append((bc_right - a1 * mid[-2] - a2 * mid[-1]) / a1)
+        self.delta[:] = mid
+
+
 def assemble_step(
     c: CoefficientVector, p: ProblemSpec, sc: SchemeCoefficients
 ) -> tuple[list[float], list[float], list[float], list[float]]:
@@ -177,33 +279,7 @@ def assemble_step(
     Returns plain float lists ``(sub, diag, sup, rhs)`` in the layout of
     :func:`~ctburgers.linalg.thomas_sweep`.
     """
-    d = c.delta
-    u, ux = _value_and_slope(d, sc)
-    a1, a2 = sc.alpha1, sc.alpha2
-    if a1 == 0.0:
-        raise ZeroDivisionError("alpha1 = 0: phantom parameters cannot be eliminated")
-    half_dt = 0.5 * p.dt
-    lam_g1 = p.lam * sc.gamma1
-    lam_g2 = p.lam * sc.gamma2
-    a1_ux = a1 * ux
-    lower = (a1 + half_dt * (a1_ux + sc.beta1 * u - lam_g1)).tolist()
-    diag = (a2 + half_dt * (a2 * ux - lam_g2)).tolist()
-    upper = (a1 + half_dt * (a1_ux + sc.beta2 * u - lam_g1)).tolist()
-    rhs = (
-        (a1 + half_dt * lam_g1) * (d[:-2] + d[2:]) + (a2 + half_dt * lam_g2) * d[1:-1]
-    ).tolist()
-    # delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1
-    first = lower[0]
-    diag[0] -= first * a2 / a1
-    upper[0] -= first
-    rhs[0] -= first * p.boundary_left / a1
-    # delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1
-    last = upper.pop()
-    diag[-1] -= last * a2 / a1
-    lower[-1] -= last
-    rhs[-1] -= last * p.boundary_right / a1
-    del lower[0]
-    return lower, diag, upper, rhs
+    return _StepKernel(c.delta, p, sc).assemble()
 
 
 def advance(
@@ -214,11 +290,9 @@ def advance(
     Exactly one linear solve per step; the linearization uses the previous
     level only, with no inner iteration.
     """
-    mid = thomas_sweep(*assemble_step(c, p, sc))
-    a1, a2 = sc.alpha1, sc.alpha2
-    mid.insert(0, (p.boundary_left - a2 * mid[0] - a1 * mid[1]) / a1)
-    mid.append((p.boundary_right - a1 * mid[-2] - a2 * mid[-1]) / a1)
-    return CoefficientVector(delta=np.array(mid), time=c.time + p.dt)
+    kernel = _StepKernel(c.delta, p, sc)
+    kernel.step()
+    return CoefficientVector(delta=kernel.delta, time=c.time + p.dt)
 
 
 def _step_index(t: float, dt: float) -> int:
@@ -264,8 +338,10 @@ def solve_to_time(
     out: dict[float, NodalState] = {}
     if 0 in wanted:
         out[wanted[0]] = nodal_values(c, sc)
+    kernel = _StepKernel(c.delta, p, sc)
     for k in range(1, n_steps + 1):
-        c = advance(c, p, sc)
+        kernel.step()
         if k in wanted:
-            out[wanted[k]] = nodal_values(c, sc)
+            t = wanted[k]
+            out[t] = nodal_values(CoefficientVector(delta=kernel.delta.copy(), time=t), sc)
     return out

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from ctburgers.basis import UniformPartition
 from ctburgers.exact import (
     SeriesControl,
     SeriesConvergenceError,
@@ -13,6 +14,7 @@ from ctburgers.exact import (
     bessel_i,
     bessel_i_ratio,
     sine_wave_exact,
+    traveling_wave_column,
     traveling_wave_exact,
     traveling_wave_slope,
 )
@@ -273,3 +275,25 @@ class TestTravelingWave:
     def test_rejects_nonpositive_viscosity(self):
         with pytest.raises(ValueError):
             traveling_wave_exact(0.5, 0.1, ALPHA, MU, GAMMA, 0.0)
+        with pytest.raises(ValueError):
+            traveling_wave_column(np.array([0.5]), 0.1, ALPHA, MU, GAMMA, 0.0)
+
+
+class TestTravelingWaveColumns:
+    @pytest.mark.parametrize("lam", [0.01, 0.005, 0.001])
+    @pytest.mark.parametrize("n_cells", [36, 400, 4000])
+    def test_column_is_bit_identical_to_point_calls(self, lam, n_cells):
+        knots = UniformPartition(0.0, 1.0, n_cells).knots()
+        for t in (0.0, 0.1, 0.4, 0.5, 1.0, 1.2):
+            col = traveling_wave_column(np.array(knots), t, ALPHA, MU, GAMMA, lam)
+            points = np.array([traveling_wave_exact(x, t, ALPHA, MU, GAMMA, lam) for x in knots])
+            assert col.tobytes() == points.tobytes()
+
+    def test_front_centre_and_extremes_are_bit_identical(self):
+        # the branch switch at eta = 0 (both signs of zero) and exponents
+        # that underflow to exact zero
+        xs = [GAMMA, 0.0, -0.0, -1e300, 1e300, MU * 0.5 + GAMMA, 0.5]
+        for t in (0.0, 0.5):
+            col = traveling_wave_column(np.array(xs), t, ALPHA, MU, GAMMA, 1e-6)
+            points = np.array([traveling_wave_exact(x, t, ALPHA, MU, GAMMA, 1e-6) for x in xs])
+            assert col.tobytes() == points.tobytes()

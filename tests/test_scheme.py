@@ -6,7 +6,10 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctburgers import scheme
 from ctburgers.basis import SchemeCoefficients, UniformPartition, knot_coefficients
 from ctburgers.exact import sine_wave_exact, traveling_wave_exact
 from ctburgers.linalg import ZeroPivotError
@@ -14,6 +17,7 @@ from ctburgers.problems import sine_problem, traveling_problem
 from ctburgers.scheme import (
     CoefficientVector,
     ProblemSpec,
+    _StepKernel,
     advance,
     assemble_step,
     initialize_coefficients,
@@ -188,6 +192,32 @@ class TestAdvance:
             advance(c, p, sc)
         assert err.value.row == 0
 
+    def test_zero_pivot_names_row_through_the_march(self, monkeypatch):
+        # the same constants as above; the fit is replaced by a zero state
+        # because with beta = 0 the fit itself has a zero pivot in row 0
+        sc = SchemeCoefficients(
+            alpha1=1.0, alpha2=1.0, beta1=0.0, beta2=0.0, gamma1=0.0, gamma2=0.0
+        )
+        p = constant_problem(0.0, n_cells=5)
+        monkeypatch.setattr(scheme, "knot_coefficients", lambda h: sc)
+        monkeypatch.setattr(
+            scheme,
+            "initialize_coefficients",
+            lambda p, part, sc: CoefficientVector(delta=np.zeros(8), time=0.0),
+        )
+        with pytest.raises(ZeroPivotError, match="row 0") as err:
+            solve_to_time(p, p.partition(), 3 * p.dt)
+        assert err.value.row == 0
+
+    def test_zero_alpha1_cannot_eliminate_phantoms(self):
+        sc = replace(knot_coefficients(0.1), alpha1=0.0)
+        p = constant_problem(0.0, n_cells=10)
+        c = CoefficientVector(delta=np.zeros(13), time=0.0)
+        with pytest.raises(ZeroDivisionError, match="alpha1"):
+            assemble_step(c, p, sc)
+        with pytest.raises(ZeroDivisionError, match="alpha1"):
+            advance(c, p, sc)
+
     def test_time_advances_by_dt(self):
         p = sine_problem(1.0, 10, 1e-3)
         part, sc = setup(p)
@@ -222,6 +252,155 @@ def dense_one_step_oracle(delta, p, sc):
     a[n - 1, n - 3 : n] = [sc.alpha1, sc.alpha2, sc.alpha1]
     rhs[n - 1] = p.boundary_right
     return np.linalg.solve(a, rhs)
+
+
+def reference_assemble(d, p, sc):
+    """The band-by-band assembly the step kernel replaced, kept as its oracle."""
+    u = sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1] + sc.alpha1 * d[2:]
+    ux = sc.beta1 * d[:-2] + sc.beta2 * d[2:]
+    a1, a2 = sc.alpha1, sc.alpha2
+    half_dt = 0.5 * p.dt
+    lam_g1 = p.lam * sc.gamma1
+    lam_g2 = p.lam * sc.gamma2
+    a1_ux = a1 * ux
+    lower = (a1 + half_dt * (a1_ux + sc.beta1 * u - lam_g1)).tolist()
+    diag = (a2 + half_dt * (a2 * ux - lam_g2)).tolist()
+    upper = (a1 + half_dt * (a1_ux + sc.beta2 * u - lam_g1)).tolist()
+    rhs = (
+        (a1 + half_dt * lam_g1) * (d[:-2] + d[2:]) + (a2 + half_dt * lam_g2) * d[1:-1]
+    ).tolist()
+    first = lower[0]
+    diag[0] -= first * a2 / a1
+    upper[0] -= first
+    rhs[0] -= first * p.boundary_left / a1
+    last = upper.pop()
+    diag[-1] -= last * a2 / a1
+    lower[-1] -= last
+    rhs[-1] -= last * p.boundary_right / a1
+    del lower[0]
+    return lower, diag, upper, rhs
+
+
+def reference_sweep(sub, diag, sup, rhs):
+    """Thomas elimination as a plain loop over the lists."""
+    n = len(diag)
+    for i in range(1, n):
+        if abs(diag[i - 1]) < 1e-300:
+            raise ZeroPivotError(i - 1)
+        m = sub[i - 1] / diag[i - 1]
+        diag[i] = diag[i] - m * sup[i - 1]
+        rhs[i] = rhs[i] - m * rhs[i - 1]
+    if abs(diag[n - 1]) < 1e-300:
+        raise ZeroPivotError(n - 1)
+    x = [0.0] * n
+    x[n - 1] = rhs[n - 1] / diag[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (rhs[i] - sup[i] * x[i + 1]) / diag[i]
+    return x
+
+
+def reference_advance(d, p, sc):
+    mid = reference_sweep(*reference_assemble(d, p, sc))
+    a1, a2 = sc.alpha1, sc.alpha2
+    left = (p.boundary_left - a2 * mid[0] - a1 * mid[1]) / a1
+    right = (p.boundary_right - a1 * mid[-2] - a2 * mid[-1]) / a1
+    return np.array([left, *mid, right])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def outcome(fn):
+    """The bits a computation returns, or the row of the zero pivot it hits."""
+    try:
+        return bits(fn())
+    except ZeroPivotError as err:
+        return ("zero pivot", err.row)
+
+
+@st.composite
+def step_cases(draw):
+    n_cells = draw(st.integers(min_value=3, max_value=60))
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+    )
+    delta = np.array(draw(st.lists(entry, min_size=n_cells + 3, max_size=n_cells + 3)))
+    p = ProblemSpec(
+        lam=draw(st.floats(min_value=1e-3, max_value=1.0)),
+        a=0.0,
+        b=1.0,
+        dt=draw(st.floats(min_value=1e-5, max_value=1e-2)),
+        n_cells=n_cells,
+        initial_condition=lambda x: 0.0,
+        initial_derivative=lambda x: 0.0,
+        boundary_left=draw(entry),
+        boundary_right=draw(entry),
+    )
+    return delta, p, knot_coefficients(1.0 / n_cells)
+
+
+class TestStepKernelBitIdentity:
+    """The step kernel does the reference's IEEE operations in its order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_cases())
+    def test_one_step(self, case):
+        delta, p, sc = case
+        c = CoefficientVector(delta=delta.copy(), time=0.0)
+        ref = reference_assemble(delta, p, sc)
+        got = assemble_step(c, p, sc)
+        assert [bits(v) for v in got] == [bits(v) for v in ref]
+        assert outcome(lambda: advance(c, p, sc).delta) == outcome(
+            lambda: reference_advance(delta, p, sc)
+        )
+        assert bits(c.delta) == bits(delta)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=step_cases())
+    def test_fifty_step_march(self, case):
+        delta, p, sc = case
+
+        def reference():
+            d = delta
+            for _ in range(50):
+                d = reference_advance(d, p, sc)
+            return d
+
+        def kernel():
+            k = _StepKernel(delta, p, sc)
+            for _ in range(50):
+                k.step()
+            return k.delta
+
+        def public():
+            c = CoefficientVector(delta=delta, time=0.0)
+            for _ in range(50):
+                c = advance(c, p, sc)
+            return c.delta
+
+        expected = outcome(reference)
+        assert outcome(kernel) == expected
+        assert outcome(public) == expected
+
+    @pytest.mark.parametrize(
+        "problem",
+        [sine_problem(0.01, 40, 1e-3), traveling_problem(0.005, 36, 1e-3)],
+        ids=["sine", "traveling"],
+    )
+    def test_march_snapshots_match_reference(self, problem):
+        part, sc = setup(problem)
+        steps = {0.0: 0, 0.02: 20, 0.05: 50}
+        states = solve_to_time(problem, part, 0.05, list(steps))
+        deltas = [initialize_coefficients(problem, part, sc).delta]
+        for _ in range(50):
+            deltas.append(reference_advance(deltas[-1], problem, sc))
+        assert list(states) == list(steps)
+        for t, k in steps.items():
+            ref = nodal_values(CoefficientVector(delta=deltas[k], time=t), sc)
+            for field in ("u", "ux", "uxx"):
+                assert bits(getattr(states[t], field)) == bits(getattr(ref, field))
 
 
 class TestBruteForceEquivalence:
