@@ -18,16 +18,9 @@ from .exact import (
     sine_wave_exact,
     traveling_wave_exact,
 )
-from .linalg import (
-    BandedSystem,
-    TridiagonalSystem,
-    ZeroPivotError,
-    banded_solve,
-    thomas_solve,
-    thomas_sweep,
-)
+from .linalg import ZeroPivotError, banded_solve, thomas_sweep
 from .metrics import ErrorReport, error_norms, table_report
-from .problems import exact_solution, sine_problem, traveling_problem
+from .problems import sine_problem, traveling_problem
 from .scheme import (
     CoefficientVector,
     NodalState,
@@ -56,11 +49,8 @@ __all__ = [
     "assemble_step",
     "advance",
     "solve_to_time",
-    "TridiagonalSystem",
-    "BandedSystem",
     "ZeroPivotError",
     "thomas_sweep",
-    "thomas_solve",
     "banded_solve",
     "SeriesControl",
     "SeriesConvergenceError",
@@ -70,7 +60,6 @@ __all__ = [
     "traveling_wave_exact",
     "sine_problem",
     "traveling_problem",
-    "exact_solution",
     "ErrorReport",
     "error_norms",
     "table_report",

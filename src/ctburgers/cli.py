@@ -23,12 +23,11 @@ import numpy as np
 from . import reference as ref
 from .exact import SeriesConvergenceError, sine_wave_exact
 from .linalg import ZeroPivotError
-from .metrics import table_report
+from .metrics import _knot_index, table_report
 from .problems import (
     TRAVELING_ALPHA,
     TRAVELING_GAMMA,
     TRAVELING_MU,
-    exact_solution,
     sine_problem,
     traveling_problem,
 )
@@ -80,7 +79,10 @@ class RunConfig:
         try:
             p = self.build_problem()
             p.validate()
-            p.partition()
+            part = p.partition()
+            if self.sample_xs != "all-knots":
+                for x in self.sample_xs:
+                    _knot_index(x, part)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         return p
@@ -140,9 +142,6 @@ def run(config: RunConfig, out=None) -> int:
             )
             return EXIT_NUMERICAL
 
-    exact_fn = exact_solution(
-        problem, alpha=config.alpha, mu=config.mu, gamma=config.gamma
-    )
     if config.sample_xs == "all-knots":
         xs = part.knots()
     else:
@@ -151,7 +150,7 @@ def run(config: RunConfig, out=None) -> int:
     try:
         if "table" in config.outputs:
             decimals = 3 if config.problem == "traveling" else 5
-            out.write(table_report(states, xs, exact_fn, part, decimals=decimals))
+            out.write(table_report(states, xs, problem.exact, part, decimals=decimals))
         if config.outputs & {"csv", "plotdata"}:
             config.output_dir.mkdir(parents=True, exist_ok=True)
             knots = part.knots()
@@ -161,7 +160,7 @@ def run(config: RunConfig, out=None) -> int:
             for t, state in sorted(states.items()):
                 name = f"{config.problem}_lam{_fmt12(config.lam)}_t{_fmt12(t)}.csv"
                 _write_snapshot(
-                    config.output_dir / name, x_text, t, state.u, exact_fn(knot_array, t)
+                    config.output_dir / name, x_text, t, state.u, problem.exact(knot_array, t)
                 )
     except SeriesConvergenceError as e:
         print(f"error: exact series did not converge: {e}", file=sys.stderr)
@@ -255,9 +254,8 @@ def _reproduce_fig(num: int, config_lam: float, out, output_dir: Path) -> bool:
     part = problem.partition()
     states = solve_to_time(problem, part, t, [t])
     u = states[t].u
-    exact_fn = exact_solution(problem)
     knots = part.knots()
-    errs = np.abs(u - exact_fn(np.array(knots), t))
+    errs = np.abs(u - problem.exact(np.array(knots), t))
     output_dir.mkdir(parents=True, exist_ok=True)
     path = output_dir / f"fig{num}_error_profile.csv"
     _write_csv(

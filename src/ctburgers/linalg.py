@@ -1,24 +1,16 @@
 """Direct solvers for the small banded systems of the collocation method.
 
-Both solvers run plain Gaussian elimination without pivoting: the
-collocation matrices are diagonally dominant for the parameter ranges the
-scheme accepts, and a zero pivot is reported loudly instead of repaired.
+Both solvers run plain Gaussian elimination without pivoting.  Nothing
+checks that a matrix is diagonally dominant, and the step matrices are
+not for every accepted input; a pivot below ``PIVOT_TOL`` in magnitude
+raises :class:`ZeroPivotError` instead of being repaired.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "TridiagonalSystem",
-    "BandedSystem",
-    "ZeroPivotError",
-    "thomas_sweep",
-    "thomas_solve",
-    "banded_solve",
-]
+__all__ = ["ZeroPivotError", "thomas_sweep", "banded_solve"]
 
 PIVOT_TOL = 1e-300
 
@@ -29,59 +21,6 @@ class ZeroPivotError(ArithmeticError):
     def __init__(self, row: int):
         super().__init__(f"zero pivot in row {row}")
         self.row = row
-
-
-@dataclass
-class TridiagonalSystem:
-    """A x = rhs with A tridiagonal; ``sub``/``sup`` have length n-1."""
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.diag)
-        if n < 1 or len(self.sub) != n - 1 or len(self.sup) != n - 1 or len(self.rhs) != n:
-            raise ValueError("inconsistent tridiagonal band lengths")
-
-    def dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        a += np.diag(self.sub, -1)
-        a += np.diag(self.sup, 1)
-        return a
-
-    def residual(self, x: np.ndarray) -> float:
-        return float(np.max(np.abs(self.dense() @ x - self.rhs)))
-
-
-@dataclass
-class BandedSystem:
-    """A x = rhs with A banded, bandwidth two on each side.
-
-    ``bands`` has shape (n, 5); column j holds the coefficient at offset
-    j - 2 from the diagonal (entries that would fall outside the matrix
-    must be zero).
-    """
-
-    n: int
-    bands: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        self.bands = np.asarray(self.bands, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.bands.shape != (self.n, 5) or len(self.rhs) != self.n:
-            raise ValueError("bands must be (n, 5) and rhs length n")
-
-    def dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for off in range(-2, 3):
-                j = i + off
-                if 0 <= j < self.n:
-                    a[i, j] = self.bands[i, off + 2]
-        return a
 
 
 def thomas_sweep(
@@ -115,22 +54,20 @@ def thomas_sweep(
     return rhs
 
 
-def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve a tridiagonal system with :func:`thomas_sweep` on copies of its bands."""
-    return np.array(thomas_sweep(*(
-        np.asarray(v, dtype=float).tolist() for v in (sys.sub, sys.diag, sys.sup, sys.rhs)
-    )))
-
-
-def banded_solve(sys: BandedSystem) -> np.ndarray:
+def banded_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a bandwidth-2 system by elimination restricted to the band.
 
-    Each pivot row eliminates the two rows below it, offset 1 then 0 in
-    their band rows; an entry that is exactly zero is skipped.
+    ``bands`` has shape (n, 5); column j holds the coefficient at offset
+    j - 2 from the diagonal (entries that would fall outside the matrix
+    must be zero).  Each pivot row eliminates the two rows below it,
+    offset 1 then 0 in their band rows; an entry that is exactly zero is
+    skipped.
     """
-    n = sys.n
-    band = sys.bands.tolist()
-    rhs = sys.rhs.tolist()
+    n = len(rhs)
+    if np.shape(bands) != (n, 5):
+        raise ValueError(f"bands must have shape (n, 5) = ({n}, 5), got {np.shape(bands)}")
+    band = np.asarray(bands, dtype=float).tolist()
+    rhs = np.asarray(rhs, dtype=float).tolist()
     for col in range(n - 1):
         _, _, piv, p3, p4 = band[col]
         if abs(piv) < PIVOT_TOL:

@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from .exact import (
-    SeriesControl,
     sine_wave_exact,
     traveling_wave_column,
     traveling_wave_exact,
@@ -15,7 +14,7 @@ from .exact import (
 )
 from .scheme import ProblemSpec
 
-__all__ = ["sine_problem", "traveling_problem", "exact_solution"]
+__all__ = ["sine_problem", "traveling_problem"]
 
 TRAVELING_ALPHA = 0.4
 TRAVELING_MU = 0.6
@@ -41,7 +40,7 @@ def sine_problem(lam: float, n_cells: int, dt: float, end_time: float = 0.0) -> 
         boundary_left=0.0,
         boundary_right=0.0,
         end_time=end_time,
-        name="sine",
+        exact=lambda x, t: sine_wave_exact(x, t, lam),
     )
 
 
@@ -59,6 +58,12 @@ def traveling_problem(
     The boundary values are the far-field limits ``alpha + mu`` and
     ``mu - alpha`` of the exact front, as in the published benchmark.
     """
+
+    def front(x, t):
+        if np.ndim(x) == 0:
+            return traveling_wave_exact(x, t, alpha, mu, gamma, lam)
+        return traveling_wave_column(x, t, alpha, mu, gamma, lam)
+
     return ProblemSpec(
         lam=lam,
         a=0.0,
@@ -71,30 +76,6 @@ def traveling_problem(
         boundary_right=mu - alpha,
         end_time=end_time,
         compat_tol=TRAVELING_COMPAT_TOL,
-        name="traveling",
+        exact=front,
     )
 
-
-def exact_solution(
-    p: ProblemSpec,
-    alpha: float = TRAVELING_ALPHA,
-    mu: float = TRAVELING_MU,
-    gamma: float = TRAVELING_GAMMA,
-    ctl: SeriesControl = SeriesControl(),
-):
-    """Exact (x, t) -> U for a benchmark problem, or None if unavailable.
-
-    ``x`` is a float or a 1-D array of points; a float gives a float, an
-    array an array, so callers evaluate one column per time.
-    """
-    if p.name == "sine":
-        return lambda x, t: sine_wave_exact(x, t, p.lam, ctl)
-    if p.name == "traveling":
-
-        def front(x, t):
-            if np.ndim(x) == 0:
-                return traveling_wave_exact(x, t, alpha, mu, gamma, p.lam)
-            return traveling_wave_column(x, t, alpha, mu, gamma, p.lam)
-
-        return front
-    return None

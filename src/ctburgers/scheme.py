@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import SchemeCoefficients, UniformPartition, knot_coefficients
-from .linalg import BandedSystem, banded_solve, thomas_sweep
+from .linalg import banded_solve, thomas_sweep
 
 __all__ = [
     "ProblemSpec",
@@ -55,6 +55,11 @@ class ProblemSpec:
     the traveling-wave benchmark needs a loose bound because its published
     configuration clamps U(0,t)=1 while the exact profile starts at
     0.99465.
+
+    ``exact(x, t)`` is the exact solution, if one is known: x is a float
+    or a 1-D array of points, and the result a float or an array.  The
+    factories bind ``initial_condition`` and ``exact`` to their ``lam``,
+    so ``dataclasses.replace(p, lam=...)`` needs a fresh factory call.
     """
 
     lam: float
@@ -68,7 +73,7 @@ class ProblemSpec:
     boundary_right: float
     end_time: float = 0.0
     compat_tol: float = 1e-10
-    name: str = "custom"
+    exact: Callable | None = None
 
     def validate(self) -> None:
         for field_name in ("lam", "dt", "end_time", "a", "b", "boundary_left", "boundary_right"):
@@ -155,7 +160,7 @@ def initialize_coefficients(
     bands[n - 1, 0] = sc.beta1
     bands[n - 1, 2] = sc.beta2
     rhs[n - 1] = p.initial_derivative(part.b)
-    delta = banded_solve(BandedSystem(n=n, bands=bands, rhs=rhs))
+    delta = banded_solve(bands, rhs)
     return CoefficientVector(delta=delta, time=0.0)
 
 
@@ -304,6 +309,8 @@ def _step_index(t: float, dt: float) -> int:
             f"sample time {t} is not a multiple of dt={dt} "
             f"(offset {abs(t - k * dt):.3e})"
         )
+    if k < 0:
+        raise ValueError(f"time {t} is before the start at t=0")
     return k
 
 
@@ -315,7 +322,8 @@ def solve_to_time(
 ) -> dict[float, NodalState]:
     """March the scheme to ``t_end`` and record the requested snapshots.
 
-    Every sample time (and ``t_end`` itself) must lie on the step grid.
+    Every sample time (and ``t_end`` itself) must lie on the step grid at
+    or after t = 0.
     Returns a map from sample time to the nodal state at that time.
     """
     p.validate()

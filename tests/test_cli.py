@@ -141,6 +141,30 @@ class TestRunCommand:
         )
         assert code == cli.EXIT_CONFIG
 
+    def test_negative_sample_time_exits_config_error(self, capsys):
+        code = run_main(
+            ["run", "--problem", "sine", "--n-cells", "10", "--dt", "0.01", "--t-end", "0.02",
+             "--sample-times=-0.01,0.02"]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert "error: invalid config: time -0.01 is before" in captured.err
+        assert captured.out == ""
+
+    def test_non_knot_sample_x_rejected_before_the_march(self, monkeypatch, capsys):
+        def fail(*a, **k):
+            raise AssertionError("marched with an invalid sample x")
+
+        monkeypatch.setattr(cli, "solve_to_time", fail)
+        code = run_main(
+            ["run", "--problem", "sine", "--lambda", "1", "--n-cells", "10", "--dt", "0.01",
+             "--t-end", "0.02", "--sample-xs", "0.33"]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "error: invalid config: sample x=0.33 is not a knot" in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(*a, **k):
             raise ZeroPivotError(3)

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctburgers.linalg import (
-    BandedSystem,
-    TridiagonalSystem,
-    ZeroPivotError,
-    banded_solve,
-    thomas_solve,
-)
+from ctburgers.linalg import ZeroPivotError, banded_solve, thomas_sweep
 
 RESIDUAL_TOL = 1e-10
+
+
+def dense_tridiag(sub, diag, sup):
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
 
 def random_dominant_tridiag(n, rng):
@@ -22,81 +20,74 @@ def random_dominant_tridiag(n, rng):
     sup = rng.uniform(-1, 1, n - 1)
     diag = 2.5 + rng.uniform(0, 1, n)  # strictly dominant
     rhs = rng.uniform(-5, 5, n)
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    return sub, diag, sup, rhs
+
+
+def sweep(sub, diag, sup, rhs):
+    """:func:`thomas_sweep` on list copies of the bands, as an array."""
+    bands = (np.asarray(v, dtype=float).tolist() for v in (sub, diag, sup, rhs))
+    return np.array(thomas_sweep(*bands))
 
 
 class TestThomas:
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.0, 0.5])
-        sys = TridiagonalSystem(
-            sub=np.zeros(3), diag=np.ones(4), sup=np.zeros(3), rhs=rhs
-        )
-        npt.assert_allclose(thomas_solve(sys), rhs, rtol=0, atol=0)
+        x = sweep(np.zeros(3), np.ones(4), np.zeros(3), rhs)
+        npt.assert_allclose(x, rhs, rtol=0, atol=0)
 
     def test_three_by_three_against_dense_oracle(self):
-        sys = TridiagonalSystem(
-            sub=np.array([1.0, 1.0]),
-            diag=np.array([2.0, 2.0, 2.0]),
-            sup=np.array([1.0, 1.0]),
-            rhs=np.array([1.0, 2.0, 3.0]),
-        )
-        oracle = np.linalg.solve(sys.dense(), sys.rhs)
+        sub, diag, sup = [1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0]
+        rhs = [1.0, 2.0, 3.0]
+        oracle = np.linalg.solve(dense_tridiag(sub, diag, sup), rhs)
         npt.assert_allclose(oracle, [0.5, 0.0, 1.5], atol=1e-14)
-        npt.assert_allclose(thomas_solve(sys), oracle, atol=1e-14)
+        npt.assert_allclose(sweep(sub, diag, sup, rhs), oracle, atol=1e-14)
 
     def test_random_dominant_residual(self):
         rng = np.random.default_rng(0)
-        sys = random_dominant_tridiag(50, rng)
-        x = thomas_solve(sys)
-        assert sys.residual(x) <= RESIDUAL_TOL * (1.0 + np.max(np.abs(sys.rhs)))
+        sub, diag, sup, rhs = random_dominant_tridiag(50, rng)
+        x = sweep(sub, diag, sup, rhs)
+        res = np.max(np.abs(dense_tridiag(sub, diag, sup) @ x - rhs))
+        assert res <= RESIDUAL_TOL * (1.0 + np.max(np.abs(rhs)))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(min_value=1, max_value=64), seed=st.integers(0, 2**31))
     def test_matches_dense_solve_on_dominant_systems(self, n, seed):
         rng = np.random.default_rng(seed)
-        sys = random_dominant_tridiag(n, rng) if n > 1 else TridiagonalSystem(
-            sub=np.zeros(0), diag=np.array([3.0]), sup=np.zeros(0),
-            rhs=np.array([rng.uniform(-5, 5)]),
-        )
+        sub, diag, sup, rhs = random_dominant_tridiag(n, rng)
         npt.assert_allclose(
-            thomas_solve(sys), np.linalg.solve(sys.dense(), sys.rhs), atol=1e-10
+            sweep(sub, diag, sup, rhs),
+            np.linalg.solve(dense_tridiag(sub, diag, sup), rhs),
+            atol=1e-10,
         )
 
+    def test_solution_overwrites_rhs_list(self):
+        sub, diag, sup, rhs = [1.0], [4.0, 4.0], [1.0], [5.0, 5.0]
+        x = thomas_sweep(sub, diag, sup, rhs)
+        assert x is rhs
+        assert x == [1.0, 1.0]
+
     def test_zero_pivot_names_row(self):
-        sys = TridiagonalSystem(
-            sub=np.array([1.0]), diag=np.array([0.0, 1.0]),
-            sup=np.array([1.0]), rhs=np.array([1.0, 1.0]),
-        )
         with pytest.raises(ZeroPivotError, match="row 0"):
-            thomas_solve(sys)
+            sweep([1.0], [0.0, 1.0], [1.0], [1.0, 1.0])
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_zero_pivot_after_elimination_names_row(self, n):
         # unit bands: the second pivot is 1 - 1*1 = 0, in the last row for
         # n = 2 and inside the forward sweep for n = 4
-        sys = TridiagonalSystem(
-            sub=np.ones(n - 1), diag=np.ones(n), sup=np.ones(n - 1), rhs=np.ones(n)
-        )
         with pytest.raises(ZeroPivotError, match="row 1") as err:
-            thomas_solve(sys)
+            sweep(np.ones(n - 1), np.ones(n), np.ones(n - 1), np.ones(n))
         assert err.value.row == 1
 
-    def test_inconsistent_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            TridiagonalSystem(
-                sub=np.zeros(3), diag=np.ones(3), sup=np.zeros(2), rhs=np.ones(3)
-            )
 
-
-def reference_banded_solve(sys):
+def reference_banded_solve(bands, rhs):
     """Band elimination with the offset loops written out generically.
 
     ``banded_solve`` unrolls these loops; it must do the same IEEE
     operations in the same order, so the results agree bit for bit.
     """
-    n = sys.n
-    band = sys.bands.tolist()
-    rhs = sys.rhs.tolist()
+    n = len(rhs)
+    band = bands.tolist()
+    rhs = rhs.tolist()
     for col in range(n - 1):
         pivot_row = band[col]
         piv = pivot_row[2]
@@ -133,7 +124,7 @@ def banded_from_dense(a, rhs):
             j = i + off
             if 0 <= j < n:
                 bands[i, off + 2] = a[i, j]
-    return BandedSystem(n=n, bands=bands, rhs=rhs)
+    return bands, rhs
 
 
 class TestBanded:
@@ -142,7 +133,7 @@ class TestBanded:
         bands = np.zeros((n, 5))
         bands[:, 2] = np.arange(1.0, n + 1)
         rhs = np.arange(1.0, n + 1) * 2
-        x = banded_solve(BandedSystem(n=n, bands=bands, rhs=rhs))
+        x = banded_solve(bands, rhs)
         npt.assert_allclose(x, 2.0)
 
     def test_initialization_stencil_against_dense_oracle(self):
@@ -156,14 +147,18 @@ class TestBanded:
         a[n - 1, n - 3], a[n - 1, n - 1] = -1.3, 1.3
         rng = np.random.default_rng(1)
         rhs = rng.uniform(-1, 1, n)
-        sys = banded_from_dense(a, rhs)
-        npt.assert_allclose(banded_solve(sys), np.linalg.solve(a, rhs), atol=1e-10)
+        npt.assert_allclose(
+            banded_solve(*banded_from_dense(a, rhs)), np.linalg.solve(a, rhs), atol=1e-10
+        )
 
     def test_tridiagonal_input_matches_thomas(self):
         rng = np.random.default_rng(2)
-        tri = random_dominant_tridiag(20, rng)
-        sys = banded_from_dense(tri.dense(), tri.rhs)
-        npt.assert_allclose(banded_solve(sys), thomas_solve(tri), atol=1e-12)
+        sub, diag, sup, rhs = random_dominant_tridiag(20, rng)
+        npt.assert_allclose(
+            banded_solve(*banded_from_dense(dense_tridiag(sub, diag, sup), rhs)),
+            sweep(sub, diag, sup, rhs),
+            atol=1e-12,
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=3, max_value=40), seed=st.integers(0, 2**31))
@@ -176,8 +171,7 @@ class TestBanded:
                     a[i, j] = 0.0
             a[i, i] = 5.0 + rng.uniform(0, 1)
         rhs = rng.uniform(-3, 3, n)
-        sys = banded_from_dense(a, rhs)
-        x = banded_solve(sys)
+        x = banded_solve(*banded_from_dense(a, rhs))
         res = np.max(np.abs(a @ x - rhs))
         assert res <= RESIDUAL_TOL * (1.0 + np.max(np.abs(rhs)))
 
@@ -199,9 +193,9 @@ class TestBanded:
             for j in range(5):
                 if not 0 <= i + j - 2 < n:
                     bands[i, j] = 0.0
-        sys = BandedSystem(n=n, bands=bands, rhs=rng.uniform(-3, 3, n))
-        got = banded_solve(sys)
-        want = reference_banded_solve(sys)
+        rhs = rng.uniform(-3, 3, n)
+        got = banded_solve(bands, rhs)
+        want = reference_banded_solve(bands, rhs)
         assert got.tobytes() == want.tobytes()
 
     def test_zero_pivot_names_row(self):
@@ -211,8 +205,10 @@ class TestBanded:
         bands[1, 2] = 0.0
         bands[2, 2] = 1.0
         with pytest.raises(ZeroPivotError, match="row 1"):
-            banded_solve(BandedSystem(n=n, bands=bands, rhs=np.ones(n)))
+            banded_solve(bands, np.ones(n))
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            BandedSystem(n=3, bands=np.zeros((3, 4)), rhs=np.ones(3))
+        with pytest.raises(ValueError, match=r"\(n, 5\)"):
+            banded_solve(np.zeros((3, 4)), np.ones(3))
+        with pytest.raises(ValueError, match=r"\(n, 5\)"):
+            banded_solve(np.zeros((3, 5)), np.ones(4))

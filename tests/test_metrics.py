@@ -1,15 +1,17 @@
 """Error-report and table-rendering tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ctburgers.basis import UniformPartition
-from ctburgers.exact import sine_wave_exact
+from ctburgers.exact import sine_wave_exact, traveling_wave_exact
 from ctburgers.metrics import error_norms, table_report
-from ctburgers.problems import exact_solution, sine_problem, traveling_problem
+from ctburgers.problems import sine_problem, traveling_problem
 from ctburgers.scheme import NodalState, solve_to_time
+from test_scheme import constant_problem
 
 
 def state_from(u):
@@ -56,7 +58,7 @@ class TestErrorNorms:
     def test_error_profile_peaks_at_the_front(self):
         p = traveling_problem(0.01, 36, 1e-3, end_time=0.4)
         states = solve_to_time(p, p.partition(), 0.4, [0.4])
-        rep = error_norms(states[0.4], exact_solution(p), 0.4, p.partition())
+        rep = error_norms(states[0.4], p.exact, 0.4, p.partition())
         errs = [r[4] for r in rep.pointwise]
         peak_x = rep.pointwise[int(np.argmax(errs))][0]
         front = 0.6 * 0.4 + 0.125
@@ -66,16 +68,21 @@ class TestErrorNorms:
 class TestExactColumns:
     @pytest.mark.parametrize("factory", [sine_problem, traveling_problem])
     def test_column_equals_points(self, factory):
-        fn = exact_solution(factory(0.01, 36, 1e-3))
+        fn = factory(0.01, 36, 1e-3).exact
         xs = np.linspace(0.0, 1.0, 37)
         col = fn(xs, 0.4)
         assert isinstance(col, np.ndarray)
         assert col.tolist() == [fn(x, 0.4) for x in xs.tolist()]
 
+    def test_traveling_exact_uses_the_factory_constants(self):
+        p = traveling_problem(0.01, 36, 1e-3, alpha=0.3, mu=0.5, gamma=0.2)
+        assert p.exact(0.4, 0.2) == traveling_wave_exact(0.4, 0.2, 0.3, 0.5, 0.2, 0.01)
+        assert p.exact(0.4, 0.2) != traveling_problem(0.01, 36, 1e-3).exact(0.4, 0.2)
+
     def test_one_exact_call_per_time(self):
         p = sine_problem(0.1, 40, 1e-3)
         states = solve_to_time(p, p.partition(), 0.003, [0.001, 0.002, 0.003])
-        fn = exact_solution(p)
+        fn = p.exact
         calls = []
 
         def counted(x, t):
@@ -87,6 +94,23 @@ class TestExactColumns:
         calls.clear()
         error_norms(states[0.003], counted, 0.003, p.partition())
         assert calls == [(41, 0.003)]
+
+
+class TestCustomExact:
+    """A problem built outside the factories can carry its own exact solution."""
+
+    def test_constant_problem_has_zero_error(self):
+        c = 0.5
+        p = replace(constant_problem(c, n_cells=4), exact=lambda x, t: c)
+        part = p.partition()
+        rep = error_norms(state_from([c] * 5), p.exact, 0.3, part)
+        assert rep.l_inf == 0.0 and rep.l2 == 0.0
+        text = table_report({0.3: state_from([c] * 5)}, [0.25, 0.75], p.exact, part)
+        for row in text.strip().splitlines()[1:]:
+            assert row.split()[2:] == ["0.50000", "0.50000"]
+
+    def test_spec_without_exact_has_none(self):
+        assert constant_problem(0.5).exact is None
 
 
 class TestTableReport:

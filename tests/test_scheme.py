@@ -461,6 +461,16 @@ class TestSolveToTime:
         with pytest.raises(ValueError, match="beyond"):
             solve_to_time(p, p.partition(), 0.01, [0.02])
 
+    def test_negative_sample_time_rejected(self):
+        p = sine_problem(1.0, 10, 1e-2)
+        with pytest.raises(ValueError, match=r"time -0\.01 is before"):
+            solve_to_time(p, p.partition(), 0.02, [-0.01, 0.02])
+
+    def test_negative_horizon_rejected(self):
+        p = sine_problem(1.0, 10, 1e-2)
+        with pytest.raises(ValueError, match=r"time -0\.01 is before"):
+            solve_to_time(p, p.partition(), -0.01)
+
     def test_colliding_sample_times_rejected(self):
         # distinct times that round to the same step must not merge silently
         p = sine_problem(1.0, 10, 1e-4)
