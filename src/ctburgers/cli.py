@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,9 @@ def run(config: RunConfig, out=None) -> int:
     except SeriesConvergenceError as e:
         print(f"error: exact series did not converge: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as e:
+        print(f"error: invalid config: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -294,6 +297,9 @@ def reproduce(target: str, output_dir: Path = Path("."), out=None) -> int:
     except (ZeroPivotError, FloatingPointError, SeriesConvergenceError) as e:
         print(f"error: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as e:
+        print(f"error: invalid config: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     out.write(f"{target}: {'PASS' if ok else 'FAIL'}\n")
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -303,26 +309,38 @@ def reproduce(target: str, output_dir: Path = Path("."), out=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_floats(text: str) -> list[float]:
+def _floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError as e:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from e
+        msg = f"expected comma-separated numbers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from e
 
 
-def _read_config_file(path: Path) -> dict[str, str]:
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+def _sample_xs(text: str) -> list[float] | str:
+    return text if text == "all-knots" else _floats(text)
+
+
+def _outputs(text: str) -> set[str]:
+    return {s.strip() for s in text.split(",") if s.strip()}
+
+
+def _read_config_file(path: Path) -> list[str]:
+    """The ``key=value`` lines of ``path`` as ``--key=value`` flag tokens."""
+    try:
+        text = path.read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read config file: {e}") from e
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+        tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return tokens
 
 
 class _Parser(argparse.ArgumentParser):
@@ -340,6 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
+    # the dests are the RunConfig fields; a flag left out keeps its default
     runp = sub.add_parser("run", help="solve one configured problem")
     runp.add_argument("--config", type=Path, help="key=value config file")
     runp.add_argument("--problem", choices=("sine", "traveling"))
@@ -347,9 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--n-cells", type=int)
     runp.add_argument("--dt", type=float)
     runp.add_argument("--t-end", type=float)
-    runp.add_argument("--sample-times", help="comma-separated times")
-    runp.add_argument("--sample-xs", help="comma-separated points or 'all-knots'")
-    runp.add_argument("--outputs", help="comma-separated: table,csv,plotdata")
+    runp.add_argument("--sample-times", type=_floats, help="comma-separated times")
+    runp.add_argument("--sample-xs", type=_sample_xs, help="comma-separated points or 'all-knots'")
+    runp.add_argument("--outputs", type=_outputs, help="comma-separated: table,csv,plotdata")
     runp.add_argument("--output-dir", type=Path)
     runp.add_argument("--alpha", type=float, help="traveling-wave amplitude")
     runp.add_argument("--mu", type=float, help="traveling-wave speed")
@@ -359,51 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("target", choices=REPRODUCE_TARGETS)
     rep.add_argument("--output-dir", type=Path, default=Path("."))
     return parser
-
-
-_RUN_KEYS = (
-    "problem", "lam", "n_cells", "dt", "t_end", "sample_times",
-    "sample_xs", "outputs", "output_dir", "alpha", "mu", "gamma",
-)
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    file_values = _read_config_file(args.config) if args.config else {}
-    file_values = {("lam" if k == "lambda" else k): v for k, v in file_values.items()}
-    unknown = set(file_values) - set(_RUN_KEYS)
-    if unknown:
-        raise ConfigError(f"config file: unknown key(s) {sorted(unknown)}")
-
-    def pick(key):
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            return cli_val
-        return file_values.get(key)
-
-    for key in ("problem",):
-        if (v := pick(key)) is not None:
-            cfg.problem = str(v)
-    for key in ("lam", "dt", "t_end", "alpha", "mu", "gamma"):
-        if (v := pick(key)) is not None:
-            try:
-                setattr(cfg, key, float(v))
-            except ValueError as e:
-                raise ConfigError(f"{key}: expected a number, got {v!r}") from e
-    if (v := pick("n_cells")) is not None:
-        try:
-            cfg.n_cells = int(v)
-        except ValueError as e:
-            raise ConfigError(f"n_cells: expected an integer, got {v!r}") from e
-    if (v := pick("sample_times")) is not None:
-        cfg.sample_times = _parse_floats(v) if isinstance(v, str) else v
-    if (v := pick("sample_xs")) is not None:
-        cfg.sample_xs = v if v == "all-knots" else _parse_floats(v)
-    if (v := pick("outputs")) is not None:
-        cfg.outputs = {s.strip() for s in str(v).split(",") if s.strip()}
-    if (v := pick("output_dir")) is not None:
-        cfg.output_dir = Path(v)
-    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -418,11 +392,18 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CONFIG
         if args.command == "reproduce":
             return reproduce(args.target, output_dir=args.output_dir)
-        cfg = _config_from_args(args)
+        if args.config is not None:
+            # the file's lines are flags that the command line follows, so
+            # the command line wins
+            tokens = _read_config_file(args.config)
+            if parser.parse_args(["run", *tokens]).config is not None:
+                raise ConfigError("config file: a config file cannot name another")
+            args = parser.parse_args(["run", *tokens, *argv[1:]])
     except ConfigError as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(cfg)
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    return run(RunConfig(**{k: v for k, v in given.items() if v is not None}))
 
 
 if __name__ == "__main__":

@@ -52,10 +52,12 @@ def error_norms(
 
 
 def _knot_index(x: float, part: UniformPartition) -> int:
-    i = round((x - part.a) / part.h)
-    if not 0 <= i <= part.n_cells or abs(part.knot(i) - x) > KNOT_MATCH_TOL:
-        raise ValueError(f"sample x={x} is not a knot of the partition (h={part.h})")
-    return i
+    q = (x - part.a) / part.h
+    if math.isfinite(q):
+        i = round(q)
+        if 0 <= i <= part.n_cells and abs(part.knot(i) - x) <= KNOT_MATCH_TOL:
+            return i
+    raise ValueError(f"sample x={x} is not a knot of the partition (h={part.h})")
 
 
 def table_report(

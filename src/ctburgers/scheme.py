@@ -93,7 +93,7 @@ class ProblemSpec:
             ("right", self.b, self.boundary_right),
         ):
             gap = abs(self.initial_condition(x) - bc)
-            if gap > self.compat_tol:
+            if not gap <= self.compat_tol:  # a NaN gap fails too
                 raise ValueError(
                     f"initial_condition incompatible with boundary_{where}: "
                     f"|IC({x}) - {bc}| = {gap:.3e} > {self.compat_tol:.1e}"

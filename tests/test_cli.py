@@ -151,19 +151,43 @@ class TestRunCommand:
         assert "error: invalid config: time -0.01 is before" in captured.err
         assert captured.out == ""
 
-    def test_non_knot_sample_x_rejected_before_the_march(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("x", ["0.33", "inf", "nan"])
+    def test_non_knot_sample_x_rejected_before_the_march(self, x, monkeypatch, capsys):
         def fail(*a, **k):
             raise AssertionError("marched with an invalid sample x")
 
         monkeypatch.setattr(cli, "solve_to_time", fail)
         code = run_main(
             ["run", "--problem", "sine", "--lambda", "1", "--n-cells", "10", "--dt", "0.01",
-             "--t-end", "0.02", "--sample-xs", "0.33"]
+             "--t-end", "0.02", "--sample-xs", x]
         )
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert "error: invalid config: sample x=0.33 is not a knot" in err
+        assert f"error: invalid config: sample x={x} is not a knot" in err
         assert "Traceback" not in err
+
+    def test_nan_initial_condition_exits_config_error(self, monkeypatch, capsys):
+        def fail(*a, **k):
+            raise AssertionError("marched from a NaN initial condition")
+
+        monkeypatch.setattr(cli, "solve_to_time", fail)
+        code = run_main(
+            ["run", "--problem", "traveling", "--lambda", "0.01", "--n-cells", "36",
+             "--dt", "0.001", "--t-end", "0.01", "--gamma", "nan"]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "error: invalid config: initial_condition incompatible" in capsys.readouterr().err
+
+    def test_output_dir_that_is_a_file_exits_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run_main(
+            ["run", "--problem", "sine", "--n-cells", "10", "--dt", "0.01", "--t-end", "0",
+             "--outputs", "csv", "--output-dir", str(taken)]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "error: invalid config:" in err and "Traceback" not in err
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(*a, **k):
@@ -242,6 +266,59 @@ class TestConfigFile:
     def test_missing_file_rejected(self):
         assert run_main(["run", "--config", "/nonexistent.cfg"]) == cli.EXIT_CONFIG
 
+    def test_directory_rejected(self, tmp_path, capsys):
+        assert run_main(["run", "--config", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "error: invalid config: cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,flag",
+        [
+            ("n-cells = 2.5", "--n-cells"),
+            ("problem = foo", "--problem"),
+            ("sample-times = 0.1,x", "--sample-times"),
+        ],
+    )
+    def test_bad_value_rejected_with_its_flag_message(self, line, flag, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run_main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert f"error: invalid config: argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam_key", ["lambda", "lam"])
+    @pytest.mark.parametrize("cells_key", ["n-cells", "n_cells"])
+    def test_key_spellings(self, lam_key, cells_key, tmp_path, capsys):
+        # x = 1/3 is a knot at N = 3 but not at the default N = 40, and the
+        # file's lambda is invalid, so each key shows whether it was read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"{lam_key} = -1\n{cells_key} = 3\nt_end = 0\nsample-xs = {1 / 3!r}\n"
+        )
+        assert run_main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "lambda must be positive" in capsys.readouterr().err
+        assert run_main(["run", "--config", str(cfg), "--lambda", "1"]) == cli.EXIT_OK
+        assert "   0.333    0.000" in capsys.readouterr().out
+
+    def test_command_line_overrides_every_kind_of_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "problem = traveling\nn-cells = 7\nsample-xs = 0.3\noutputs = pdf\nt-end = 0\n"
+        )
+        code = run_main(
+            ["run", "--config", str(cfg), "--problem", "sine", "--n-cells", "4",
+             "--sample-xs", "0.5", "--outputs", "table"]
+        )
+        assert code == cli.EXIT_OK
+        assert "   0.500    0.000   1.00000   1.00000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_config_key_rejected(self, key, tmp_path, capsys):
+        other = tmp_path / "other.cfg"
+        other.write_text("t-end = 0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {other}\n")
+        assert run_main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "config file" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_table5_passes_and_reports_dt(self, capsys):
@@ -273,6 +350,31 @@ class TestReproduce:
         assert run_main(["reproduce", target, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
         data = (tmp_path / f"{target}_error_profile.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "target,digest",
+        [
+            ("table2", "4b488e2cc748f6ced9763cd16346d32dc8a7f8fb9ea20d3597c984a1dc65fa32"),
+            ("table3", "0cedf8cacf42e991daaaba29259880787fc96df99e745e683ce0e4c801a956cf"),
+            ("table4", "1c750a745190c03e2080c02f249216efce21672bbd2000085be8f92e6a66021c"),
+            ("table5", "03e8df7d6d2664ed986e286a1e57c792cd3e83ea4dec5ac46c6a773e4443e7bb"),
+            ("fig7", "bfccd39f20275e6c18b84d3dde1b0378ebf413ca4ba8dabd0ef26c0b4e3a75a8"),
+            ("fig8", "9fcce1df13aa3afc5278d98ba35bf91fb8f9dd405161f083f9138d661c9d8184"),
+        ],
+    )
+    def test_stdout_is_byte_identical(self, target, digest, tmp_path, capsys):
+        # the reproduce report is a fixed floor; the figure targets print
+        # their output path, which is replaced by a fixed string
+        assert run_main(["reproduce", target, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+        out = capsys.readouterr().out.replace(str(tmp_path), "OUT")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_output_dir_that_is_a_file_exits_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_main(["reproduce", "fig7", "--output-dir", str(taken)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: invalid config:" in err and "Traceback" not in err
 
     def test_invalid_target_exits_config_error(self):
         assert run_main(["reproduce", "table9"]) == cli.EXIT_CONFIG

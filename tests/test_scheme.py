@@ -531,6 +531,12 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError, match="boundary_left"):
             replace(constant_problem(0.0), boundary_left=1.0).validate()
 
+    def test_rejects_nan_initial_condition(self):
+        # a NaN gap compares false against any tolerance
+        nan_ic = replace(constant_problem(0.0), initial_condition=lambda x: math.nan)
+        with pytest.raises(ValueError, match="boundary_left"):
+            nan_ic.validate()
+
     def test_traveling_compatibility_is_relaxed_by_construction(self):
         # exact front at t=0 reaches only ~0.99465 at x=0 while the
         # benchmark clamps the boundary at 1; the factory must accept this
