@@ -8,7 +8,13 @@ benchmark configuration and checks the result against the published
 values cell by cell.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
-3 reproduction outside tolerance.
+3 reproduction outside tolerance.  :func:`main` is the one place that
+maps errors to them.  1 is a bad flag, config-file value or input, an
+unreadable config file or an unusable output directory (a
+``ValueError`` or ``OSError``); 2 is a zero pivot, a non-finite
+solution or an exact series that does not converge.  The library
+functions :func:`run` and :func:`reproduce` raise these errors instead
+of printing them, and return 0 or 3.
 """
 
 from __future__ import annotations
@@ -76,15 +82,12 @@ class RunConfig:
         bad = self.outputs - {"table", "csv", "plotdata"}
         if bad:
             raise ConfigError(f"outputs: unknown kind(s) {sorted(bad)}")
-        try:
-            p = self.build_problem()
-            p.validate()
-            part = p.partition()
-            if self.sample_xs != "all-knots":
-                for x in self.sample_xs:
-                    _knot_index(x, part)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        p = self.build_problem()
+        p.validate()
+        part = p.partition()
+        if self.sample_xs != "all-knots":
+            for x in self.sample_xs:
+                _knot_index(x, part)
         return p
 
 
@@ -116,58 +119,38 @@ def _write_snapshot(path: Path, x_text: list[str], t: float, u: np.ndarray, ue: 
     )
 
 
-def run(config: RunConfig, out=None) -> int:
-    """Solve one configuration and write the requested outputs."""
-    out = out if out is not None else sys.stdout
-    try:
-        problem = config.validate()
-    except ConfigError as e:
-        print(f"error: invalid config: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+def run(config: RunConfig) -> int:
+    """Solve one configuration and write the requested outputs to stdout and files.
+
+    Raises a ``ValueError`` or ``OSError`` for a configuration that cannot
+    run, and ``ZeroPivotError``, ``FloatingPointError`` or
+    ``SeriesConvergenceError`` for a numerical failure.
+    """
+    problem = config.validate()
     part = problem.partition()
-    sample_times = config.sample_times or [config.t_end]
-    try:
-        states = solve_to_time(problem, part, config.t_end, sample_times)
-    except ValueError as e:
-        print(f"error: invalid config: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ZeroPivotError, FloatingPointError) as e:
-        print(f"error: numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    writes_files = bool(config.outputs & {"csv", "plotdata"})
+    if writes_files:
+        # an unusable directory fails here, not after the march
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    states = solve_to_time(problem, part, config.t_end, config.sample_times or [config.t_end])
     for t, state in states.items():
         if not np.all(np.isfinite(state.u)):
-            print(
-                f"error: numerical failure: non-finite solution at t={t}",
-                file=sys.stderr,
+            raise FloatingPointError(f"non-finite solution at t={t}")
+
+    if "table" in config.outputs:
+        xs = part.knots() if config.sample_xs == "all-knots" else list(config.sample_xs)
+        decimals = 3 if config.problem == "traveling" else 5
+        sys.stdout.write(table_report(states, xs, problem.exact, part, decimals=decimals))
+    if writes_files:
+        knots = part.knots()
+        knot_array = np.array(knots)
+        # every snapshot of a run shares the knots: format them once
+        x_text = ["%.12g" % x for x in knots]
+        for t, state in sorted(states.items()):
+            name = f"{config.problem}_lam{_fmt12(config.lam)}_t{_fmt12(t)}.csv"
+            _write_snapshot(
+                config.output_dir / name, x_text, t, state.u, problem.exact(knot_array, t)
             )
-            return EXIT_NUMERICAL
-
-    if config.sample_xs == "all-knots":
-        xs = part.knots()
-    else:
-        xs = list(config.sample_xs)
-
-    try:
-        if "table" in config.outputs:
-            decimals = 3 if config.problem == "traveling" else 5
-            out.write(table_report(states, xs, problem.exact, part, decimals=decimals))
-        if config.outputs & {"csv", "plotdata"}:
-            config.output_dir.mkdir(parents=True, exist_ok=True)
-            knots = part.knots()
-            knot_array = np.array(knots)
-            # every snapshot of a run shares the knots: format them once
-            x_text = ["%.12g" % x for x in knots]
-            for t, state in sorted(states.items()):
-                name = f"{config.problem}_lam{_fmt12(config.lam)}_t{_fmt12(t)}.csv"
-                _write_snapshot(
-                    config.output_dir / name, x_text, t, state.u, problem.exact(knot_array, t)
-                )
-    except SeriesConvergenceError as e:
-        print(f"error: exact series did not converge: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as e:
-        print(f"error: invalid config: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -255,11 +238,11 @@ def _reproduce_fig(num: int, config_lam: float, out, output_dir: Path) -> bool:
     t = 0.4
     problem = traveling_problem(config_lam, 36, 1e-3, end_time=t)
     part = problem.partition()
+    output_dir.mkdir(parents=True, exist_ok=True)
     states = solve_to_time(problem, part, t, [t])
     u = states[t].u
     knots = part.knots()
     errs = np.abs(u - problem.exact(np.array(knots), t))
-    output_dir.mkdir(parents=True, exist_ok=True)
     path = output_dir / f"fig{num}_error_profile.csv"
     _write_csv(
         path, "x,t,abs_error", "%.12g," + _fmt12(t).replace("%", "%%") + ",%.12g\n",
@@ -277,29 +260,22 @@ def _reproduce_fig(num: int, config_lam: float, out, output_dir: Path) -> bool:
     return ok
 
 
-def reproduce(target: str, output_dir: Path = Path("."), out=None) -> int:
-    """Run one canonical benchmark configuration and check it cell by cell."""
-    out = out if out is not None else sys.stdout
+def reproduce(target: str, output_dir: Path = Path(".")) -> int:
+    """Run one canonical benchmark configuration and check it cell by cell.
+
+    Returns 0 when every cell is within tolerance and 3 when one is not;
+    raises as :func:`run` does.
+    """
     if target not in REPRODUCE_TARGETS:
-        print(
-            f"error: invalid config: target must be one of {REPRODUCE_TARGETS}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    try:
-        if target in ("table2", "table3", "table4"):
-            ok = _reproduce_sine_table(int(target[-1]), out)
-        elif target == "table5":
-            ok = _reproduce_table5(out)
-        else:
-            lam = 0.01 if target == "fig7" else 0.005
-            ok = _reproduce_fig(int(target[-1]), lam, out, output_dir)
-    except (ZeroPivotError, FloatingPointError, SeriesConvergenceError) as e:
-        print(f"error: numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as e:
-        print(f"error: invalid config: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"target must be one of {REPRODUCE_TARGETS}")
+    out = sys.stdout
+    if target in ("table2", "table3", "table4"):
+        ok = _reproduce_sine_table(int(target[-1]), out)
+    elif target == "table5":
+        ok = _reproduce_table5(out)
+    else:
+        lam = 0.01 if target == "fig7" else 0.005
+        ok = _reproduce_fig(int(target[-1]), lam, out, output_dir)
     out.write(f"{target}: {'PASS' if ok else 'FAIL'}\n")
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -399,11 +375,16 @@ def main(argv: list[str] | None = None) -> int:
             if parser.parse_args(["run", *tokens]).config is not None:
                 raise ConfigError("config file: a config file cannot name another")
             args = parser.parse_args(["run", *tokens, *argv[1:]])
-    except ConfigError as e:
+        given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+        return run(RunConfig(**{k: v for k, v in given.items() if v is not None}))
+    # ConfigError is a ValueError, and every ValueError the package raises
+    # is an input check
+    except (ValueError, OSError) as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    return run(RunConfig(**{k: v for k, v in given.items() if v is not None}))
+    except (ZeroPivotError, FloatingPointError, SeriesConvergenceError) as e:
+        print(f"error: numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -303,6 +303,8 @@ def advance(
 def _step_index(t: float, dt: float) -> int:
     if not math.isfinite(t):
         raise ValueError(f"time {t} must be finite")
+    if not math.isfinite(t / dt):
+        raise ValueError(f"time {t} is out of range for dt={dt}: t/dt is not finite")
     k = round(t / dt)
     if abs(t - k * dt) > TIME_ALIGN_TOL * dt:
         raise ValueError(

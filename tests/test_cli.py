@@ -1,14 +1,20 @@
 """Command-line interface tests: flags, config files, outputs, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import cli
+from ctburgers import cli, problems
+from ctburgers.exact import SeriesConvergenceError
 from ctburgers.linalg import ZeroPivotError
+from ctburgers.scheme import NodalState
 
 
 def run_main(args):
@@ -198,6 +204,57 @@ class TestRunCommand:
         assert code == cli.EXIT_NUMERICAL
         assert "numerical" in capsys.readouterr().err
 
+    def test_output_dir_that_is_a_file_is_rejected_before_the_march(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*a, **k):
+            raise AssertionError("marched into an unusable output directory")
+
+        monkeypatch.setattr(cli, "solve_to_time", fail)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run_main(
+            ["run", "--problem", "sine", "--n-cells", "10", "--dt", "0.01", "--t-end", "1",
+             "--outputs", "csv", "--output-dir", str(taken)]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "error: invalid config:" in err and "Traceback" not in err
+
+    def test_step_count_overflow_exits_config_error(self, capsys):
+        code = run_main(["run", "--dt", "1e-10", "--t-end", "1e300"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "error: invalid config: time 1e+300" in err and "Traceback" not in err
+
+    def test_non_finite_solution_exits_numerical_failure(self, monkeypatch, capsys):
+        def blown_up(p, part, t_end, sample_times):
+            u = np.full(p.n_cells + 1, np.nan)
+            return {t_end: NodalState(u=u, ux=u, uxx=u)}
+
+        monkeypatch.setattr(cli, "solve_to_time", blown_up)
+        code = run_main(["run", "--problem", "sine", "--t-end", "0.001", "--dt", "0.001"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+        assert "error: numerical failure: non-finite solution at t=0.001" in captured.err
+        assert captured.out == ""
+
+    def test_series_failure_while_writing_exits_numerical_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the exact column is evaluated only when the snapshots are written
+        def stalled(*a, **k):
+            raise SeriesConvergenceError("ascending Bessel series stalled")
+
+        monkeypatch.setattr(problems, "sine_wave_exact", stalled)
+        code = run_main(
+            ["run", "--problem", "sine", "--n-cells", "10", "--dt", "0.01", "--t-end", "0.01",
+             "--outputs", "csv", "--output-dir", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL
+        assert "error: numerical failure: ascending Bessel series stalled" in err
+
 
 def reference_snapshot_text(t, xs, nums, exacts):
     """A snapshot CSV written row by row with f-strings."""
@@ -376,8 +433,35 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert "error: invalid config:" in err and "Traceback" not in err
 
+    def test_output_dir_that_is_a_file_is_rejected_before_the_march(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*a, **k):
+            raise AssertionError("marched into an unusable output directory")
+
+        monkeypatch.setattr(cli, "solve_to_time", fail)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_main(["reproduce", "fig8", "--output-dir", str(taken)]) == cli.EXIT_CONFIG
+        assert "error: invalid config:" in capsys.readouterr().err
+
     def test_invalid_target_exits_config_error(self):
         assert run_main(["reproduce", "table9"]) == cli.EXIT_CONFIG
+
+    def test_invalid_target_to_the_library_function_raises(self):
+        with pytest.raises(cli.ConfigError, match="target must be one of"):
+            cli.reproduce("table9")
+
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        def boom(*a, **k):
+            raise ZeroPivotError(3)
+
+        monkeypatch.setattr(cli, "solve_to_time", boom)
+        code = run_main(["reproduce", "fig7", "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+        assert "error: numerical failure: zero pivot in row 3" in captured.err
+        assert captured.out == ""
 
     def test_mismatch_exit_code(self, monkeypatch, capsys):
         # corrupt one published cell: the run must flag it and exit 3
@@ -392,3 +476,27 @@ class TestReproduce:
 def test_no_arguments_prints_help(capsys):
     assert run_main([]) == cli.EXIT_CONFIG
     assert "usage" in capsys.readouterr().out.lower()
+
+
+class TestProcessExitCodes:
+    """The module run as a program: the exit status is what ``main`` returns."""
+
+    @staticmethod
+    def ctburgers(*args):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run(
+            [sys.executable, "-m", "ctburgers.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_success_exits_zero(self):
+        proc = self.ctburgers("run", "--t-end", "0", "--sample-xs", "0.5")
+        assert proc.returncode == cli.EXIT_OK
+        assert "1.00000" in proc.stdout
+
+    def test_invalid_config_exits_one(self):
+        proc = self.ctburgers("run", "--dt", "nan")
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "error: invalid config: dt must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -487,6 +487,12 @@ class TestSolveToTime:
         with pytest.raises(ValueError, match="finite"):
             solve_to_time(p, p.partition(), 0.001, [math.inf])
 
+    def test_step_count_overflow_rejected(self):
+        # 1e300 / 1e-10 is inf: no step index exists for it
+        p = sine_problem(1.0, 10, 1e-10)
+        with pytest.raises(ValueError, match=r"time 1e\+300 .*dt=1e-10"):
+            solve_to_time(p, p.partition(), 1e300)
+
     def test_mismatched_partition_rejected(self):
         p = sine_problem(1.0, 10, 1e-3)
         with pytest.raises(ValueError, match="partition"):
