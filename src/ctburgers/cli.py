@@ -20,6 +20,7 @@ of printing them, and return 0 or 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -326,7 +327,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps nothing between calls, each
+    # one starts from a fresh namespace of the defaults
     parser = _Parser(
         prog="ctburgers",
         description="Trigonometric-spline collocation solver for the 1D "

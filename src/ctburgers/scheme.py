@@ -10,9 +10,15 @@ solve and reconstructed afterwards.
 One step is one kernel, built once per march with the step constants
 and preallocated buffers: it computes U, U_x and the four bands of the
 square system with ``out=`` ufuncs on a sliding window of its state
-buffer, converts them to lists once, folds the phantoms into the end rows
-on Python floats, solves with :func:`~ctburgers.linalg.thomas_sweep` and
-writes the new parameters, phantoms restored, back into the buffer.
+buffer, then finishes the step: it folds the phantoms into the end rows,
+solves the tridiagonal system and writes the new parameters, phantoms
+restored, back into the buffer.  The finish runs in a small C function
+(``_finish.c``, built on the first kernel of a process and loaded with
+ctypes) when it gives the bits of the Python path on a fixed set of
+known-answer systems; otherwise, and on machines without a C compiler,
+it runs on Python floats with :func:`~ctburgers.linalg.thomas_sweep`.
+Both paths do the same IEEE operations in the same order, so the results
+do not depend on which one runs; :func:`step_finisher` says which does.
 :func:`solve_to_time` marches on one kernel and copies the state out only
 at sample times; :func:`assemble_step` and :func:`advance` are one-step
 wrappers over the same kernel.
@@ -20,14 +26,17 @@ wrappers over the same kernel.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+from . import _native
 from .basis import SchemeCoefficients, UniformPartition, knot_coefficients
-from .linalg import banded_solve, thomas_sweep
+from .linalg import PIVOT_TOL, ZeroPivotError, banded_solve, thomas_sweep
 
 __all__ = [
     "ProblemSpec",
@@ -38,6 +47,7 @@ __all__ = [
     "assemble_step",
     "advance",
     "solve_to_time",
+    "step_finisher",
 ]
 
 # sample times must sit on the step grid to within this fraction of dt
@@ -176,9 +186,14 @@ class _StepKernel:
     band-by-band formulas (U, U_x, then each band and the rhs from them)
     with the same operands in the same order, so grouping rows into
     blocks changes no bit of the result.
+
+    ``native`` is the compiled finisher (see :func:`_native_finish`), or
+    None to finish each step on Python floats.
     """
 
-    def __init__(self, delta: np.ndarray, p: ProblemSpec, sc: SchemeCoefficients):
+    def __init__(
+        self, delta: np.ndarray, p: ProblemSpec, sc: SchemeCoefficients, native: Callable | None
+    ):
         a1, a2 = sc.alpha1, sc.alpha2
         if a1 == 0.0:
             raise ZeroDivisionError("alpha1 = 0: phantom parameters cannot be eliminated")
@@ -187,6 +202,8 @@ class _StepKernel:
         lam_g2 = p.lam * sc.gamma2
         self.delta = np.array(delta, dtype=float)
         rows = len(self.delta) - 2
+        if rows < 2:
+            raise ValueError(f"a step needs at least 4 spline parameters, got {len(self.delta)}")
         # the (3, rows) sliding window as a plain strided view: the same
         # array sliding_window_view gives, at a twentieth of its set-up cost
         step = self.delta.itemsize
@@ -197,7 +214,7 @@ class _StepKernel:
         ux = np.empty(rows)
         a1_ux = np.empty(rows)
         # lower and upper (one block), diag, rhs
-        bands = np.empty((4, rows))
+        self._bands = bands = np.empty((4, rows))
         # a step unpacks these two tuples instead of loading each value as an attribute
         self._constants = (
             a1, a2, half_dt, lam_g1, lam_g2,
@@ -210,12 +227,16 @@ class _StepKernel:
             terms, terms[0], terms[1], terms[2], terms[:2],
             u, ux, a1_ux, bands, bands[:2], bands[2], bands[3],
         )
-
-    def assemble(self) -> tuple[list[float], list[float], list[float], list[float]]:
-        """The folded square system of the current state, as :func:`assemble_step`."""
-        a1, a2, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre, bc_left, bc_right = (
-            self._constants
+        self._native = native
+        # the finisher reads these; the kernel keeps every buffer alive
+        self._finish_constants = np.array([a1, a2, p.boundary_left, p.boundary_right, PIVOT_TOL])
+        self._native_args = (
+            bands.ctypes.data, self.delta.ctypes.data, self._finish_constants.ctypes.data, rows,
         )
+
+    def _fill_bands(self) -> None:
+        """The four unfolded bands of the current state, into ``_bands``."""
+        a1, a2, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre = self._constants[:7]
         (w, w02, d0, d1, d2, alphas, betas, t, t0, t1, t2, t01,
          u, ux, a1_ux, bands, lu, diag, rhs) = self._buffers
         mul, add, sub = np.multiply, np.add, np.subtract
@@ -242,7 +263,13 @@ class _StepKernel:
         mul(rhs_outer, rhs, out=rhs)
         mul(rhs_centre, d1, out=u)  # U is not needed any more
         add(rhs, u, out=rhs)
-        lower, upper, diag, rhs = bands.tolist()
+
+    def assemble(self) -> tuple[list[float], list[float], list[float], list[float]]:
+        """The folded square system of the current state, as :func:`assemble_step`."""
+        a1, a2 = self._constants[:2]
+        bc_left, bc_right = self._constants[7:]
+        self._fill_bands()
+        lower, upper, diag, rhs = self._bands.tolist()
         # delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1
         first = lower[0]
         diag[0] -= first * a2 / a1
@@ -257,13 +284,105 @@ class _StepKernel:
         return lower, diag, upper, rhs
 
     def step(self) -> None:
-        """Advance ``delta`` in place by one time step."""
+        """Advance ``delta`` in place by one time step.
+
+        A zero pivot raises :class:`~ctburgers.linalg.ZeroPivotError` and
+        leaves ``delta`` as it was.
+        """
+        if self._native is not None:
+            self._fill_bands()
+            row = self._native(*self._native_args)
+            if row >= 0:
+                raise ZeroPivotError(row)
+            return
         mid = thomas_sweep(*self.assemble())
         a1, a2 = self._constants[:2]
         bc_left, bc_right = self._constants[7:]
         mid.insert(0, (bc_left - a2 * mid[0] - a1 * mid[1]) / a1)
         mid.append((bc_right - a1 * mid[-2] - a2 * mid[-1]) / a1)
         self.delta[:] = mid
+
+
+def _known_answer_cases():
+    """Fixed step systems for the finisher check: (delta, problem, coefficients, steps).
+
+    They hold +-0.0 and subnormals in the state and the boundary values,
+    the smallest mesh (N=3) and a larger one (N=64), and a zero pivot in
+    the first row and in an interior one.
+    """
+    smallest = 5e-324
+    subnormal = -2.2250738585072014e-309
+    specials = [0.0, -0.0, smallest, subnormal, -smallest, 3.0e-310]
+
+    def spec(n_cells, lam, dt, left, right):
+        return ProblemSpec(
+            lam=lam, a=0.0, b=1.0, dt=dt, n_cells=n_cells,
+            initial_condition=lambda x: 0.0, initial_derivative=lambda x: 0.0,
+            boundary_left=left, boundary_right=right,
+        )
+
+    coarse = knot_coefficients(1.0 / 3)
+    fine = knot_coefficients(1.0 / 64)
+    wave = [1.5 * math.sin(0.7 * j) - 0.25 for j in range(67)]
+    for j in range(0, 60, 11):
+        wave[j:j + len(specials)] = specials
+    # no advection, alpha1 = 1, alpha2 = 2, lam gamma2 dt/2 = 1: the fold
+    # leaves pivots -1, 1, 0 in rows 0-2; alpha2 = 1, gamma2 = 0 makes
+    # row 0 zero
+    flat = SchemeCoefficients(
+        alpha1=1.0, alpha2=2.0, beta1=0.0, beta2=0.0, gamma1=0.0, gamma2=1.0
+    )
+    return [
+        (np.array(specials), spec(3, 0.1, 1e-3, -0.0, smallest), coarse, 4),
+        (np.array([0.25, -0.0, 1.0, smallest, -1.0, 0.0]), spec(3, 0.003, 1e-2, 1.0, 0.0), coarse, 4),
+        (np.array(wave), spec(64, 0.005, 1e-2, subnormal, -0.0), fine, 4),
+        (np.array(wave), spec(64, 1.0, 1e-4, 0.0, 0.0), fine, 4),
+        (np.zeros(8), spec(5, 1.0, 2.0, 0.0, 0.0), flat, 1),
+        (np.zeros(8), spec(5, 1.0, 1e-4, 0.0, 0.0), replace(flat, alpha2=1.0, gamma2=0.0), 1),
+    ]
+
+
+def _finishes_alike(native) -> bool:
+    """Whether steps finished by ``native`` end with the Python path's bits,
+    or the same zero-pivot row, on every known-answer case."""
+    for delta, p, sc, steps in _known_answer_cases():
+        outcomes = []
+        for finisher in (None, native):
+            kernel = _StepKernel(delta, p, sc, finisher)
+            try:
+                for _ in range(steps):
+                    kernel.step()
+                outcome = None
+            except ZeroPivotError as err:
+                outcome = err.row
+            outcomes.append((outcome, kernel.delta.view(np.int64).tolist()))
+        if outcomes[0] != outcomes[1]:
+            return False
+    return True
+
+
+@functools.cache
+def _native_finish():
+    """The compiled step finisher, or None when steps finish in Python.
+
+    Built on the first call in a process and trusted only when it passes
+    :func:`_finishes_alike`.
+    """
+    lib = _native.load_library()
+    if lib is None:
+        return None
+    finish = lib.finish_step
+    finish.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
+    finish.restype = ctypes.c_long
+    return finish if _finishes_alike(finish) else None
+
+
+def step_finisher() -> str:
+    """``"native"`` when steps finish in the compiled kernel, ``"python"`` when they fall back.
+
+    Builds the compiled kernel if this process has not tried yet.
+    """
+    return "python" if _native_finish() is None else "native"
 
 
 def assemble_step(
@@ -284,7 +403,7 @@ def assemble_step(
     Returns plain float lists ``(sub, diag, sup, rhs)`` in the layout of
     :func:`~ctburgers.linalg.thomas_sweep`.
     """
-    return _StepKernel(c.delta, p, sc).assemble()
+    return _StepKernel(c.delta, p, sc, None).assemble()
 
 
 def advance(
@@ -295,7 +414,7 @@ def advance(
     Exactly one linear solve per step; the linearization uses the previous
     level only, with no inner iteration.
     """
-    kernel = _StepKernel(c.delta, p, sc)
+    kernel = _StepKernel(c.delta, p, sc, _native_finish())
     kernel.step()
     return CoefficientVector(delta=kernel.delta, time=c.time + p.dt)
 
@@ -348,7 +467,7 @@ def solve_to_time(
     out: dict[float, NodalState] = {}
     if 0 in wanted:
         out[wanted[0]] = nodal_values(c, sc)
-    kernel = _StepKernel(c.delta, p, sc)
+    kernel = _StepKernel(c.delta, p, sc, _native_finish())
     for k in range(1, n_steps + 1):
         kernel.step()
         if k in wanted:

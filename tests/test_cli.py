@@ -367,6 +367,22 @@ class TestConfigFile:
         assert code == cli.EXIT_OK
         assert "   0.500    0.000   1.00000   1.00000" in capsys.readouterr().out
 
+    def test_calls_share_no_parser_state(self, tmp_path, monkeypatch):
+        # the parser is built once per process; a flag or file value of one
+        # call must not reach the next
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or cli.EXIT_OK)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n-cells = 12\ndt = 0.01\nsample-xs = 0.5\n")
+        assert run_main(["run", "--config", str(cfg), "--lambda", "0.5"]) == cli.EXIT_OK
+        assert run_main(["run"]) == cli.EXIT_OK
+        assert run_main(["--problem", "traveling"]) == cli.EXIT_OK
+        first, second, third = seen
+        assert (first.lam, first.n_cells, first.dt, first.sample_xs) == (0.5, 12, 0.01, [0.5])
+        assert second == cli.RunConfig()
+        assert third == cli.RunConfig(problem="traveling")
+        assert cli._build_parser() is cli._build_parser()
+
     @pytest.mark.parametrize("key", ["config", "conf"])
     def test_config_key_rejected(self, key, tmp_path, capsys):
         other = tmp_path / "other.cfg"

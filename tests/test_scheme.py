@@ -1,15 +1,17 @@
 """Scheme tests: initialization, stepping, boundaries, convergence."""
 
 import math
+import shutil
+import sys
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import scheme
+from ctburgers import _native, scheme
 from ctburgers.basis import SchemeCoefficients, UniformPartition, knot_coefficients
 from ctburgers.exact import sine_wave_exact, traveling_wave_exact
 from ctburgers.linalg import ZeroPivotError
@@ -218,6 +220,14 @@ class TestAdvance:
         with pytest.raises(ZeroDivisionError, match="alpha1"):
             advance(c, p, sc)
 
+    def test_too_few_parameters_rejected(self):
+        # the compiled finisher would read past the bands of a 0-row system
+        p = constant_problem(0.0)
+        sc = knot_coefficients(0.1)
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="at least 4 spline parameters"):
+                advance(CoefficientVector(delta=np.zeros(n), time=0.0), p, sc)
+
     def test_time_advances_by_dt(self):
         p = sine_problem(1.0, 10, 1e-3)
         part, sc = setup(p)
@@ -341,10 +351,22 @@ def step_cases(draw):
     return delta, p, knot_coefficients(1.0 / n_cells)
 
 
-class TestStepKernelBitIdentity:
-    """The step kernel does the reference's IEEE operations in its order."""
+# the bit-identity tests run in two classes, one per step finisher, which
+# hypothesis would otherwise report as a test called from two executors
+kernel_settings = settings(
+    deadline=None, suppress_health_check=[HealthCheck.differing_executors]
+)
 
-    @settings(max_examples=60, deadline=None)
+
+class TestStepKernelBitIdentity:
+    """The step kernel does the reference's IEEE operations in its order.
+
+    Steps end in the finisher the process selected: the compiled one
+    wherever a C compiler is at hand.  The subclass below runs the same
+    tests on the Python fallback.
+    """
+
+    @settings(kernel_settings, max_examples=60)
     @given(case=step_cases())
     def test_one_step(self, case):
         delta, p, sc = case
@@ -357,7 +379,7 @@ class TestStepKernelBitIdentity:
         )
         assert bits(c.delta) == bits(delta)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(kernel_settings, max_examples=30)
     @given(case=step_cases())
     def test_fifty_step_march(self, case):
         delta, p, sc = case
@@ -369,7 +391,7 @@ class TestStepKernelBitIdentity:
             return d
 
         def kernel():
-            k = _StepKernel(delta, p, sc)
+            k = _StepKernel(delta, p, sc, scheme._native_finish())
             for _ in range(50):
                 k.step()
             return k.delta
@@ -401,6 +423,75 @@ class TestStepKernelBitIdentity:
             ref = nodal_values(CoefficientVector(delta=deltas[k], time=t), sc)
             for field in ("u", "ux", "uxx"):
                 assert bits(getattr(states[t], field)) == bits(getattr(ref, field))
+
+    def test_interior_zero_pivot_names_row(self):
+        # no advection, alpha1 = 1, alpha2 = 2, lam gamma2 dt/2 = 1: the
+        # folded pivots are -1, 1, 0 in rows 0-2, whatever the state
+        sc = SchemeCoefficients(
+            alpha1=1.0, alpha2=2.0, beta1=0.0, beta2=0.0, gamma1=0.0, gamma2=1.0
+        )
+        p = constant_problem(0.0, n_cells=5, lam=1.0, dt=2.0)
+        delta = np.linspace(-1.0, 1.0, 8)
+        k = _StepKernel(delta, p, sc, scheme._native_finish())
+        with pytest.raises(ZeroPivotError, match="row 2") as err:
+            k.step()
+        assert err.value.row == 2
+        assert bits(k.delta) == bits(delta)
+
+
+class TestStepKernelBitIdentityPythonFinisher(TestStepKernelBitIdentity):
+    """The same tests with every step finished on Python floats, as on a
+    machine without a C compiler."""
+
+    @pytest.fixture(autouse=True)
+    def python_finisher(self, monkeypatch):
+        monkeypatch.setattr(scheme, "_native_finish", lambda: None)
+
+
+class TestNativeFinisher:
+    def test_active_when_a_compiler_is_on_path(self):
+        if shutil.which(_native.compiler()[0]) is None:
+            pytest.skip("no C compiler on PATH")
+        assert scheme.step_finisher() == "native"
+
+    @pytest.mark.parametrize(
+        "breakage", ["failing-compile", "missing-compiler", "unwritable-cache"]
+    )
+    def test_failed_build_falls_back_to_identical_bits(self, breakage, tmp_path, monkeypatch):
+        problem = traveling_problem(0.005, 36, 1e-3)
+        part = problem.partition()
+        expected = solve_to_time(problem, part, 0.05, [0.02, 0.05])
+        # an empty cache, so the loader has to build
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        if breakage == "unwritable-cache":
+            cache.write_text("a file where the cache directory should be")
+        else:
+            command = {
+                "failing-compile": [sys.executable, "-c", "raise SystemExit(1)"],
+                "missing-compiler": ["ctburgers-no-such-compiler"],
+            }[breakage]
+            monkeypatch.setattr(_native, "compiler", lambda: command)
+        scheme._native_finish.cache_clear()
+        try:
+            assert scheme.step_finisher() == "python"
+            got = solve_to_time(problem, part, 0.05, [0.02, 0.05])
+        finally:
+            scheme._native_finish.cache_clear()
+        if breakage != "unwritable-cache":
+            assert list((cache / "ctburgers").iterdir()) == []  # no partial build left
+        for t in expected:
+            for field in ("u", "ux", "uxx"):
+                assert bits(getattr(got[t], field)) == bits(getattr(expected[t], field))
+
+    def test_known_answer_check_rejects_a_wrong_finisher(self):
+        native = scheme._native_finish()
+        if native is None:
+            pytest.skip("no compiled step finisher on this machine")
+        assert scheme._finishes_alike(native)
+        # a finisher that skips the step, or blames the wrong row
+        assert not scheme._finishes_alike(lambda *args: -1)
+        assert not scheme._finishes_alike(lambda *args: native(*args) and 1)
 
 
 class TestBruteForceEquivalence:
