@@ -3,10 +3,11 @@
 The library is compiled on first use, never at import, by the C compiler
 Python was built with, and cached under
 ``${XDG_CACHE_HOME:-~/.cache}/ctburgers/`` in a file named by the
-source's SHA-256, the platform and the interpreter's cache tag, so an
-edited source or another interpreter gets a build of its own.  No
-compiler, a failed compile or an unwritable cache gives ``None``, and
-the caller keeps to the Python path.
+SHA-256 of the source and the compile command, the platform and the
+interpreter's cache tag, so an edited source, other flags or another
+interpreter get a build of their own.  No compiler, a failed compile or
+an unwritable cache gives ``None``, and the caller keeps to the Python
+path.
 """
 
 from __future__ import annotations
@@ -40,16 +41,18 @@ def cache_dir() -> Path:
     return Path(root) / "ctburgers"
 
 
-def library_path(source: bytes) -> Path:
+def library_path(source: bytes, command: list[str]) -> Path:
+    digest = hashlib.sha256(source)
+    digest.update("\0".join(["", *command]).encode())
     suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
     name = (
-        f"finish-{hashlib.sha256(source).hexdigest()}"
+        f"finish-{digest.hexdigest()}"
         f"-{sysconfig.get_platform()}-{sys.implementation.cache_tag}{suffix}"
     )
     return cache_dir() / name
 
 
-def _compile(path: Path) -> bool:
+def _compile(command: list[str], path: Path) -> bool:
     """Compile ``SOURCE`` to ``path`` through a temporary file in its directory."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -59,7 +62,7 @@ def _compile(path: Path) -> bool:
         return False
     try:
         subprocess.run(
-            [*compiler(), *FLAGS, "-o", tmp, str(SOURCE)],
+            [*command, "-o", tmp, str(SOURCE)],
             stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=COMPILE_TIMEOUT,
         )
         os.replace(tmp, path)
@@ -72,12 +75,13 @@ def _compile(path: Path) -> bool:
 
 
 def load_library() -> ctypes.CDLL | None:
-    """The finisher library, compiled first if the cache has no build of this source."""
+    """The finisher library, built first if the cache has none for this source and command."""
+    command = [*compiler(), *FLAGS]
     try:
-        path = library_path(SOURCE.read_bytes())
+        path = library_path(SOURCE.read_bytes(), command)
     except OSError:
         return None
-    if not path.is_file() and not _compile(path):
+    if not path.is_file() and not _compile(command, path):
         return None
     try:
         return ctypes.CDLL(str(path))

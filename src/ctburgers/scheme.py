@@ -332,9 +332,10 @@ def _known_answer_cases():
     flat = SchemeCoefficients(
         alpha1=1.0, alpha2=2.0, beta1=0.0, beta2=0.0, gamma1=0.0, gamma2=1.0
     )
+    steep = [0.25, -0.0, 1.0, smallest, -1.0, 0.0]
     return [
         (np.array(specials), spec(3, 0.1, 1e-3, -0.0, smallest), coarse, 4),
-        (np.array([0.25, -0.0, 1.0, smallest, -1.0, 0.0]), spec(3, 0.003, 1e-2, 1.0, 0.0), coarse, 4),
+        (np.array(steep), spec(3, 0.003, 1e-2, 1.0, 0.0), coarse, 4),
         (np.array(wave), spec(64, 0.005, 1e-2, subnormal, -0.0), fine, 4),
         (np.array(wave), spec(64, 1.0, 1e-4, 0.0, 0.0), fine, 4),
         (np.zeros(8), spec(5, 1.0, 2.0, 0.0, 0.0), flat, 1),

@@ -1,9 +1,12 @@
 """Scheme tests: initialization, stepping, boundaries, convergence."""
 
 import math
+import os
 import shutil
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -449,10 +452,21 @@ class TestStepKernelBitIdentityPythonFinisher(TestStepKernelBitIdentity):
 
 
 class TestNativeFinisher:
+    """The compiled finisher is built on first use, active wherever a C
+    compiler is, and any failed build keeps the Python path's bits."""
+
     def test_active_when_a_compiler_is_on_path(self):
         if shutil.which(_native.compiler()[0]) is None:
             pytest.skip("no C compiler on PATH")
         assert scheme.step_finisher() == "native"
+
+    def test_import_builds_nothing(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "XDG_CACHE_HOME": str(tmp_path)}
+        subprocess.run(
+            [sys.executable, "-c", "import ctburgers.cli"], env=env, check=True, timeout=120
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "breakage", ["failing-compile", "missing-compiler", "unwritable-cache"]
