@@ -1,13 +1,14 @@
-/* The end of one Crank-Nicolson step of ctburgers' collocation scheme.
+/* The Crank-Nicolson steps of ctburgers' collocation scheme, in C.
  *
- * ctburgers.scheme._StepKernel fills the four bands of the step system
- * with numpy; finish_step does the rest of the step that the Python path
- * does on float lists: it folds the phantom parameters into the end rows,
- * runs the Thomas sweep of ctburgers.linalg.thomas_sweep and restores the
+ * march runs whole steps on the state buffer of a
+ * ctburgers.scheme._StepKernel.  Each step fills the four bands of the
+ * step system from the current parameters (as _StepKernel._fill_bands
+ * does with numpy), folds the phantom parameters into the end rows, runs
+ * the Thomas sweep of ctburgers.linalg.thomas_sweep and restores the
  * phantoms.  Every expression has the operands of the Python code in its
  * left-to-right order, and the build turns off contraction and fast-math,
  * so the results are the Python path's to the bit.  scheme.py checks that
- * on a fixed set of systems before it uses the library.
+ * on a fixed set of multi-step marches before it uses the library.
  *
  * Build: cc -O2 -std=c99 -ffp-contract=off -fno-fast-math -shared -fPIC
  */
@@ -19,58 +20,81 @@
 #error "double expressions must be evaluated in double precision"
 #endif
 
-/* bands: (4, n) row-major, rows lower, upper, diag, rhs of the n = N+1
- *        collocation rows; lower[m] and upper[m] multiply the parameters
- *        m-1 and m+1 of row m.  Used as scratch: on return it holds the
- *        folded and eliminated system.
- * delta: the n+2 parameters of the step, overwritten with the new ones
- *        only when the sweep succeeds.
- * k:     alpha1, alpha2, boundary_left, boundary_right, pivot tolerance.
+/* bands: (4, n) row-major scratch for the rows lower, upper, diag, rhs
+ *        of the n = N+1 collocation rows; lower[m] and upper[m] multiply
+ *        the parameters m-1 and m+1 of row m.
+ * delta: the n+2 parameters, advanced in place one step at a time.
+ * k:     alpha1, alpha2, beta1, beta2, dt/2, lam gamma1, lam gamma2,
+ *        alpha1 + dt/2 lam gamma1, alpha2 + dt/2 lam gamma2,
+ *        boundary_left, boundary_right, pivot tolerance.
  * n:     number of rows, at least 2.
+ * steps: number of steps to take.
  *
  * Returns -1, or the row of the first pivot whose magnitude is below the
- * tolerance.
+ * tolerance; delta then holds the parameters after the last completed
+ * step.
  */
-long finish_step(double *bands, double *delta, const double *k, long n)
+long march(double *bands, double *delta, const double *k, long n, long steps)
 {
     double *lower = bands, *upper = bands + n, *diag = bands + 2 * n, *rhs = bands + 3 * n;
-    const double a1 = k[0], a2 = k[1], bc_left = k[2], bc_right = k[3], tol = k[4];
-    double first, last, piv, acc, m, x;
-    long i;
+    const double a1 = k[0], a2 = k[1], b1 = k[2], b2 = k[3], half_dt = k[4];
+    const double lam_g1 = k[5], lam_g2 = k[6], rhs_outer = k[7], rhs_centre = k[8];
+    const double bc_left = k[9], bc_right = k[10], tol = k[11];
+    double d0, d1, d2, u, ux, a1_ux, first, last, piv, acc, m, x;
+    long i, s;
 
-    /* delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1 */
-    first = lower[0];
-    diag[0] -= first * a2 / a1;
-    upper[0] -= first;
-    rhs[0] -= first * bc_left / a1;
-    /* delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1 */
-    last = upper[n - 1];
-    diag[n - 1] -= last * a2 / a1;
-    lower[n - 1] -= last;
-    rhs[n - 1] -= last * bc_right / a1;
+    for (s = 0; s < steps; s++) {
+        for (i = 0; i < n; i++) {
+            d0 = delta[i];
+            d1 = delta[i + 1];
+            d2 = delta[i + 2];
+            /* U = (a1 d0 + a2 d1) + a1 d2,  U_x = b1 d0 + b2 d2 */
+            u = a1 * d0 + a2 * d1 + a1 * d2;
+            ux = b1 * d0 + b2 * d2;
+            /* lower, upper = a1 + dt/2 ((a1 U_x + beta U) - lam g1) */
+            a1_ux = a1 * ux;
+            lower[i] = a1 + half_dt * (a1_ux + b1 * u - lam_g1);
+            upper[i] = a1 + half_dt * (a1_ux + b2 * u - lam_g1);
+            /* diag = a2 + dt/2 (a2 U_x - lam g2) */
+            diag[i] = a2 + half_dt * (a2 * ux - lam_g2);
+            /* rhs = (a1 + dt/2 lam g1)(d0 + d2) + (a2 + dt/2 lam g2) d1 */
+            rhs[i] = rhs_outer * (d0 + d2) + rhs_centre * d1;
+        }
 
-    /* Thomas sweep: sub[i-1] is lower[i], sup[i] is upper[i] */
-    piv = diag[0];
-    acc = rhs[0];
-    for (i = 1; i < n; i++) {
+        /* delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1 */
+        first = lower[0];
+        diag[0] -= first * a2 / a1;
+        upper[0] -= first;
+        rhs[0] -= first * bc_left / a1;
+        /* delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1 */
+        last = upper[n - 1];
+        diag[n - 1] -= last * a2 / a1;
+        lower[n - 1] -= last;
+        rhs[n - 1] -= last * bc_right / a1;
+
+        /* Thomas sweep: sub[i-1] is lower[i], sup[i] is upper[i] */
+        piv = diag[0];
+        acc = rhs[0];
+        for (i = 1; i < n; i++) {
+            if (fabs(piv) < tol)
+                return i - 1;
+            m = lower[i] / piv;
+            piv = diag[i] - m * upper[i - 1];
+            acc = rhs[i] - m * acc;
+            diag[i] = piv;
+            rhs[i] = acc;
+        }
         if (fabs(piv) < tol)
-            return i - 1;
-        m = lower[i] / piv;
-        piv = diag[i] - m * upper[i - 1];
-        acc = rhs[i] - m * acc;
-        diag[i] = piv;
-        rhs[i] = acc;
-    }
-    if (fabs(piv) < tol)
-        return n - 1;
-    x = acc / piv;
-    delta[n] = x;
-    for (i = n - 2; i >= 0; i--) {
-        x = (rhs[i] - upper[i] * x) / diag[i];
-        delta[i + 1] = x;
-    }
+            return n - 1;
+        x = acc / piv;
+        delta[n] = x;
+        for (i = n - 2; i >= 0; i--) {
+            x = (rhs[i] - upper[i] * x) / diag[i];
+            delta[i + 1] = x;
+        }
 
-    delta[0] = (bc_left - a2 * delta[1] - a1 * delta[2]) / a1;
-    delta[n + 1] = (bc_right - a1 * delta[n - 1] - a2 * delta[n]) / a1;
+        delta[0] = (bc_left - a2 * delta[1] - a1 * delta[2]) / a1;
+        delta[n + 1] = (bc_right - a1 * delta[n - 1] - a2 * delta[n]) / a1;
+    }
     return -1;
 }

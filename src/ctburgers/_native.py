@@ -1,4 +1,5 @@
-"""Build and load the compiled step finisher, ``_finish.c``.
+"""Build and load the compiled step march, ``_finish.c``, which runs
+whole Crank-Nicolson steps in C.
 
 The library is compiled on first use, never at import, by the C compiler
 Python was built with, and cached under
@@ -75,7 +76,7 @@ def _compile(command: list[str], path: Path) -> bool:
 
 
 def load_library() -> ctypes.CDLL | None:
-    """The finisher library, built first if the cache has none for this source and command."""
+    """The step-march library, built first if the cache has none for this source and command."""
     command = [*compiler(), *FLAGS]
     try:
         path = library_path(SOURCE.read_bytes(), command)

@@ -6,9 +6,10 @@ not for every accepted input; a pivot below ``PIVOT_TOL`` in magnitude
 raises :class:`ZeroPivotError` instead of being repaired.
 
 :func:`thomas_sweep` is the tridiagonal kernel of the Python step path.
-The compiled step finisher (``_finish.c``, see :mod:`ctburgers.scheme`)
-repeats its operations in C, in the same order and with the same
-``PIVOT_TOL``, and is used only where it gives the same bits.
+The compiled step march (``_finish.c``, see :mod:`ctburgers.scheme`),
+which runs whole steps in C, repeats its operations in the same order
+and with the same ``PIVOT_TOL``, and is used only where it gives the
+same bits.
 """
 
 from __future__ import annotations

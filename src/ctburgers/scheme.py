@@ -7,21 +7,23 @@ tridiagonal solve.  The two phantom spline parameters beyond each end of
 the domain are removed with the Dirichlet boundary values before the
 solve and reconstructed afterwards.
 
-One step is one kernel, built once per march with the step constants
-and preallocated buffers: it computes U, U_x and the four bands of the
-square system with ``out=`` ufuncs on a sliding window of its state
-buffer, then finishes the step: it folds the phantoms into the end rows,
-solves the tridiagonal system and writes the new parameters, phantoms
-restored, back into the buffer.  The finish runs in a small C function
-(``_finish.c``, built on the first kernel of a process and loaded with
-ctypes) when it gives the bits of the Python path on a fixed set of
-known-answer systems; otherwise, and on machines without a C compiler,
-it runs on Python floats with :func:`~ctburgers.linalg.thomas_sweep`.
-Both paths do the same IEEE operations in the same order, so the results
-do not depend on which one runs; :func:`step_finisher` says which does.
-:func:`solve_to_time` marches on one kernel and copies the state out only
-at sample times; :func:`assemble_step` and :func:`advance` are one-step
-wrappers over the same kernel.
+One kernel, built once per march with the step constants and
+preallocated buffers, takes the steps.  Each step computes U, U_x and
+the four bands of the square system from the current parameters, folds
+the phantoms into the end rows, solves the tridiagonal system and writes
+the new parameters, phantoms restored, back into the state buffer.  The
+whole step runs in a small C function (``_finish.c``, built on the first
+kernel of a process and loaded with ctypes), which takes every step
+between two sample times in one call, when it gives the bits of the
+Python path on a fixed set of known-answer marches.  Otherwise, and on
+machines without a C compiler, each step runs with ``out=`` ufuncs on a
+sliding window of the state, then on Python floats with
+:func:`~ctburgers.linalg.thomas_sweep`.  Both paths do the same IEEE
+operations in the same order, so the results do not depend on which one
+runs; :func:`step_finisher` says which does.  :func:`solve_to_time`
+marches on one kernel and copies the state out only at sample times;
+:func:`assemble_step` and :func:`advance` are one-step wrappers over the
+same kernel.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ __all__ = [
 
 # sample times must sit on the step grid to within this fraction of dt
 TIME_ALIGN_TOL = 1e-9
+
+# the most steps one call into the compiled march takes: a C long has at
+# least 32 bits, and ctypes would wrap a larger count without a word
+MAX_NATIVE_STEPS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -175,20 +181,21 @@ def initialize_coefficients(
 
 
 class _StepKernel:
-    """One Crank-Nicolson step on preallocated buffers, built once per march.
+    """Crank-Nicolson steps on preallocated buffers, built once per march.
 
     ``delta`` is the state buffer (N+3 parameters) the kernel steps in
-    place.  A read-only (3, N+1) sliding window over it holds the
-    parameters d_{m-1}, d_m, d_{m+1} of every collocation row m, so U and
-    U_x take one broadcast multiply each; lower and upper, which differ
-    only in beta, are computed as one (2, N+1) block.  Every ufunc writes
-    into a buffer allocated here.  Each IEEE operation is the one of the
-    band-by-band formulas (U, U_x, then each band and the rhs from them)
-    with the same operands in the same order, so grouping rows into
-    blocks changes no bit of the result.
+    place.  ``native`` is the compiled march (see :func:`_native_finish`),
+    which runs whole steps in C on ``delta`` and a band buffer allocated
+    here, or None to take each step with numpy and Python floats.
 
-    ``native`` is the compiled finisher (see :func:`_native_finish`), or
-    None to finish each step on Python floats.
+    On the Python path a read-only (3, N+1) sliding window over ``delta``
+    holds the parameters d_{m-1}, d_m, d_{m+1} of every collocation row m,
+    so U and U_x take one broadcast multiply each; lower and upper, which
+    differ only in beta, are computed as one (2, N+1) block.  Every ufunc
+    writes into a buffer allocated on the first fill.  Each IEEE operation
+    is the one of the band-by-band formulas (U, U_x, then each band and the
+    rhs from them) with the same operands in the same order, so grouping
+    rows into blocks changes no bit of the result.
     """
 
     def __init__(
@@ -204,39 +211,45 @@ class _StepKernel:
         rows = len(self.delta) - 2
         if rows < 2:
             raise ValueError(f"a step needs at least 4 spline parameters, got {len(self.delta)}")
+        # lower and upper (one block), diag, rhs
+        self._bands = np.empty((4, rows))
+        # a step unpacks this tuple instead of loading each value as an attribute
+        self._constants = (
+            a1, a2, sc.beta1, sc.beta2, half_dt, lam_g1, lam_g2,
+            a1 + half_dt * lam_g1, a2 + half_dt * lam_g2,
+            p.boundary_left, p.boundary_right,
+        )
+        self._native = native
+        if native is not None:
+            # the compiled march reads these; the kernel keeps every buffer alive
+            self._native_constants = np.array([*self._constants, PIVOT_TOL])
+            self._native_args = (
+                self._bands.ctypes.data, self.delta.ctypes.data,
+                self._native_constants.ctypes.data, rows,
+            )
+
+    @functools.cached_property
+    def _buffers(self) -> tuple:
+        """The views and scratch arrays of :meth:`_fill_bands`, built on its first call."""
+        a1, a2, b1, b2 = self._constants[:4]
+        bands = self._bands
+        rows = bands.shape[1]
         # the (3, rows) sliding window as a plain strided view: the same
         # array sliding_window_view gives, at a twentieth of its set-up cost
         step = self.delta.itemsize
         window = np.ndarray((3, rows), buffer=self.delta, strides=(step, step))
         window.flags.writeable = False
         terms = np.empty((3, rows))
-        u = np.empty(rows)
-        ux = np.empty(rows)
-        a1_ux = np.empty(rows)
-        # lower and upper (one block), diag, rhs
-        self._bands = bands = np.empty((4, rows))
-        # a step unpacks these two tuples instead of loading each value as an attribute
-        self._constants = (
-            a1, a2, half_dt, lam_g1, lam_g2,
-            a1 + half_dt * lam_g1, a2 + half_dt * lam_g2,
-            p.boundary_left, p.boundary_right,
-        )
-        self._buffers = (
+        return (
             window, window[::2], window[0], window[1], window[2],
-            np.array([[a1], [a2], [a1]]), np.array([[sc.beta1], [sc.beta2]]),
+            np.array([[a1], [a2], [a1]]), np.array([[b1], [b2]]),
             terms, terms[0], terms[1], terms[2], terms[:2],
-            u, ux, a1_ux, bands, bands[:2], bands[2], bands[3],
-        )
-        self._native = native
-        # the finisher reads these; the kernel keeps every buffer alive
-        self._finish_constants = np.array([a1, a2, p.boundary_left, p.boundary_right, PIVOT_TOL])
-        self._native_args = (
-            bands.ctypes.data, self.delta.ctypes.data, self._finish_constants.ctypes.data, rows,
+            np.empty(rows), np.empty(rows), np.empty(rows), bands, bands[:2], bands[2], bands[3],
         )
 
     def _fill_bands(self) -> None:
         """The four unfolded bands of the current state, into ``_bands``."""
-        a1, a2, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre = self._constants[:7]
+        a1, a2, _, _, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre = self._constants[:9]
         (w, w02, d0, d1, d2, alphas, betas, t, t0, t1, t2, t01,
          u, ux, a1_ux, bands, lu, diag, rhs) = self._buffers
         mul, add, sub = np.multiply, np.add, np.subtract
@@ -267,7 +280,7 @@ class _StepKernel:
     def assemble(self) -> tuple[list[float], list[float], list[float], list[float]]:
         """The folded square system of the current state, as :func:`assemble_step`."""
         a1, a2 = self._constants[:2]
-        bc_left, bc_right = self._constants[7:]
+        bc_left, bc_right = self._constants[9:]
         self._fill_bands()
         lower, upper, diag, rhs = self._bands.tolist()
         # delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1
@@ -284,31 +297,37 @@ class _StepKernel:
         return lower, diag, upper, rhs
 
     def step(self) -> None:
-        """Advance ``delta`` in place by one time step.
+        """Advance ``delta`` in place by one time step, as ``march(1)``."""
+        self.march(1)
+
+    def march(self, steps: int) -> None:
+        """Advance ``delta`` in place by ``steps`` time steps.
 
         A zero pivot raises :class:`~ctburgers.linalg.ZeroPivotError` and
-        leaves ``delta`` as it was.
+        leaves ``delta`` as it was after the last completed step.
         """
         if self._native is not None:
-            self._fill_bands()
-            row = self._native(*self._native_args)
-            if row >= 0:
-                raise ZeroPivotError(row)
+            while steps > 0:
+                row = self._native(*self._native_args, min(steps, MAX_NATIVE_STEPS))
+                if row >= 0:
+                    raise ZeroPivotError(row)
+                steps -= MAX_NATIVE_STEPS
             return
-        mid = thomas_sweep(*self.assemble())
         a1, a2 = self._constants[:2]
-        bc_left, bc_right = self._constants[7:]
-        mid.insert(0, (bc_left - a2 * mid[0] - a1 * mid[1]) / a1)
-        mid.append((bc_right - a1 * mid[-2] - a2 * mid[-1]) / a1)
-        self.delta[:] = mid
+        bc_left, bc_right = self._constants[9:]
+        for _ in range(steps):
+            mid = thomas_sweep(*self.assemble())
+            mid.insert(0, (bc_left - a2 * mid[0] - a1 * mid[1]) / a1)
+            mid.append((bc_right - a1 * mid[-2] - a2 * mid[-1]) / a1)
+            self.delta[:] = mid
 
 
 def _known_answer_cases():
-    """Fixed step systems for the finisher check: (delta, problem, coefficients, steps).
+    """Fixed marches for the finisher check: (delta, problem, coefficients, steps).
 
     They hold +-0.0 and subnormals in the state and the boundary values,
-    the smallest mesh (N=3) and a larger one (N=64), and a zero pivot in
-    the first row and in an interior one.
+    the smallest mesh (N=3) and a larger one (N=64), a zero pivot in the
+    first row and in an interior one, and one in the second step.
     """
     smallest = 5e-324
     subnormal = -2.2250738585072014e-309
@@ -332,27 +351,33 @@ def _known_answer_cases():
     flat = SchemeCoefficients(
         alpha1=1.0, alpha2=2.0, beta1=0.0, beta2=0.0, gamma1=0.0, gamma2=1.0
     )
+    # rhs weights alpha + dt/2 lam gamma = 0: the first step ends in a
+    # state of +-0.0, whose folded row 0 is 4 - 2 * 2/1 = 0
+    vanishing = SchemeCoefficients(
+        alpha1=1.0, alpha2=2.0, beta1=-1.0, beta2=1.0, gamma1=-1.0, gamma2=-2.0
+    )
     steep = [0.25, -0.0, 1.0, smallest, -1.0, 0.0]
     return [
         (np.array(specials), spec(3, 0.1, 1e-3, -0.0, smallest), coarse, 4),
         (np.array(steep), spec(3, 0.003, 1e-2, 1.0, 0.0), coarse, 4),
         (np.array(wave), spec(64, 0.005, 1e-2, subnormal, -0.0), fine, 4),
         (np.array(wave), spec(64, 1.0, 1e-4, 0.0, 0.0), fine, 4),
-        (np.zeros(8), spec(5, 1.0, 2.0, 0.0, 0.0), flat, 1),
-        (np.zeros(8), spec(5, 1.0, 1e-4, 0.0, 0.0), replace(flat, alpha2=1.0, gamma2=0.0), 1),
+        (np.zeros(8), spec(5, 1.0, 2.0, 0.0, 0.0), flat, 3),
+        (np.zeros(8), spec(5, 1.0, 1e-4, 0.0, 0.0), replace(flat, alpha2=1.0, gamma2=0.0), 3),
+        (np.linspace(-1.0, 1.0, 8), spec(5, 1.0, 2.0, 0.0, 0.0), vanishing, 3),
     ]
 
 
 def _finishes_alike(native) -> bool:
-    """Whether steps finished by ``native`` end with the Python path's bits,
-    or the same zero-pivot row, on every known-answer case."""
+    """Whether a march by ``native`` ends with the Python path's bits, or
+    the same zero-pivot row, on every known-answer case, each run as one
+    multi-step call."""
     for delta, p, sc, steps in _known_answer_cases():
         outcomes = []
         for finisher in (None, native):
             kernel = _StepKernel(delta, p, sc, finisher)
             try:
-                for _ in range(steps):
-                    kernel.step()
+                kernel.march(steps)
                 outcome = None
             except ZeroPivotError as err:
                 outcome = err.row
@@ -364,7 +389,7 @@ def _finishes_alike(native) -> bool:
 
 @functools.cache
 def _native_finish():
-    """The compiled step finisher, or None when steps finish in Python.
+    """The compiled step march, or None when steps run in numpy and Python.
 
     Built on the first call in a process and trusted only when it passes
     :func:`_finishes_alike`.
@@ -372,16 +397,24 @@ def _native_finish():
     lib = _native.load_library()
     if lib is None:
         return None
-    finish = lib.finish_step
-    finish.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
-    finish.restype = ctypes.c_long
-    return finish if _finishes_alike(finish) else None
+    march = _bind_march(lib)
+    return march if _finishes_alike(march) else None
+
+
+def _bind_march(lib: ctypes.CDLL):
+    """``lib.march`` with the argument and result types of ``_finish.c``."""
+    march = lib.march
+    march.argtypes = (
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+    )
+    march.restype = ctypes.c_long
+    return march
 
 
 def step_finisher() -> str:
-    """``"native"`` when steps finish in the compiled kernel, ``"python"`` when they fall back.
+    """``"native"`` when steps run in the compiled march, ``"python"`` when they fall back.
 
-    Builds the compiled kernel if this process has not tried yet.
+    Builds the compiled march if this process has not tried yet.
     """
     return "python" if _native_finish() is None else "native"
 
@@ -469,9 +502,11 @@ def solve_to_time(
     if 0 in wanted:
         out[wanted[0]] = nodal_values(c, sc)
     kernel = _StepKernel(c.delta, p, sc, _native_finish())
-    for k in range(1, n_steps + 1):
-        kernel.step()
-        if k in wanted:
-            t = wanted[k]
+    done = 0
+    for k, t in wanted.items():
+        if k > done:
+            kernel.march(k - done)
+            done = k
             out[t] = nodal_values(CoefficientVector(delta=kernel.delta.copy(), time=t), sc)
+    kernel.march(n_steps - done)
     return out

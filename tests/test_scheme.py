@@ -1,5 +1,6 @@
 """Scheme tests: initialization, stepping, boundaries, convergence."""
 
+import ctypes
 import math
 import os
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ctburgers import _native, scheme
@@ -354,6 +355,16 @@ def step_cases(draw):
     return delta, p, knot_coefficients(1.0 / n_cells)
 
 
+def mid_march_pivot_case():
+    """A state whose first step succeeds and whose second meets a zero pivot
+    in row 0: with rhs weights alpha + dt/2 lam gamma = 0 the first step
+    ends in +-0.0, and on that state the folded row 0 is 4 - 2 * 2/1 = 0."""
+    sc = SchemeCoefficients(
+        alpha1=1.0, alpha2=2.0, beta1=-1.0, beta2=1.0, gamma1=-1.0, gamma2=-2.0
+    )
+    return np.linspace(-1.0, 1.0, 8), constant_problem(0.0, n_cells=5, lam=1.0, dt=2.0), sc
+
+
 # the bit-identity tests run in two classes, one per step finisher, which
 # hypothesis would otherwise report as a test called from two executors
 kernel_settings = settings(
@@ -408,6 +419,39 @@ class TestStepKernelBitIdentity:
         expected = outcome(reference)
         assert outcome(kernel) == expected
         assert outcome(public) == expected
+
+    @settings(kernel_settings, max_examples=40)
+    @given(case=step_cases(), steps=st.integers(min_value=1, max_value=60))
+    @example(case=mid_march_pivot_case(), steps=5)
+    def test_march_equals_single_steps(self, case, steps):
+        # on a zero pivot the state is the one before the failing step
+        delta, p, sc = case
+        expected, row = delta, None
+        for _ in range(steps):
+            try:
+                expected = reference_advance(expected, p, sc)
+            except ZeroPivotError as err:
+                row = err.row
+                break
+        k = _StepKernel(delta, p, sc, scheme._native_finish())
+        try:
+            k.march(steps)
+            got = None
+        except ZeroPivotError as err:
+            got = err.row
+        assert got == row
+        assert bits(k.delta) == bits(expected)
+
+    def test_zero_pivot_in_the_second_step(self):
+        delta, p, sc = mid_march_pivot_case()
+        first = reference_advance(delta, p, sc)
+        with pytest.raises(ZeroPivotError):
+            reference_advance(first, p, sc)
+        k = _StepKernel(delta, p, sc, scheme._native_finish())
+        with pytest.raises(ZeroPivotError, match="row 0") as err:
+            k.march(5)
+        assert err.value.row == 0
+        assert bits(k.delta) == bits(first) != bits(delta)
 
     @pytest.mark.parametrize(
         "problem",
@@ -498,14 +542,45 @@ class TestNativeFinisher:
             for field in ("u", "ux", "uxx"):
                 assert bits(getattr(got[t], field)) == bits(getattr(expected[t], field))
 
-    def test_known_answer_check_rejects_a_wrong_finisher(self):
+    def test_long_march_is_split_into_native_calls(self):
+        # a count past MAX_NATIVE_STEPS would be wrapped by ctypes, not rejected
+        calls = []
+
+        def native(*args):
+            calls.append(args[-1])
+            return -1
+
+        p = constant_problem(0.0, n_cells=5)
+        k = _StepKernel(np.zeros(8), p, knot_coefficients(0.2), native)
+        k.march(2 * scheme.MAX_NATIVE_STEPS + 7)
+        assert calls == [scheme.MAX_NATIVE_STEPS, scheme.MAX_NATIVE_STEPS, 7]
+
+    def test_known_answer_check_rejects_a_wrong_finisher(self, tmp_path):
         native = scheme._native_finish()
         if native is None:
             pytest.skip("no compiled step finisher on this machine")
         assert scheme._finishes_alike(native)
-        # a finisher that skips the step, or blames the wrong row
+        # a march that skips every step, or blames the wrong row
         assert not scheme._finishes_alike(lambda *args: -1)
         assert not scheme._finishes_alike(lambda *args: native(*args) and 1)
+        # a march that stops one step short
+        assert not scheme._finishes_alike(lambda *args: native(*args[:-1], args[-1] - 1))
+        # one that names the row after the zero pivot
+        assert not scheme._finishes_alike(
+            lambda *args: (lambda row: row + 1 if row >= 0 else row)(native(*args))
+        )
+        # one built from a source that regroups U as a1 d0 + (a2 d1 + a1 d2)
+        source = _native.SOURCE.read_text()
+        fill = "u = a1 * d0 + a2 * d1 + a1 * d2;"
+        assert source.count(fill) == 1
+        mutant = tmp_path / "regrouped.c"
+        mutant.write_text(source.replace(fill, "u = a1 * d0 + (a2 * d1 + a1 * d2);"))
+        library = tmp_path / "regrouped.so"
+        subprocess.run(
+            [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(mutant)],
+            check=True, capture_output=True, timeout=120,
+        )
+        assert not scheme._finishes_alike(scheme._bind_march(ctypes.CDLL(str(library))))
 
 
 class TestBruteForceEquivalence:
