@@ -1,14 +1,20 @@
-/* The Crank-Nicolson steps of ctburgers' collocation scheme, in C.
+/* The compiled kernels of ctburgers' collocation scheme, in C.
  *
- * march runs whole steps on the state buffer of a
+ * march runs whole Crank-Nicolson steps on the state buffer of a
  * ctburgers.scheme._StepKernel.  Each step fills the four bands of the
  * step system from the current parameters (as _StepKernel._fill_bands
  * does with numpy), folds the phantom parameters into the end rows, runs
  * the Thomas sweep of ctburgers.linalg.thomas_sweep and restores the
- * phantoms.  Every expression has the operands of the Python code in its
+ * phantoms.
+ *
+ * fit solves the bandwidth-2 system of the initial spline fit with the
+ * statements of ctburgers.linalg.banded_solve in the same order.
+ *
+ * Every expression has the operands of the Python code in its
  * left-to-right order, and the build turns off contraction and fast-math,
- * so the results are the Python path's to the bit.  scheme.py checks that
- * on a fixed set of multi-step marches before it uses the library.
+ * so the results are the Python path's to the bit.  scheme.py checks both
+ * entry points on a fixed set of known-answer marches and fits before it
+ * uses the library.
  *
  * Build: cc -O2 -std=c99 -ffp-contract=off -fno-fast-math -shared -fPIC
  */
@@ -95,6 +101,61 @@ long march(double *bands, double *delta, const double *k, long n, long steps)
 
         delta[0] = (bc_left - a2 * delta[1] - a1 * delta[2]) / a1;
         delta[n + 1] = (bc_right - a1 * delta[n - 1] - a2 * delta[n]) / a1;
+    }
+    return -1;
+}
+
+/* bands: (n, 5) row-major; column j of row i holds the coefficient of
+ *        unknown i + j - 2, and entries outside the matrix are zero.
+ *        Overwritten by the elimination.
+ * rhs:   the n right-hand sides, overwritten by the elimination.
+ * x:     the n unknowns, written on success.
+ * n:     number of rows, at least 1.
+ * tol:   pivot tolerance.
+ *
+ * Returns -1, or the row of the first pivot whose magnitude is below the
+ * tolerance; x is then unspecified.
+ */
+long fit(double *bands, double *rhs, double *x, long n, double tol)
+{
+    double piv, p3, p4, b, m, *row, *r;
+    long col, i;
+
+    for (col = 0; col < n - 1; col++) {
+        row = bands + 5 * col;
+        piv = row[2];
+        p3 = row[3];
+        p4 = row[4];
+        if (fabs(piv) < tol)
+            return col;
+        b = rhs[col];
+        row = bands + 5 * (col + 1);
+        if (row[1] != 0.0) {
+            m = row[1] / piv;
+            row[2] -= m * p3;
+            row[3] -= m * p4; /* outside the matrix, and never read, in the last row */
+            rhs[col + 1] -= m * b;
+        }
+        if (col + 2 < n) {
+            row = bands + 5 * (col + 2);
+            if (row[0] != 0.0) {
+                m = row[0] / piv;
+                row[1] -= m * p3;
+                row[2] -= m * p4;
+                rhs[col + 2] -= m * b;
+            }
+        }
+    }
+    if (fabs(bands[5 * (n - 1) + 2]) < tol)
+        return n - 1;
+    x[n - 1] = rhs[n - 1] / bands[5 * (n - 1) + 2];
+    if (n > 1) {
+        r = bands + 5 * (n - 2);
+        x[n - 2] = (rhs[n - 2] - r[3] * x[n - 1]) / r[2];
+    }
+    for (i = n - 3; i >= 0; i--) {
+        r = bands + 5 * i;
+        x[i] = ((rhs[i] - r[3] * x[i + 1]) - r[4] * x[i + 2]) / r[2];
     }
     return -1;
 }

@@ -1,5 +1,6 @@
-"""Build and load the compiled step march, ``_finish.c``, which runs
-whole Crank-Nicolson steps in C.
+"""Build and load ``_finish.c``, the compiled library with the two C
+entry points of the scheme: ``march``, which runs whole Crank-Nicolson
+steps, and ``fit``, which solves the initial spline fit.
 
 The library is compiled on first use, never at import, by the C compiler
 Python was built with, and cached under
@@ -8,7 +9,8 @@ SHA-256 of the source and the compile command, the platform and the
 interpreter's cache tag, so an edited source, other flags or another
 interpreter get a build of their own.  No compiler, a failed compile or
 an unwritable cache gives ``None``, and the caller keeps to the Python
-path.
+path.  One load serves both entry points; :mod:`ctburgers.scheme` checks
+both before it uses either.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _compile(command: list[str], path: Path) -> bool:
 
 
 def load_library() -> ctypes.CDLL | None:
-    """The step-march library, built first if the cache has none for this source and command."""
+    """The compiled library, built first if the cache has none for this source and command."""
     command = [*compiler(), *FLAGS]
     try:
         path = library_path(SOURCE.read_bytes(), command)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "UniformPartition",
     "SchemeCoefficients",
@@ -25,6 +27,10 @@ __all__ = [
 # stay away from zero, which holds for 0 < h < 2*pi/3.
 H_MAX = 2.0 * math.pi / 3.0
 
+# the most cells a partition may have: the initial fit of a mesh this fine
+# already holds on the order of a gigabyte
+MAX_CELLS = 10**7
+
 
 @dataclass(frozen=True)
 class UniformPartition:
@@ -32,6 +38,7 @@ class UniformPartition:
 
     ``knot(i)`` is defined for i in {-2, ..., n_cells + 3} so that every
     basis function overlapping [a, b] has its full support available.
+    ``n_cells`` lies in [3, ``MAX_CELLS``].
     """
 
     a: float
@@ -42,6 +49,8 @@ class UniformPartition:
     def __post_init__(self):
         if self.n_cells < 3:
             raise ValueError(f"n_cells must be >= 3, got {self.n_cells}")
+        if self.n_cells > MAX_CELLS:
+            raise ValueError(f"n_cells must be <= {MAX_CELLS:.0e}, got {self.n_cells}")
         h = (self.b - self.a) / self.n_cells
         if not 0.0 < h < H_MAX:
             raise ValueError(
@@ -57,7 +66,11 @@ class UniformPartition:
 
     def knots(self) -> list[float]:
         """The n_cells + 1 knots inside [a, b]."""
-        return [self.a + i * self.h for i in range(self.n_cells + 1)]
+        return self.knot_array().tolist()
+
+    def knot_array(self) -> np.ndarray:
+        """:meth:`knots` as an array: ``a + i * h``, the bits of :meth:`knot`."""
+        return self.a + np.arange(self.n_cells + 1) * self.h
 
     @property
     def theta(self) -> float:

@@ -143,10 +143,9 @@ def run(config: RunConfig) -> int:
         decimals = 3 if config.problem == "traveling" else 5
         sys.stdout.write(table_report(states, xs, problem.exact, part, decimals=decimals))
     if writes_files:
-        knots = part.knots()
-        knot_array = np.array(knots)
+        knot_array = part.knot_array()
         # every snapshot of a run shares the knots: format them once
-        x_text = ["%.12g" % x for x in knots]
+        x_text = ["%.12g" % x for x in knot_array.tolist()]
         for t, state in sorted(states.items()):
             name = f"{config.problem}_lam{_fmt12(config.lam)}_t{_fmt12(t)}.csv"
             _write_snapshot(

@@ -11,14 +11,18 @@ One kernel, built once per march with the step constants and
 preallocated buffers, takes the steps.  Each step computes U, U_x and
 the four bands of the square system from the current parameters, folds
 the phantoms into the end rows, solves the tridiagonal system and writes
-the new parameters, phantoms restored, back into the state buffer.  The
-whole step runs in a small C function (``_finish.c``, built on the first
-kernel of a process and loaded with ctypes), which takes every step
-between two sample times in one call, when it gives the bits of the
-Python path on a fixed set of known-answer marches.  Otherwise, and on
-machines without a C compiler, each step runs with ``out=`` ufuncs on a
-sliding window of the state, then on Python floats with
-:func:`~ctburgers.linalg.thomas_sweep`.  Both paths do the same IEEE
+the new parameters, phantoms restored, back into the state buffer.
+
+A small C library (``_finish.c``, built on the first fit or kernel of a
+process and loaded with ctypes) has two entry points: ``march`` takes
+every step between two sample times in one call, and ``fit`` solves the
+bandwidth-2 system of the initial spline fit.  The library is used, both
+entry points or neither, when it gives the bits of the Python path on a
+fixed set of known-answer marches and fits.  Otherwise, and on machines
+without a C compiler, each step runs with ``out=`` ufuncs on a sliding
+window of the state, then on Python floats with
+:func:`~ctburgers.linalg.thomas_sweep`, and the fit in
+:func:`~ctburgers.linalg.banded_solve`.  Both paths do the same IEEE
 operations in the same order, so the results do not depend on which one
 runs; :func:`step_finisher` says which does.  :func:`solve_to_time`
 marches on one kernel and copies the state out only at sample times;
@@ -32,7 +36,7 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +59,10 @@ __all__ = [
 # sample times must sit on the step grid to within this fraction of dt
 TIME_ALIGN_TOL = 1e-9
 
+# the most cell-steps, (N+1) * steps, one run may take: at about 20 ns a
+# cell-step, half an hour of marching
+MAX_CELL_STEPS = 10**11
+
 # the most steps one call into the compiled march takes: a C long has at
 # least 32 bits, and ctypes would wrap a larger count without a word
 MAX_NATIVE_STEPS = 2**31 - 1
@@ -72,8 +80,11 @@ class ProblemSpec:
     configuration clamps U(0,t)=1 while the exact profile starts at
     0.99465.
 
-    ``exact(x, t)`` is the exact solution, if one is known: x is a float
-    or a 1-D array of points, and the result a float or an array.  The
+    ``initial_condition(x)`` and ``exact(x, t)``, the exact solution if
+    one is known, take a float or a 1-D array of points and give a float
+    or an array; :func:`initialize_coefficients` calls
+    ``initial_condition`` once, on the array of knots, and a scalar result
+    stands for a constant.  ``initial_derivative`` takes a float.  The
     factories bind ``initial_condition`` and ``exact`` to their ``lam``,
     so ``dataclasses.replace(p, lam=...)`` needs a fresh factory call.
     """
@@ -83,7 +94,7 @@ class ProblemSpec:
     b: float
     dt: float
     n_cells: int
-    initial_condition: Callable[[float], float]
+    initial_condition: Callable
     initial_derivative: Callable[[float], float]
     boundary_left: float
     boundary_right: float
@@ -160,31 +171,59 @@ def initialize_coefficients(
     The fit interpolates the initial condition at all n_cells+1 knots and
     matches its analytic derivative at both ends, which squares the
     system; the matrix has bandwidth two (the derivative rows skip a
-    column) and is solved in-band.
+    column) and is solved in-band, by the compiled ``fit`` when the
+    library passed its check and by
+    :func:`~ctburgers.linalg.banded_solve` otherwise, to the same bits.
+    The initial condition is evaluated in one call on the knot array.
     """
     n = part.n_cells + 3
+    bands = _fit_bands(sc, n)
+    rhs = np.empty(n)
+    rhs[0] = p.initial_derivative(part.a)
+    rhs[1:-1] = p.initial_condition(part.knot_array())
+    rhs[n - 1] = p.initial_derivative(part.b)
+    compiled = _compiled()
+    delta = _fit(None if compiled is None else compiled.fit, bands, rhs)
+    return CoefficientVector(delta=delta, time=0.0)
+
+
+def _fit_bands(sc: SchemeCoefficients, n: int) -> np.ndarray:
+    """The (n, 5) bands of the fit matrix, in the layout of
+    :func:`~ctburgers.linalg.banded_solve`."""
     bands = np.zeros((n, 5))
-    rhs = np.zeros(n)
     # derivative condition at the left end: row 0 couples unknowns 0 and 2
     bands[0, 2] = sc.beta1
     bands[0, 4] = sc.beta2
-    rhs[0] = p.initial_derivative(part.a)
     bands[1:-1, 1] = sc.alpha1
     bands[1:-1, 2] = sc.alpha2
     bands[1:-1, 3] = sc.alpha1
-    rhs[1:-1] = [p.initial_condition(x) for x in part.knots()]
     bands[n - 1, 0] = sc.beta1
     bands[n - 1, 2] = sc.beta2
-    rhs[n - 1] = p.initial_derivative(part.b)
-    delta = banded_solve(bands, rhs)
-    return CoefficientVector(delta=delta, time=0.0)
+    return bands
+
+
+def _fit(native: Callable | None, bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`~ctburgers.linalg.banded_solve` of ``bands`` and ``rhs``, in
+    the compiled ``fit`` when ``native`` is given.
+
+    The compiled fit eliminates in place, so ``bands`` and ``rhs`` must be
+    C-contiguous float arrays the caller does not need any more.
+    """
+    if native is None:
+        return banded_solve(bands, rhs)
+    x = np.empty(len(rhs))
+    # bands, rhs and x stay bound to names here, so alive, for the whole call
+    row = native(bands.ctypes.data, rhs.ctypes.data, x.ctypes.data, len(rhs), PIVOT_TOL)
+    if row >= 0:
+        raise ZeroPivotError(row)
+    return x
 
 
 class _StepKernel:
     """Crank-Nicolson steps on preallocated buffers, built once per march.
 
     ``delta`` is the state buffer (N+3 parameters) the kernel steps in
-    place.  ``native`` is the compiled march (see :func:`_native_finish`),
+    place.  ``native`` is the compiled march (see :func:`_compiled`),
     which runs whole steps in C on ``delta`` and a band buffer allocated
     here, or None to take each step with numpy and Python floats.
 
@@ -387,18 +426,94 @@ def _finishes_alike(native) -> bool:
     return True
 
 
-@functools.cache
-def _native_finish():
-    """The compiled step march, or None when steps run in numpy and Python.
+def _known_answer_fits():
+    """Fixed systems for the fit check: (bands, rhs) in the layout of
+    :func:`~ctburgers.linalg.banded_solve`.
 
-    Built on the first call in a process and trusted only when it passes
-    :func:`_finishes_alike`.
+    They hold the fit matrices of N=3 and N=64, a full band, +-0.0 and
+    subnormals in the rhs, a -0.0 below a pivot row holding inf (an
+    elimination that is not skipped turns the row into NaN), zero pivots
+    in column 0, in an interior column and in the last row, and the
+    smallest systems, n = 1 and n = 2.  Every input is a literal or a
+    short ``math`` loop, so the check allocates next to nothing.
+    """
+    smallest = 5e-324
+    subnormal = -2.2250738585072014e-309
+    coarse = knot_coefficients(1.0 / 3)
+    wave = [1.5 * math.sin(0.7 * j) - 0.25 for j in range(67)]
+    wave[5:11] = [0.0, -0.0, smallest, subnormal, -smallest, 3.0e-310]
+    inf = math.inf
+    return [
+        (_fit_bands(coarse, 6), np.array([0.0, -0.0, smallest, subnormal, -smallest, 3.0e-310])),
+        (_fit_bands(coarse, 6), np.array([-2.0, 0.25, 1.0, 0.75, -0.5, 3.0])),
+        (_fit_bands(knot_coefficients(1.0 / 64), 67), np.array(wave)),
+        # a full band: every back-substitution row subtracts two products;
+        # in the fit matrix only row 0 does, and one of its products is zero
+        (np.array([[0.5 * math.sin(1.3 * i + 0.7 * j) + 3.0 * (j == 2) if 0 <= i + j - 2 < 12
+                    else 0.0 for j in range(5)] for i in range(12)]),
+         np.array([math.cos(0.9 * i) for i in range(12)])),
+        # the skipped eliminations below row 0 keep rows 1 and 2 finite
+        (np.array([[0.0, 0.0, 1.0, inf, inf], [0.0, -0.0, 2.0, 1.0, 0.0],
+                   [-0.0, 0.5, 1.0, 0.0, 0.0]]), np.array([1.0, 2.0, 1.0])),
+        # beta1 = 0: the derivative row has no pivot
+        (_fit_bands(replace(coarse, beta1=0.0), 6), np.array(wave[:6])),
+        # unit tridiagonal: the second pivot is 1 - 1 * 1 = 0
+        (np.array([[0.0, 0.0, 1.0, 1.0, 0.0]] + [[0.0, 1.0, 1.0, 1.0, 0.0]] * 3
+                  + [[0.0, 1.0, 1.0, 0.0, 0.0]]), np.ones(5)),
+        # the last pivot is 1 - 1 * 1 = 0
+        (np.array([[0.0, 0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0, 0.0],
+                   [0.0, 1.0, 1.0, 0.0, 0.0]]), np.array([1.0, smallest, -1.0])),
+        # n = 1 and n = 2
+        (np.array([[0.0, 0.0, 3.0, 0.0, 0.0]]), np.array([subnormal])),
+        (np.array([[0.0, 0.0, 2.0, 0.5, 0.0], [0.0, -1.0, 4.0, 0.0, 0.0]]),
+         np.array([1.0, -0.0])),
+    ]
+
+
+def _fits_alike(native) -> bool:
+    """Whether ``native`` solves every known-answer fit to the bits of
+    :func:`~ctburgers.linalg.banded_solve`, or fails on the same row."""
+    for bands, rhs in _known_answer_fits():
+        outcomes = []
+        for fit in (None, native):
+            try:
+                x = _fit(fit, bands.copy(), rhs.copy())
+                outcomes.append((None, x.view(np.int64).tolist()))
+            except ZeroPivotError as err:
+                outcomes.append((err.row, None))
+        if outcomes[0] != outcomes[1]:
+            return False
+    return True
+
+
+class _Compiled(NamedTuple):
+    """The two entry points of ``_finish.c``, typed for ctypes."""
+
+    march: Callable
+    fit: Callable
+
+
+@functools.cache
+def _compiled() -> _Compiled | None:
+    """The compiled march and fit, or None when both run in Python.
+
+    Built on the first call in a process and trusted only when the march
+    passes :func:`_finishes_alike` and the fit :func:`_fits_alike`: one
+    library, used whole or not at all.
     """
     lib = _native.load_library()
     if lib is None:
         return None
-    march = _bind_march(lib)
-    return march if _finishes_alike(march) else None
+    compiled = _Compiled(_bind_march(lib), _bind_fit(lib))
+    if _finishes_alike(compiled.march) and _fits_alike(compiled.fit):
+        return compiled
+    return None
+
+
+def _native_finish():
+    """The compiled step march, or None when steps run in numpy and Python."""
+    compiled = _compiled()
+    return None if compiled is None else compiled.march
 
 
 def _bind_march(lib: ctypes.CDLL):
@@ -411,12 +526,23 @@ def _bind_march(lib: ctypes.CDLL):
     return march
 
 
-def step_finisher() -> str:
-    """``"native"`` when steps run in the compiled march, ``"python"`` when they fall back.
+def _bind_fit(lib: ctypes.CDLL):
+    """``lib.fit`` with the argument and result types of ``_finish.c``."""
+    fit = lib.fit
+    fit.argtypes = (
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
+    )
+    fit.restype = ctypes.c_long
+    return fit
 
-    Builds the compiled march if this process has not tried yet.
+
+def step_finisher() -> str:
+    """``"native"`` when the march and the initial fit run in the compiled
+    library, ``"python"`` when both fall back.
+
+    Builds and checks the library if this process has not tried yet.
     """
-    return "python" if _native_finish() is None else "native"
+    return "python" if _compiled() is None else "native"
 
 
 def assemble_step(
@@ -478,7 +604,8 @@ def solve_to_time(
     """March the scheme to ``t_end`` and record the requested snapshots.
 
     Every sample time (and ``t_end`` itself) must lie on the step grid at
-    or after t = 0.
+    or after t = 0, and the run may take at most ``MAX_CELL_STEPS``
+    cell-steps, (N+1) * steps; both are checked before the fit.
     Returns a map from sample time to the nodal state at that time.
     """
     p.validate()
@@ -487,6 +614,11 @@ def solve_to_time(
     if sample_times is None:
         sample_times = [t_end]
     n_steps = _step_index(t_end, p.dt)
+    if (part.n_cells + 1) * n_steps > MAX_CELL_STEPS:
+        raise ValueError(
+            f"{n_steps} steps of {part.n_cells + 1} knots exceed the cap of "
+            f"{MAX_CELL_STEPS:.0e} cell-steps per run"
+        )
     wanted: dict[int, float] = {}
     for t in sorted(sample_times):
         k = _step_index(t, p.dt)

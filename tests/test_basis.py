@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctburgers.basis import (
+    MAX_CELLS,
     UniformPartition,
     ctb_deriv,
     ctb_eval,
@@ -50,6 +51,20 @@ class TestUniformPartition:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n_cells"):
             UniformPartition(0.0, 1.0, 2)
+
+    def test_rejects_more_cells_than_the_cap(self):
+        UniformPartition(0.0, 1.0, MAX_CELLS)
+        with pytest.raises(ValueError, match=r"n_cells must be <= 1e\+07, got 10000001"):
+            UniformPartition(0.0, 1.0, MAX_CELLS + 1)
+
+    @pytest.mark.parametrize(
+        "a, b, n", [(0.0, 1.0, 3), (0.0, 1.0, 36), (0.0, 1.0, 4000), (-1.3, 2.7, 997)]
+    )
+    def test_knot_array_has_the_bits_of_knot(self, a, b, n):
+        p = UniformPartition(a, b, n)
+        expected = np.array([p.knot(i) for i in range(n + 1)])
+        assert p.knot_array().tobytes() == expected.tobytes()
+        assert p.knots() == expected.tolist()
 
     def test_rejects_degenerate_spacing(self):
         # h = 7/3 > 2*pi/3 makes the normalizer vanish somewhere

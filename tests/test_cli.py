@@ -4,6 +4,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import cli, problems
+from ctburgers import cli, problems, scheme
 from ctburgers.exact import SeriesConvergenceError
 from ctburgers.linalg import ZeroPivotError
 from ctburgers.scheme import NodalState
@@ -226,6 +228,38 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert "error: invalid config: time 1e+300" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # 10**19 steps: it used to march until it was killed
+            (["--problem", "sine", "--lambda", "1", "--n-cells", "10", "--dt", "1",
+              "--t-end", "1e19"], "exceed the cap of 1e+11 cell-steps"),
+            # it used to end in an uncaught numpy memory error
+            (["--problem", "sine", "--n-cells", "1000000000000", "--t-end", "0"],
+             "n_cells must be <= 1e+07"),
+        ],
+        ids=["steps", "cells"],
+    )
+    def test_oversized_run_exits_config_error_at_once(self, argv, message, monkeypatch, capsys):
+        def fail(*a, **k):
+            raise AssertionError("reached the fit")
+
+        monkeypatch.setattr(scheme, "initialize_coefficients", fail)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = run_main(["run", *argv])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "error: invalid config: " in err and message in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0
+        assert peak < 1 << 20  # nothing of the run's size was allocated
 
     def test_non_finite_solution_exits_numerical_failure(self, monkeypatch, capsys):
         def blown_up(p, part, t_end, sample_times):
@@ -510,6 +544,20 @@ class TestProcessExitCodes:
         proc = self.ctburgers("run", "--t-end", "0", "--sample-xs", "0.5")
         assert proc.returncode == cli.EXIT_OK
         assert "1.00000" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--problem", "sine", "--lambda", "1", "--n-cells", "10", "--dt", "1",
+             "--t-end", "1e19"),
+            ("--problem", "sine", "--n-cells", "1000000000000", "--t-end", "0"),
+        ],
+        ids=["steps", "cells"],
+    )
+    def test_oversized_run_exits_one(self, args):
+        proc = self.ctburgers("run", *args)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "error: invalid config:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_invalid_config_exits_one(self):
         proc = self.ctburgers("run", "--dt", "nan")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctburgers import scheme
 from ctburgers.linalg import ZeroPivotError, banded_solve, thomas_sweep
 
 RESIDUAL_TOL = 1e-10
@@ -82,8 +83,9 @@ class TestThomas:
 def reference_banded_solve(bands, rhs):
     """Band elimination with the offset loops written out generically.
 
-    ``banded_solve`` unrolls these loops; it must do the same IEEE
-    operations in the same order, so the results agree bit for bit.
+    ``banded_solve`` unrolls these loops, and the compiled ``fit`` of
+    ``_finish.c`` repeats it in C; both must do the same IEEE operations
+    in the same order, so the results agree bit for bit.
     """
     n = len(rhs)
     band = bands.tolist()
@@ -197,6 +199,48 @@ class TestBanded:
         got = banded_solve(bands, rhs)
         want = reference_banded_solve(bands, rhs)
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        seed=st.integers(0, 2**31),
+        zero_share=st.sampled_from([0.0, 0.2, 0.6]),
+        tiny_share=st.sampled_from([0.0, 0.05, 0.3]),
+    )
+    def test_compiled_fit_bit_identical_to_both_loops(self, n, seed, zero_share, tiny_share):
+        compiled = scheme._compiled()
+        if compiled is None:
+            pytest.skip("no compiled library on this machine")
+        rng = np.random.default_rng(seed)
+        bands = rng.uniform(-1, 1, (n, 5))
+        bands[:, 2] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.5, 4.0, n)
+        rhs = rng.uniform(-3, 3, n)
+        # exact zeros of both signs and subnormals off the diagonal and in
+        # the rhs
+        tiny = [5e-324, -5e-324, 2.2e-310, -1.0e-309, 3.0e-320]
+        for share, values in ((zero_share, [0.0, -0.0]), (tiny_share, tiny)):
+            mask = rng.uniform(size=(n, 5)) < share
+            mask[:, 2] = False
+            bands[mask] = rng.choice(values, int(mask.sum()))
+            mask = rng.uniform(size=n) < share
+            rhs[mask] = rng.choice(values, int(mask.sum()))
+        # now and then a zero or subnormal pivot
+        mask = rng.uniform(size=n) < 0.02
+        bands[mask, 2] = rng.choice([0.0, -0.0, *tiny], int(mask.sum()))
+        for i in range(n):
+            for j in range(5):
+                if not 0 <= i + j - 2 < n:
+                    bands[i, j] = 0.0
+
+        def outcome(solve):
+            try:
+                return None, solve().tobytes()
+            except ZeroPivotError as err:
+                return err.row, None
+
+        want = outcome(lambda: reference_banded_solve(bands, rhs))
+        assert outcome(lambda: banded_solve(bands, rhs)) == want
+        assert outcome(lambda: scheme._fit(compiled.fit, bands.copy(), rhs.copy())) == want
 
     def test_zero_pivot_names_row(self):
         n = 3

@@ -99,6 +99,39 @@ class TestInitializeCoefficients:
             assert u[i] == pytest.approx(exact, abs=1e-8)
 
 
+    def test_initial_condition_is_called_once_on_the_knot_array(self):
+        p = sine_problem(1.0, 40, 1e-4)
+        calls = []
+
+        def column(x):
+            calls.append(x)
+            return p.initial_condition(x)
+
+        part, sc = setup(p)
+        got = initialize_coefficients(replace(p, initial_condition=column), part, sc)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == part.knot_array().tobytes()
+        assert bits(got.delta) == bits(initialize_coefficients(p, part, sc).delta)
+
+
+class TestColumnInitialCondition:
+    """Both factories' ``initial_condition`` takes a 1-D array and gives
+    the bits of one call per point."""
+
+    @pytest.mark.parametrize("factory", [sine_problem, traveling_problem])
+    @pytest.mark.parametrize("lam", [1.0, 0.1, 0.01, 0.005, 0.001])
+    @pytest.mark.parametrize("n_cells", [3, 36, 40, 400, 4000])
+    def test_column_matches_point_calls(self, factory, lam, n_cells):
+        p = factory(lam, n_cells, 1e-3)
+        # the knots, which lie on both sides of the traveling front, plus
+        # its centre gamma = 0.125, where its exponent eta is exactly zero
+        x = np.append(p.partition().knot_array(), [0.125, -0.0, 1.0])
+        expected = np.array([p.initial_condition(v) for v in x.tolist()])
+        got = p.initial_condition(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestAssembleAndEliminate:
     def test_zero_state_zero_viscosity_rows(self):
         # validation requires lam > 0, but assembly itself is total
@@ -487,12 +520,12 @@ class TestStepKernelBitIdentity:
 
 
 class TestStepKernelBitIdentityPythonFinisher(TestStepKernelBitIdentity):
-    """The same tests with every step finished on Python floats, as on a
-    machine without a C compiler."""
+    """The same tests with every step finished, and every fit solved, on
+    Python floats, as on a machine without a C compiler."""
 
     @pytest.fixture(autouse=True)
     def python_finisher(self, monkeypatch):
-        monkeypatch.setattr(scheme, "_native_finish", lambda: None)
+        monkeypatch.setattr(scheme, "_compiled", lambda: None)
 
 
 class TestNativeFinisher:
@@ -518,7 +551,9 @@ class TestNativeFinisher:
     def test_failed_build_falls_back_to_identical_bits(self, breakage, tmp_path, monkeypatch):
         problem = traveling_problem(0.005, 36, 1e-3)
         part = problem.partition()
+        sc = knot_coefficients(part.h)
         expected = solve_to_time(problem, part, 0.05, [0.02, 0.05])
+        expected_fit = initialize_coefficients(problem, part, sc).delta
         # an empty cache, so the loader has to build
         cache = tmp_path / "cache"
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
@@ -530,14 +565,16 @@ class TestNativeFinisher:
                 "missing-compiler": ["ctburgers-no-such-compiler"],
             }[breakage]
             monkeypatch.setattr(_native, "compiler", lambda: command)
-        scheme._native_finish.cache_clear()
+        scheme._compiled.cache_clear()
         try:
             assert scheme.step_finisher() == "python"
             got = solve_to_time(problem, part, 0.05, [0.02, 0.05])
+            got_fit = initialize_coefficients(problem, part, sc).delta
         finally:
-            scheme._native_finish.cache_clear()
+            scheme._compiled.cache_clear()
         if breakage != "unwritable-cache":
             assert list((cache / "ctburgers").iterdir()) == []  # no partial build left
+        assert bits(got_fit) == bits(expected_fit)
         for t in expected:
             for field in ("u", "ux", "uxx"):
                 assert bits(getattr(got[t], field)) == bits(getattr(expected[t], field))
@@ -581,6 +618,56 @@ class TestNativeFinisher:
             check=True, capture_output=True, timeout=120,
         )
         assert not scheme._finishes_alike(scheme._bind_march(ctypes.CDLL(str(library))))
+
+
+    def test_known_answer_check_rejects_a_wrong_fit(self):
+        native = scheme._native_finish()
+        if native is None:
+            pytest.skip("no compiled library on this machine")
+        fit = scheme._compiled().fit
+        assert scheme._fits_alike(fit)
+        # a fit that never reports a zero pivot, or blames the row after it
+        def never_fails(*args):
+            fit(*args)
+            return -1
+
+        assert not scheme._fits_alike(never_fails)
+        assert not scheme._fits_alike(
+            lambda *args: (lambda row: row + 1 if row >= 0 else row)(fit(*args))
+        )
+        # one that leaves the last unknown unwritten
+        assert not scheme._fits_alike(lambda *args: fit(*args[:3], args[3] - 1, args[4]))
+
+    @pytest.mark.parametrize(
+        "statement, mutant",
+        [
+            # back substitution regrouped as rhs - (r3 x1 + r4 x2)
+            (
+                "x[i] = ((rhs[i] - r[3] * x[i + 1]) - r[4] * x[i + 2]) / r[2];",
+                "x[i] = (rhs[i] - (r[3] * x[i + 1] + r[4] * x[i + 2])) / r[2];",
+            ),
+            # the first elimination run on an exactly-zero entry too
+            ("if (row[1] != 0.0) {", "if (1) {"),
+            # the second one
+            ("if (row[0] != 0.0) {", "if (1) {"),
+        ],
+        ids=["regrouped-back-substitution", "unskipped-first", "unskipped-second"],
+    )
+    def test_known_answer_check_rejects_a_mutant_fit(self, statement, mutant, tmp_path):
+        if scheme._native_finish() is None:
+            pytest.skip("no compiled library on this machine")
+        source = _native.SOURCE.read_text()
+        assert source.count(statement) == 1
+        path = tmp_path / "mutant.c"
+        path.write_text(source.replace(statement, mutant))
+        library = tmp_path / "mutant.so"
+        subprocess.run(
+            [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(path)],
+            check=True, capture_output=True, timeout=120,
+        )
+        lib = ctypes.CDLL(str(library))
+        assert scheme._finishes_alike(scheme._bind_march(lib))
+        assert not scheme._fits_alike(scheme._bind_fit(lib))
 
 
 class TestBruteForceEquivalence:
@@ -672,6 +759,18 @@ class TestSolveToTime:
         p = sine_problem(1.0, 10, 1e-10)
         with pytest.raises(ValueError, match=r"time 1e\+300 .*dt=1e-10"):
             solve_to_time(p, p.partition(), 1e300)
+
+    def test_cell_step_cap(self, monkeypatch):
+        def fail(*a, **k):
+            raise AssertionError("reached the fit")
+
+        monkeypatch.setattr(scheme, "initialize_coefficients", fail)
+        # 11 knots: 10**11 // 11 steps fit under the cap, one more does not
+        p = sine_problem(1.0, 10, 1.0)
+        with pytest.raises(ValueError, match=r"9090909091 steps of 11 knots exceed the cap"):
+            solve_to_time(p, p.partition(), float(scheme.MAX_CELL_STEPS // 11 + 1))
+        with pytest.raises(AssertionError, match="reached the fit"):
+            solve_to_time(p, p.partition(), float(scheme.MAX_CELL_STEPS // 11))
 
     def test_mismatched_partition_rejected(self):
         p = sine_problem(1.0, 10, 1e-3)
