@@ -2,10 +2,11 @@
  *
  * march runs whole Crank-Nicolson steps on the state buffer of a
  * ctburgers.scheme._StepKernel.  Each step fills the four bands of the
- * step system from the current parameters (as _StepKernel._fill_bands
- * does with numpy), folds the phantom parameters into the end rows, runs
- * the Thomas sweep of ctburgers.linalg.thomas_sweep and restores the
- * phantoms.
+ * step system from the current parameters and folds the phantom
+ * parameters into the end rows with the statements of
+ * _StepKernel.assemble in the same order, runs the Thomas sweep of
+ * ctburgers.linalg.thomas_sweep and restores the phantoms as
+ * _StepKernel.march does.
  *
  * fit solves the bandwidth-2 system of the initial spline fit with the
  * statements of ctburgers.linalg.banded_solve in the same order.

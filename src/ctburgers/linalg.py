@@ -5,12 +5,12 @@ checks that a matrix is diagonally dominant, and the step matrices are
 not for every accepted input; a pivot below ``PIVOT_TOL`` in magnitude
 raises :class:`ZeroPivotError` instead of being repaired.
 
-:func:`thomas_sweep` is the tridiagonal kernel of the Python step path,
-and :func:`banded_solve` the solver of the initial spline fit.  The
-compiled library (``_finish.c``, see :mod:`ctburgers.scheme`) repeats
-each of them in C, ``march`` the sweep within whole steps and ``fit``
-the band elimination, with the same operations in the same order and
-the same ``PIVOT_TOL``, and is used only where it gives the same bits.
+:func:`thomas_sweep` is the tridiagonal solve of the Python step, after
+the row loop of ``_StepKernel.assemble``, and :func:`banded_solve` the
+solver of the initial spline fit.  The compiled library (``_finish.c``,
+see :mod:`ctburgers.scheme`) has the same statements in the same order
+and the same ``PIVOT_TOL``, ``march`` for the whole step and ``fit`` for
+the band elimination, and is used only where it gives the same bits.
 Both functions stay the fallback and the reference.
 """
 

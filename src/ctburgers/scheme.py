@@ -7,11 +7,11 @@ tridiagonal solve.  The two phantom spline parameters beyond each end of
 the domain are removed with the Dirichlet boundary values before the
 solve and reconstructed afterwards.
 
-One kernel, built once per march with the step constants and
-preallocated buffers, takes the steps.  Each step computes U, U_x and
-the four bands of the square system from the current parameters, folds
-the phantoms into the end rows, solves the tridiagonal system and writes
-the new parameters, phantoms restored, back into the state buffer.
+One kernel, built once per march with the step constants, takes the
+steps.  Each step computes U, U_x and the four bands of the square
+system from the current parameters, folds the phantoms into the end
+rows, solves the tridiagonal system and writes the new parameters,
+phantoms restored, back into the state buffer.
 
 A small C library (``_finish.c``, built on the first fit or kernel of a
 process and loaded with ctypes) has two entry points: ``march`` takes
@@ -19,11 +19,10 @@ every step between two sample times in one call, and ``fit`` solves the
 bandwidth-2 system of the initial spline fit.  The library is used, both
 entry points or neither, when it gives the bits of the Python path on a
 fixed set of known-answer marches and fits.  Otherwise, and on machines
-without a C compiler, each step runs with ``out=`` ufuncs on a sliding
-window of the state, then on Python floats with
-:func:`~ctburgers.linalg.thomas_sweep`, and the fit in
-:func:`~ctburgers.linalg.banded_solve`.  Both paths do the same IEEE
-operations in the same order, so the results do not depend on which one
+without a C compiler, each step runs on Python floats, one loop over the
+rows and then :func:`~ctburgers.linalg.thomas_sweep`, and the fit in
+:func:`~ctburgers.linalg.banded_solve`.  Both paths have the same
+statements in the same order, so the results do not depend on which one
 runs; :func:`step_finisher` says which does.  :func:`solve_to_time`
 marches on one kernel and copies the state out only at sample times;
 :func:`assemble_step` and :func:`advance` are one-step wrappers over the
@@ -220,21 +219,17 @@ def _fit(native: Callable | None, bands: np.ndarray, rhs: np.ndarray) -> np.ndar
 
 
 class _StepKernel:
-    """Crank-Nicolson steps on preallocated buffers, built once per march.
+    """Crank-Nicolson steps on one state buffer, built once per march.
 
     ``delta`` is the state buffer (N+3 parameters) the kernel steps in
     place.  ``native`` is the compiled march (see :func:`_compiled`),
     which runs whole steps in C on ``delta`` and a band buffer allocated
-    here, or None to take each step with numpy and Python floats.
+    here, or None to take each step on Python floats.
 
-    On the Python path a read-only (3, N+1) sliding window over ``delta``
-    holds the parameters d_{m-1}, d_m, d_{m+1} of every collocation row m,
-    so U and U_x take one broadcast multiply each; lower and upper, which
-    differ only in beta, are computed as one (2, N+1) block.  Every ufunc
-    writes into a buffer allocated on the first fill.  Each IEEE operation
-    is the one of the band-by-band formulas (U, U_x, then each band and the
-    rhs from them) with the same operands in the same order, so grouping
-    rows into blocks changes no bit of the result.
+    The Python step is :meth:`assemble` (one loop over the collocation
+    rows, then the phantom fold), :func:`~ctburgers.linalg.thomas_sweep`
+    and the phantom restore: the statements of ``march`` in
+    ``_finish.c``, in the same order, so both give the same bits.
     """
 
     def __init__(
@@ -250,8 +245,6 @@ class _StepKernel:
         rows = len(self.delta) - 2
         if rows < 2:
             raise ValueError(f"a step needs at least 4 spline parameters, got {len(self.delta)}")
-        # lower and upper (one block), diag, rhs
-        self._bands = np.empty((4, rows))
         # a step unpacks this tuple instead of loading each value as an attribute
         self._constants = (
             a1, a2, sc.beta1, sc.beta2, half_dt, lam_g1, lam_g2,
@@ -261,67 +254,31 @@ class _StepKernel:
         self._native = native
         if native is not None:
             # the compiled march reads these; the kernel keeps every buffer alive
+            self._bands = np.empty((4, rows))  # lower, upper, diag, rhs
             self._native_constants = np.array([*self._constants, PIVOT_TOL])
             self._native_args = (
                 self._bands.ctypes.data, self.delta.ctypes.data,
                 self._native_constants.ctypes.data, rows,
             )
 
-    @functools.cached_property
-    def _buffers(self) -> tuple:
-        """The views and scratch arrays of :meth:`_fill_bands`, built on its first call."""
-        a1, a2, b1, b2 = self._constants[:4]
-        bands = self._bands
-        rows = bands.shape[1]
-        # the (3, rows) sliding window as a plain strided view: the same
-        # array sliding_window_view gives, at a twentieth of its set-up cost
-        step = self.delta.itemsize
-        window = np.ndarray((3, rows), buffer=self.delta, strides=(step, step))
-        window.flags.writeable = False
-        terms = np.empty((3, rows))
-        return (
-            window, window[::2], window[0], window[1], window[2],
-            np.array([[a1], [a2], [a1]]), np.array([[b1], [b2]]),
-            terms, terms[0], terms[1], terms[2], terms[:2],
-            np.empty(rows), np.empty(rows), np.empty(rows), bands, bands[:2], bands[2], bands[3],
-        )
-
-    def _fill_bands(self) -> None:
-        """The four unfolded bands of the current state, into ``_bands``."""
-        a1, a2, _, _, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre = self._constants[:9]
-        (w, w02, d0, d1, d2, alphas, betas, t, t0, t1, t2, t01,
-         u, ux, a1_ux, bands, lu, diag, rhs) = self._buffers
-        mul, add, sub = np.multiply, np.add, np.subtract
-        # U = (a1 d0 + a2 d1) + a1 d2,  U_x = b1 d0 + b2 d2
-        mul(alphas, w, out=t)
-        add(t0, t1, out=u)
-        add(u, t2, out=u)
-        mul(betas, w02, out=t01)
-        add(t0, t1, out=ux)
-        # lower, upper = a1 + dt/2 ((a1 U_x + beta U) - lam g1)
-        mul(a1, ux, out=a1_ux)
-        mul(betas, u, out=lu)
-        add(a1_ux, lu, out=lu)
-        sub(lu, lam_g1, out=lu)
-        mul(half_dt, lu, out=lu)
-        add(a1, lu, out=lu)
-        # diag = a2 + dt/2 (a2 U_x - lam g2)
-        mul(a2, ux, out=diag)
-        sub(diag, lam_g2, out=diag)
-        mul(half_dt, diag, out=diag)
-        add(a2, diag, out=diag)
-        # rhs = (a1 + dt/2 lam g1)(d0 + d2) + (a2 + dt/2 lam g2) d1
-        add(d0, d2, out=rhs)
-        mul(rhs_outer, rhs, out=rhs)
-        mul(rhs_centre, d1, out=u)  # U is not needed any more
-        add(rhs, u, out=rhs)
-
     def assemble(self) -> tuple[list[float], list[float], list[float], list[float]]:
         """The folded square system of the current state, as :func:`assemble_step`."""
-        a1, a2 = self._constants[:2]
-        bc_left, bc_right = self._constants[9:]
-        self._fill_bands()
-        lower, upper, diag, rhs = self._bands.tolist()
+        (a1, a2, b1, b2, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre,
+         bc_left, bc_right) = self._constants
+        lower, upper, diag, rhs = [], [], [], []
+        d = self.delta.tolist()
+        for d0, d1, d2 in zip(d, d[1:], d[2:]):
+            # U = (a1 d0 + a2 d1) + a1 d2,  U_x = b1 d0 + b2 d2
+            u = a1 * d0 + a2 * d1 + a1 * d2
+            ux = b1 * d0 + b2 * d2
+            # lower, upper = a1 + dt/2 ((a1 U_x + beta U) - lam g1)
+            a1_ux = a1 * ux
+            lower.append(a1 + half_dt * (a1_ux + b1 * u - lam_g1))
+            upper.append(a1 + half_dt * (a1_ux + b2 * u - lam_g1))
+            # diag = a2 + dt/2 (a2 U_x - lam g2)
+            diag.append(a2 + half_dt * (a2 * ux - lam_g2))
+            # rhs = (a1 + dt/2 lam g1)(d0 + d2) + (a2 + dt/2 lam g2) d1
+            rhs.append(rhs_outer * (d0 + d2) + rhs_centre * d1)
         # delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1
         first = lower[0]
         diag[0] -= first * a2 / a1
@@ -334,10 +291,6 @@ class _StepKernel:
         rhs[-1] -= last * bc_right / a1
         del lower[0]
         return lower, diag, upper, rhs
-
-    def step(self) -> None:
-        """Advance ``delta`` in place by one time step, as ``march(1)``."""
-        self.march(1)
 
     def march(self, steps: int) -> None:
         """Advance ``delta`` in place by ``steps`` time steps.
@@ -365,8 +318,9 @@ def _known_answer_cases():
     """Fixed marches for the finisher check: (delta, problem, coefficients, steps).
 
     They hold +-0.0 and subnormals in the state and the boundary values,
-    the smallest mesh (N=3) and a larger one (N=64), a zero pivot in the
-    first row and in an interior one, and one in the second step.
+    the smallest mesh (N=3) and a larger one (N=64), non-zero boundary
+    values at both ends of a non-trivial state, a zero pivot in the first
+    row and in an interior one, and one in the second step.
     """
     smallest = 5e-324
     subnormal = -2.2250738585072014e-309
@@ -401,6 +355,7 @@ def _known_answer_cases():
         (np.array(steep), spec(3, 0.003, 1e-2, 1.0, 0.0), coarse, 4),
         (np.array(wave), spec(64, 0.005, 1e-2, subnormal, -0.0), fine, 4),
         (np.array(wave), spec(64, 1.0, 1e-4, 0.0, 0.0), fine, 4),
+        (np.array(wave), spec(64, 0.005, 1e-2, 1.0, 0.2), fine, 4),
         (np.zeros(8), spec(5, 1.0, 2.0, 0.0, 0.0), flat, 3),
         (np.zeros(8), spec(5, 1.0, 1e-4, 0.0, 0.0), replace(flat, alpha2=1.0, gamma2=0.0), 3),
         (np.linspace(-1.0, 1.0, 8), spec(5, 1.0, 2.0, 0.0, 0.0), vanishing, 3),
@@ -511,7 +466,7 @@ def _compiled() -> _Compiled | None:
 
 
 def _native_finish():
-    """The compiled step march, or None when steps run in numpy and Python."""
+    """The compiled step march, or None when steps run in Python."""
     compiled = _compiled()
     return None if compiled is None else compiled.march
 
@@ -575,7 +530,7 @@ def advance(
     level only, with no inner iteration.
     """
     kernel = _StepKernel(c.delta, p, sc, _native_finish())
-    kernel.step()
+    kernel.march(1)
     return CoefficientVector(delta=kernel.delta, time=c.time + p.dt)
 
 

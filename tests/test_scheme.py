@@ -440,7 +440,7 @@ class TestStepKernelBitIdentity:
         def kernel():
             k = _StepKernel(delta, p, sc, scheme._native_finish())
             for _ in range(50):
-                k.step()
+                k.march(1)
             return k.delta
 
         def public():
@@ -514,7 +514,7 @@ class TestStepKernelBitIdentity:
         delta = np.linspace(-1.0, 1.0, 8)
         k = _StepKernel(delta, p, sc, scheme._native_finish())
         with pytest.raises(ZeroPivotError, match="row 2") as err:
-            k.step()
+            k.march(1)
         assert err.value.row == 2
         assert bits(k.delta) == bits(delta)
 
@@ -592,7 +592,7 @@ class TestNativeFinisher:
         k.march(2 * scheme.MAX_NATIVE_STEPS + 7)
         assert calls == [scheme.MAX_NATIVE_STEPS, scheme.MAX_NATIVE_STEPS, 7]
 
-    def test_known_answer_check_rejects_a_wrong_finisher(self, tmp_path):
+    def test_known_answer_check_rejects_a_wrong_finisher(self):
         native = scheme._native_finish()
         if native is None:
             pytest.skip("no compiled step finisher on this machine")
@@ -606,19 +606,51 @@ class TestNativeFinisher:
         assert not scheme._finishes_alike(
             lambda *args: (lambda row: row + 1 if row >= 0 else row)(native(*args))
         )
-        # one built from a source that regroups U as a1 d0 + (a2 d1 + a1 d2)
+
+    @pytest.mark.parametrize(
+        "statement, mutant",
+        [
+            # U regrouped as a1 d0 + (a2 d1 + a1 d2)
+            (
+                "u = a1 * d0 + a2 * d1 + a1 * d2;",
+                "u = a1 * d0 + (a2 * d1 + a1 * d2);",
+            ),
+            # lower regrouped as a1_ux + (b1 U - lam g1)
+            (
+                "lower[i] = a1 + half_dt * (a1_ux + b1 * u - lam_g1);",
+                "lower[i] = a1 + half_dt * (a1_ux + (b1 * u - lam_g1));",
+            ),
+            # rhs with the outer weight distributed over d0 + d2
+            (
+                "rhs[i] = rhs_outer * (d0 + d2) + rhs_centre * d1;",
+                "rhs[i] = rhs_outer * d0 + rhs_outer * d2 + rhs_centre * d1;",
+            ),
+            # the left fold with a2 / a1 taken first
+            ("diag[0] -= first * a2 / a1;", "diag[0] -= first * (a2 / a1);"),
+            # the left phantom restore regrouped as U_a - (a2 d0 + a1 d1)
+            (
+                "delta[0] = (bc_left - a2 * delta[1] - a1 * delta[2]) / a1;",
+                "delta[0] = (bc_left - (a2 * delta[1] + a1 * delta[2])) / a1;",
+            ),
+        ],
+        ids=["regrouped-u", "regrouped-lower", "distributed-rhs", "left-fold-ratio",
+             "regrouped-left-restore"],
+    )
+    def test_known_answer_check_rejects_a_mutant_finisher(self, statement, mutant, tmp_path):
+        if scheme._native_finish() is None:
+            pytest.skip("no compiled library on this machine")
         source = _native.SOURCE.read_text()
-        fill = "u = a1 * d0 + a2 * d1 + a1 * d2;"
-        assert source.count(fill) == 1
-        mutant = tmp_path / "regrouped.c"
-        mutant.write_text(source.replace(fill, "u = a1 * d0 + (a2 * d1 + a1 * d2);"))
-        library = tmp_path / "regrouped.so"
+        assert source.count(statement) == 1
+        path = tmp_path / "mutant.c"
+        path.write_text(source.replace(statement, mutant))
+        library = tmp_path / "mutant.so"
         subprocess.run(
-            [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(mutant)],
+            [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(path)],
             check=True, capture_output=True, timeout=120,
         )
-        assert not scheme._finishes_alike(scheme._bind_march(ctypes.CDLL(str(library))))
-
+        lib = ctypes.CDLL(str(library))
+        assert scheme._fits_alike(scheme._bind_fit(lib))
+        assert not scheme._finishes_alike(scheme._bind_march(lib))
 
     def test_known_answer_check_rejects_a_wrong_fit(self):
         native = scheme._native_finish()
