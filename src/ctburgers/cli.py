@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
 maps errors to them.  1 is a bad flag, config-file value or input, an
 unreadable config file or an unusable output directory (a
 ``ValueError`` or ``OSError``); 2 is a zero pivot, a non-finite
-solution or an exact series that does not converge.  The library
+solution or an exact series that does not converge or has lost its
+accuracy.  The library
 functions :func:`run` and :func:`reproduce` raise these errors instead
 of printing them, and return 0 or 3.
 """
@@ -100,7 +101,8 @@ def _write_csv(path: Path, header: str, row: str, columns) -> None:
     """Write ``header`` and one ``row`` line per element of ``columns``.
 
     ``row`` is a %-template ending in a newline, with one conversion per
-    column; it is filled once for the whole file.  ``"%.12g" % v`` and
+    column; it is filled once for the whole file, which is written as
+    ASCII bytes, skipping the text layer's encoder.  ``"%.12g" % v`` and
     ``f"{v:.12g}"`` format a float through the same routine, so the bytes
     are those of a per-row f-string writer.
     """
@@ -108,7 +110,7 @@ def _write_csv(path: Path, header: str, row: str, columns) -> None:
     flat = [None] * (width * n)
     for k, col in enumerate(columns):
         flat[k::width] = col
-    path.write_text(header + "\n" + (row * n) % tuple(flat))
+    path.write_bytes((header + "\n" + (row * n) % tuple(flat)).encode("ascii"))
 
 
 def _write_snapshot(path: Path, x_text: list[str], t: float, u: np.ndarray, ue: np.ndarray):
@@ -144,13 +146,14 @@ def run(config: RunConfig) -> int:
         sys.stdout.write(table_report(states, xs, problem.exact, part, decimals=decimals))
     if writes_files:
         knot_array = part.knot_array()
+        # every exact column is evaluated before the first file is written,
+        # so an oracle that fails at any snapshot leaves no CSV behind
+        exact = {t: problem.exact(knot_array, t) for t in sorted(states)}
         # every snapshot of a run shares the knots: format them once
         x_text = ["%.12g" % x for x in knot_array.tolist()]
-        for t, state in sorted(states.items()):
+        for t, ue in exact.items():
             name = f"{config.problem}_lam{_fmt12(config.lam)}_t{_fmt12(t)}.csv"
-            _write_snapshot(
-                config.output_dir / name, x_text, t, state.u, problem.exact(knot_array, t)
-            )
+            _write_snapshot(config.output_dir / name, x_text, t, states[t].u, ue)
     return EXIT_OK
 
 

@@ -30,6 +30,10 @@ __all__ = [
 # recurrence for I_n(z)
 SERIES_Z_MAX = 15.0
 
+# how far a sine-wave value on [0, 1] may stray outside [0, 1], the bounds
+# of its data, before it counts as a lost sum rather than rounding
+RANGE_TOL = 1e-9
+
 
 class SeriesConvergenceError(RuntimeError):
     pass
@@ -194,6 +198,18 @@ def _sincospi(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, c
 
 
+@functools.lru_cache(maxsize=4)
+def _trig_table(x_bytes: bytes, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    # sin(pi j x) and cos(pi j x) for j = 1..terms do not depend on t, and
+    # the snapshots of one run share their points and span a few J, so each
+    # table is built once; read-only because every caller shares it
+    xs = np.frombuffer(x_bytes)
+    s, c = _sincospi(np.multiply.outer(np.arange(1, terms + 1), xs))
+    s.flags.writeable = False
+    c.flags.writeable = False
+    return s, c
+
+
 def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl()):
     """Decaying sine-wave solution on [0, 1] with U(0,t) = U(1,t) = 0.
 
@@ -203,8 +219,20 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
     Truncation stops once the x-independent bound on the next term of each
     sum falls below ``ctl.abs_tol``, so every point of one call sums the
     same J terms, in ascending j; each value is bit-identical to a call
-    with that point alone.  At t = 0 the series does not decay and the
+    with that point alone.  The t-independent table of sin(pi j x) and
+    cos(pi j x) is cached per (points, J), so calls at many t on the same
+    points build it once.  At t = 0 the series does not decay and the
     value is the initial condition sin(pi x) itself.
+
+    Raises
+    ------
+    SeriesConvergenceError
+        If the series does not converge within ``ctl.max_terms`` terms, or
+        if a value at a point 0 <= x <= 1 lies outside [0, 1] by more than
+        ``RANGE_TOL``: the maximum principle bounds the solution there, so
+        such a value means the double-precision sum has lost its accuracy.
+        Points outside [0, 1] follow the odd periodic extension and are
+        not checked.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -218,7 +246,7 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
         u = np.sin(np.pi * xs)
     else:
         jr, r2, e = (np.array(f)[:, None] for f in _series_factors(t, lam, ctl))
-        s, c = _sincospi(np.multiply.outer(np.arange(1, len(e) + 1), xs))
+        s, c = _trig_table(xs.tobytes(), len(e))
         num = np.zeros_like(xs)
         den = np.ones_like(xs)
         # one row per term, added in ascending j like the scalar sum
@@ -226,6 +254,13 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
             num += num_j
             den += den_j
         u = 4.0 * math.pi * lam * num / den
+        wrong = ~((u >= -RANGE_TOL) & (u <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
+        if wrong.any():
+            k = int(np.argmax(wrong))
+            raise SeriesConvergenceError(
+                f"series value {u[k]:.6g} at x={xs[k]:.6g} lies outside [0, 1]"
+                f" (lam={lam}, t={t}): the sum has lost its accuracy"
+            )
     return float(u[0]) if np.ndim(x) == 0 else u
 
 

@@ -289,6 +289,27 @@ class TestRunCommand:
         assert code == cli.EXIT_NUMERICAL
         assert "error: numerical failure: ascending Bessel series stalled" in err
 
+    @pytest.mark.parametrize(
+        "lam,t_end,sample_times",
+        [("0.005", "0.01", []), ("0.01", "0.02", ["--sample-times", "0.005,0.02"])],
+    )
+    def test_exact_value_outside_unit_interval_exits_numerical_failure(
+        self, lam, t_end, sample_times, tmp_path, capsys
+    ):
+        # the series gives 1.0008 at x = 0.485 for lam = 0.005, t = 0.01, and
+        # -0.0036 at x = 0.9875 for lam = 0.01, t = 0.02 (t = 0.005 is in
+        # range); no snapshot of such a run is written, nor exit 0 returned
+        code = run_main(
+            ["run", "--problem", "sine", "--lambda", lam, "--n-cells", "400",
+             "--dt", "0.001", "--t-end", t_end, *sample_times, "--outputs", "csv",
+             "--output-dir", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL
+        assert "error: numerical failure: series value" in err
+        assert "outside [0, 1]" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 def reference_snapshot_text(t, xs, nums, exacts):
     """A snapshot CSV written row by row with f-strings."""

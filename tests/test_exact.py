@@ -5,12 +5,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctburgers.basis import UniformPartition
 from ctburgers.exact import (
     SeriesControl,
     SeriesConvergenceError,
     _bessel_ratios,
+    _trig_table,
     bessel_i,
     bessel_i_ratio,
     sine_wave_exact,
@@ -215,6 +218,85 @@ class TestSineWaveColumns:
         assert sine_wave_exact(0.98, 0.05, 0.01) == pytest.approx(
             0.07394522089704537, abs=1e-6
         )
+
+
+# knots (the points every snapshot of a run shares), repeated points and
+# points on the odd periodic extension outside [0, 1]
+series_points = st.lists(
+    st.one_of(
+        st.sampled_from(UniformPartition(0.0, 1.0, 40).knots()),
+        st.sampled_from([-0.25, 1.5]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=30,
+).map(np.array)
+
+# viscosities whose series stays inside [0, 1] at every t; t spans the
+# early times of many terms and the late ones of few, so J rises and falls
+series_calls = st.lists(
+    st.tuples(st.sampled_from([1.0, 0.1, 0.05, 0.02]), st.floats(min_value=1e-3, max_value=3.0)),
+    min_size=2,
+    max_size=6,
+)
+
+
+class TestTrigTableCache:
+    @settings(max_examples=60, deadline=None)
+    @given(xs=series_points, calls=series_calls)
+    # J = 7, 26, 7, 1 on knots, a repeated knot and both extension points
+    @example(
+        xs=np.array([0.0, 0.025, 0.5, 0.5, 0.975, 1.0, -0.25, 1.5]),
+        calls=[(0.02, 3.0), (0.02, 1e-3), (0.02, 3.0), (1.0, 3.0)],
+    )
+    def test_columns_are_point_sums_with_cold_and_warm_cache(self, xs, calls):
+        reference = [
+            np.array([sine_wave_point(x, t, lam) for x in xs.tolist()]).tobytes()
+            for lam, t in calls
+        ]
+        for warm in (False, True):
+            for (lam, t), want in zip(calls, reference):
+                if not warm:
+                    _trig_table.cache_clear()
+                assert sine_wave_exact(xs, t, lam).tobytes() == want
+
+    def test_points_changed_in_place_give_the_new_values(self):
+        xs = np.linspace(0.0, 1.0, 41)
+        sine_wave_exact(xs, 0.4, 0.1)
+        xs *= 0.5
+        col = sine_wave_exact(xs, 0.4, 0.1)
+        points = np.array([sine_wave_point(x, 0.4, 0.1) for x in xs.tolist()])
+        assert col.tobytes() == points.tobytes()
+
+    def test_tables_are_read_only_and_the_cache_is_small(self):
+        s, c = _trig_table(np.linspace(0.0, 1.0, 11).tobytes(), 5)
+        assert s.shape == c.shape == (5, 11)
+        for table in (s, c):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+        assert _trig_table.cache_info().maxsize <= 8
+
+
+class TestSineWaveRangeCheck:
+    @pytest.mark.parametrize(
+        "x,t,lam",
+        [(0.9925, 0.02, 0.01), (0.5, 0.01, 0.003), (0.75, 0.01, 1e-3), (0.5, 0.01, 1e-4)],
+    )
+    def test_value_outside_unit_interval_raises(self, x, t, lam):
+        # the maximum principle bounds the solution to [0, 1]; these sums
+        # have lost their accuracy (-0.0132, -4.02, 2.34 and -0.137)
+        with pytest.raises(SeriesConvergenceError, match=r"outside \[0, 1\]"):
+            sine_wave_exact(x, t, lam)
+
+    def test_knot_column_raises_and_names_lam_and_t(self):
+        knots = np.array(UniformPartition(0.0, 1.0, 400).knots())
+        with pytest.raises(SeriesConvergenceError, match=r"lam=0.01, t=0.02"):
+            sine_wave_exact(knots, 0.02, 0.01)
+
+    def test_points_outside_the_domain_are_not_checked(self):
+        # the odd periodic extension is negative on (-1, 0) and (1, 2)
+        col = sine_wave_exact(np.array([-0.25, 1.5, 0.5]), 0.4, 0.1)
+        assert col[0] < 0.0 and col[1] < 0.0 and 0.0 < col[2] < 1.0
 
 
 ALPHA, MU, GAMMA = 0.4, 0.6, 0.125
