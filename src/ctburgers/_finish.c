@@ -13,9 +13,10 @@
  *
  * Every expression has the operands of the Python code in its
  * left-to-right order, and the build turns off contraction and fast-math,
- * so the results are the Python path's to the bit.  scheme.py checks both
- * entry points on a fixed set of known-answer marches and fits before it
- * uses the library.
+ * so the results are the Python path's to the bit.  scheme.py uses the
+ * library only when both entry points end every one of a fixed set of
+ * known-answer marches and fits with the Python path's zero-pivot row and
+ * result bits (scheme._matches_python).
  *
  * Build: cc -O2 -std=c99 -ffp-contract=off -fno-fast-math -shared -fPIC
  */
@@ -35,20 +36,22 @@
  *        alpha1 + dt/2 lam gamma1, alpha2 + dt/2 lam gamma2,
  *        boundary_left, boundary_right, pivot tolerance.
  * n:     number of rows, at least 2.
- * steps: number of steps to take.
+ * steps: number of steps to take, in one call however many: the run cap
+ *        scheme.MAX_CELL_STEPS keeps it below 10^11, far inside 64 bits.
  *
  * Returns -1, or the row of the first pivot whose magnitude is below the
  * tolerance; delta then holds the parameters after the last completed
  * step.
  */
-long march(double *bands, double *delta, const double *k, long n, long steps)
+long march(double *bands, double *delta, const double *k, long n, long long steps)
 {
     double *lower = bands, *upper = bands + n, *diag = bands + 2 * n, *rhs = bands + 3 * n;
     const double a1 = k[0], a2 = k[1], b1 = k[2], b2 = k[3], half_dt = k[4];
     const double lam_g1 = k[5], lam_g2 = k[6], rhs_outer = k[7], rhs_centre = k[8];
     const double bc_left = k[9], bc_right = k[10], tol = k[11];
     double d0, d1, d2, u, ux, a1_ux, first, last, piv, acc, m, x;
-    long i, s;
+    long long s;
+    long i;
 
     for (s = 0; s < steps; s++) {
         for (i = 0; i < n; i++) {

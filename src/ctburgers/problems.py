@@ -43,7 +43,7 @@ def _sine_pulse(x):
     return np.fromiter(map(math.sin, angles), float, len(angles))
 
 
-def sine_problem(lam: float, n_cells: int, dt: float, end_time: float = 0.0) -> ProblemSpec:
+def sine_problem(lam: float, n_cells: int, dt: float) -> ProblemSpec:
     """Decaying sine wave on [0, 1] with homogeneous Dirichlet boundaries."""
     return ProblemSpec(
         lam=lam,
@@ -55,7 +55,6 @@ def sine_problem(lam: float, n_cells: int, dt: float, end_time: float = 0.0) -> 
         initial_derivative=lambda x: math.pi * math.cos(math.pi * x),
         boundary_left=0.0,
         boundary_right=0.0,
-        end_time=end_time,
         exact=lambda x, t: sine_wave_exact(x, t, lam),
     )
 
@@ -64,7 +63,6 @@ def traveling_problem(
     lam: float,
     n_cells: int,
     dt: float,
-    end_time: float = 0.0,
     alpha: float = TRAVELING_ALPHA,
     mu: float = TRAVELING_MU,
     gamma: float = TRAVELING_GAMMA,
@@ -90,7 +88,6 @@ def traveling_problem(
         initial_derivative=lambda x: traveling_wave_slope(x, 0.0, alpha, mu, gamma, lam),
         boundary_left=alpha + mu,
         boundary_right=mu - alpha,
-        end_time=end_time,
         compat_tol=TRAVELING_COMPAT_TOL,
         exact=front,
     )

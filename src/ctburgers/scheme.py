@@ -59,12 +59,9 @@ __all__ = [
 TIME_ALIGN_TOL = 1e-9
 
 # the most cell-steps, (N+1) * steps, one run may take: at about 20 ns a
-# cell-step, half an hour of marching
+# cell-step, half an hour of marching; it also keeps every step count far
+# inside the 64-bit count of the compiled march
 MAX_CELL_STEPS = 10**11
-
-# the most steps one call into the compiled march takes: a C long has at
-# least 32 bits, and ctypes would wrap a larger count without a word
-MAX_NATIVE_STEPS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -97,12 +94,11 @@ class ProblemSpec:
     initial_derivative: Callable[[float], float]
     boundary_left: float
     boundary_right: float
-    end_time: float = 0.0
     compat_tol: float = 1e-10
     exact: Callable | None = None
 
     def validate(self) -> None:
-        for field_name in ("lam", "dt", "end_time", "a", "b", "boundary_left", "boundary_right"):
+        for field_name in ("lam", "dt", "a", "b", "boundary_left", "boundary_right"):
             value = getattr(self, field_name)
             if not math.isfinite(value):
                 raise ValueError(f"{field_name} must be finite, got {value}")
@@ -110,8 +106,6 @@ class ProblemSpec:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.end_time < 0.0:
-            raise ValueError(f"end_time must be >= 0, got {self.end_time}")
         if not self.b > self.a:
             raise ValueError(f"domain endpoints out of order: a={self.a}, b={self.b}")
         for where, x, bc in (
@@ -181,8 +175,7 @@ def initialize_coefficients(
     rhs[0] = p.initial_derivative(part.a)
     rhs[1:-1] = p.initial_condition(part.knot_array())
     rhs[n - 1] = p.initial_derivative(part.b)
-    compiled = _compiled()
-    delta = _fit(None if compiled is None else compiled.fit, bands, rhs)
+    delta = _fit(_compiled().fit, bands, rhs)
     return CoefficientVector(delta=delta, time=0.0)
 
 
@@ -299,11 +292,9 @@ class _StepKernel:
         leaves ``delta`` as it was after the last completed step.
         """
         if self._native is not None:
-            while steps > 0:
-                row = self._native(*self._native_args, min(steps, MAX_NATIVE_STEPS))
-                if row >= 0:
-                    raise ZeroPivotError(row)
-                steps -= MAX_NATIVE_STEPS
+            row = self._native(*self._native_args, steps)
+            if row >= 0:
+                raise ZeroPivotError(row)
             return
         a1, a2 = self._constants[:2]
         bc_left, bc_right = self._constants[9:]
@@ -362,25 +353,6 @@ def _known_answer_cases():
     ]
 
 
-def _finishes_alike(native) -> bool:
-    """Whether a march by ``native`` ends with the Python path's bits, or
-    the same zero-pivot row, on every known-answer case, each run as one
-    multi-step call."""
-    for delta, p, sc, steps in _known_answer_cases():
-        outcomes = []
-        for finisher in (None, native):
-            kernel = _StepKernel(delta, p, sc, finisher)
-            try:
-                kernel.march(steps)
-                outcome = None
-            except ZeroPivotError as err:
-                outcome = err.row
-            outcomes.append((outcome, kernel.delta.view(np.int64).tolist()))
-        if outcomes[0] != outcomes[1]:
-            return False
-    return True
-
-
 def _known_answer_fits():
     """Fixed systems for the fit check: (bands, rhs) in the layout of
     :func:`~ctburgers.linalg.banded_solve`.
@@ -425,70 +397,74 @@ def _known_answer_fits():
     ]
 
 
-def _fits_alike(native) -> bool:
-    """Whether ``native`` solves every known-answer fit to the bits of
-    :func:`~ctburgers.linalg.banded_solve`, or fails on the same row."""
-    for bands, rhs in _known_answer_fits():
-        outcomes = []
-        for fit in (None, native):
-            try:
-                x = _fit(fit, bands.copy(), rhs.copy())
-                outcomes.append((None, x.view(np.int64).tolist()))
-            except ZeroPivotError as err:
-                outcomes.append((err.row, None))
-        if outcomes[0] != outcomes[1]:
-            return False
-    return True
-
-
 class _Compiled(NamedTuple):
-    """The two entry points of ``_finish.c``, typed for ctypes."""
+    """The two entry points of ``_finish.c``, typed for ctypes, or two
+    Nones when the march and the fit run in Python."""
 
-    march: Callable
-    fit: Callable
-
-
-@functools.cache
-def _compiled() -> _Compiled | None:
-    """The compiled march and fit, or None when both run in Python.
-
-    Built on the first call in a process and trusted only when the march
-    passes :func:`_finishes_alike` and the fit :func:`_fits_alike`: one
-    library, used whole or not at all.
-    """
-    lib = _native.load_library()
-    if lib is None:
-        return None
-    compiled = _Compiled(_bind_march(lib), _bind_fit(lib))
-    if _finishes_alike(compiled.march) and _fits_alike(compiled.fit):
-        return compiled
-    return None
+    march: Callable | None
+    fit: Callable | None
 
 
-def _native_finish():
-    """The compiled step march, or None when steps run in Python."""
-    compiled = _compiled()
-    return None if compiled is None else compiled.march
+_PYTHON = _Compiled(None, None)
 
 
-def _bind_march(lib: ctypes.CDLL):
-    """``lib.march`` with the argument and result types of ``_finish.c``."""
-    march = lib.march
+def _bind(lib: ctypes.CDLL) -> _Compiled:
+    """``lib.march`` and ``lib.fit`` with the argument and result types of ``_finish.c``."""
+    march, fit = lib.march, lib.fit
     march.argtypes = (
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_longlong,
     )
     march.restype = ctypes.c_long
-    return march
-
-
-def _bind_fit(lib: ctypes.CDLL):
-    """``lib.fit`` with the argument and result types of ``_finish.c``."""
-    fit = lib.fit
     fit.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
     )
     fit.restype = ctypes.c_long
-    return fit
+    return _Compiled(march, fit)
+
+
+def _known_answer_outcomes(compiled: _Compiled):
+    """The zero-pivot row, or None, and the result bits of every
+    known-answer march and fit run by ``compiled``.
+
+    Each march is one multi-step call, and its result is the state after
+    the last completed step; a fit that meets a zero pivot has no result.
+    """
+    for delta, p, sc, steps in _known_answer_cases():
+        kernel = _StepKernel(delta, p, sc, compiled.march)
+        row = None
+        try:
+            kernel.march(steps)
+        except ZeroPivotError as err:
+            row = err.row
+        yield row, kernel.delta.view(np.int64).tolist()
+    for bands, rhs in _known_answer_fits():
+        try:
+            x = _fit(compiled.fit, bands.copy(), rhs.copy())
+        except ZeroPivotError as err:
+            yield err.row, None
+        else:
+            yield None, x.view(np.int64).tolist()
+
+
+def _matches_python(compiled: _Compiled) -> bool:
+    """Whether ``compiled`` ends every known-answer march and fit as the
+    Python path does: on the same zero-pivot row, or none, with the same bits."""
+    return list(_known_answer_outcomes(_PYTHON)) == list(_known_answer_outcomes(compiled))
+
+
+@functools.cache
+def _compiled() -> _Compiled:
+    """The compiled march and fit, or ``_PYTHON`` when both run in Python.
+
+    Built on the first call in a process and trusted only when it passes
+    :func:`_matches_python`: one library, used whole or not at all.
+    """
+    lib = _native.load_library()
+    if lib is not None:
+        compiled = _bind(lib)
+        if _matches_python(compiled):
+            return compiled
+    return _PYTHON
 
 
 def step_finisher() -> str:
@@ -497,7 +473,7 @@ def step_finisher() -> str:
 
     Builds and checks the library if this process has not tried yet.
     """
-    return "python" if _compiled() is None else "native"
+    return "python" if _compiled().march is None else "native"
 
 
 def assemble_step(
@@ -529,7 +505,7 @@ def advance(
     Exactly one linear solve per step; the linearization uses the previous
     level only, with no inner iteration.
     """
-    kernel = _StepKernel(c.delta, p, sc, _native_finish())
+    kernel = _StepKernel(c.delta, p, sc, _compiled().march)
     kernel.march(1)
     return CoefficientVector(delta=kernel.delta, time=c.time + p.dt)
 
@@ -588,12 +564,12 @@ def solve_to_time(
     out: dict[float, NodalState] = {}
     if 0 in wanted:
         out[wanted[0]] = nodal_values(c, sc)
-    kernel = _StepKernel(c.delta, p, sc, _native_finish())
+    kernel = _StepKernel(c.delta, p, sc, _compiled().march)
     done = 0
     for k, t in wanted.items():
         if k > done:
             kernel.march(k - done)
             done = k
-            out[t] = nodal_values(CoefficientVector(delta=kernel.delta.copy(), time=t), sc)
+            out[t] = nodal_values(CoefficientVector(delta=kernel.delta, time=t), sc)
     kernel.march(n_steps - done)
     return out

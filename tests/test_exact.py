@@ -124,11 +124,13 @@ class TestSineWaveSeries:
         assert abs(v - 0.22896) > 0.03
 
     def test_truncation_stable_under_doubling(self):
-        ctl = SeriesControl(abs_tol=1e-12, max_terms=500)
-        doubled = SeriesControl(abs_tol=1e-12, max_terms=1000)
+        # abs_tol sets the term count; max_terms only caps it, so a tighter
+        # tolerance, not a larger cap, is what sums more terms
+        ctl = SeriesControl(abs_tol=1e-12)
+        tighter = SeriesControl(abs_tol=1e-15)
         for lam, t in [(1.0, 0.4), (0.1, 0.6), (0.01, 3.0)]:
             a = sine_wave_exact(0.3, t, lam, ctl)
-            b = sine_wave_exact(0.3, t, lam, doubled)
+            b = sine_wave_exact(0.3, t, lam, tighter)
             assert abs(a - b) < ctl.abs_tol
 
     def test_non_convergence_raises(self):

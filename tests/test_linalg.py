@@ -209,7 +209,7 @@ class TestBanded:
     )
     def test_compiled_fit_bit_identical_to_both_loops(self, n, seed, zero_share, tiny_share):
         compiled = scheme._compiled()
-        if compiled is None:
+        if compiled.fit is None:
             pytest.skip("no compiled library on this machine")
         rng = np.random.default_rng(seed)
         bands = rng.uniform(-1, 1, (n, 5))

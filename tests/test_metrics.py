@@ -48,7 +48,7 @@ class TestErrorNorms:
     def test_sine_run_pointwise_error_bound(self):
         # five-decimal agreement in the published table corresponds to a
         # few 1e-5 of pointwise error here
-        p = sine_problem(1.0, 40, 1e-4, end_time=0.4)
+        p = sine_problem(1.0, 40, 1e-4)
         states = solve_to_time(p, p.partition(), 0.4, [0.4])
         rep = error_norms(
             states[0.4], lambda x, t: sine_wave_exact(x, t, 1.0), 0.4, p.partition()
@@ -56,7 +56,7 @@ class TestErrorNorms:
         assert rep.l_inf <= 3e-5
 
     def test_error_profile_peaks_at_the_front(self):
-        p = traveling_problem(0.01, 36, 1e-3, end_time=0.4)
+        p = traveling_problem(0.01, 36, 1e-3)
         states = solve_to_time(p, p.partition(), 0.4, [0.4])
         rep = error_norms(states[0.4], p.exact, 0.4, p.partition())
         errs = [r[4] for r in rep.pointwise]

@@ -196,7 +196,7 @@ class TestAdvance:
         assert np.max(np.abs(u1 - u0)) < 1e-12
 
     def test_published_cell_lam_tenth(self):
-        p = sine_problem(0.1, 40, 1e-4, end_time=0.4)
+        p = sine_problem(0.1, 40, 1e-4)
         states = solve_to_time(p, p.partition(), 0.4, [0.4])
         assert states[0.4].u[10] == pytest.approx(0.30892, abs=5e-5)
 
@@ -438,7 +438,7 @@ class TestStepKernelBitIdentity:
             return d
 
         def kernel():
-            k = _StepKernel(delta, p, sc, scheme._native_finish())
+            k = _StepKernel(delta, p, sc, scheme._compiled().march)
             for _ in range(50):
                 k.march(1)
             return k.delta
@@ -466,7 +466,7 @@ class TestStepKernelBitIdentity:
             except ZeroPivotError as err:
                 row = err.row
                 break
-        k = _StepKernel(delta, p, sc, scheme._native_finish())
+        k = _StepKernel(delta, p, sc, scheme._compiled().march)
         try:
             k.march(steps)
             got = None
@@ -480,7 +480,7 @@ class TestStepKernelBitIdentity:
         first = reference_advance(delta, p, sc)
         with pytest.raises(ZeroPivotError):
             reference_advance(first, p, sc)
-        k = _StepKernel(delta, p, sc, scheme._native_finish())
+        k = _StepKernel(delta, p, sc, scheme._compiled().march)
         with pytest.raises(ZeroPivotError, match="row 0") as err:
             k.march(5)
         assert err.value.row == 0
@@ -512,7 +512,7 @@ class TestStepKernelBitIdentity:
         )
         p = constant_problem(0.0, n_cells=5, lam=1.0, dt=2.0)
         delta = np.linspace(-1.0, 1.0, 8)
-        k = _StepKernel(delta, p, sc, scheme._native_finish())
+        k = _StepKernel(delta, p, sc, scheme._compiled().march)
         with pytest.raises(ZeroPivotError, match="row 2") as err:
             k.march(1)
         assert err.value.row == 2
@@ -525,7 +525,7 @@ class TestStepKernelBitIdentityPythonFinisher(TestStepKernelBitIdentity):
 
     @pytest.fixture(autouse=True)
     def python_finisher(self, monkeypatch):
-        monkeypatch.setattr(scheme, "_compiled", lambda: None)
+        monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
 
 
 class TestNativeFinisher:
@@ -579,31 +579,37 @@ class TestNativeFinisher:
             for field in ("u", "ux", "uxx"):
                 assert bits(getattr(got[t], field)) == bits(getattr(expected[t], field))
 
-    def test_long_march_is_split_into_native_calls(self):
-        # a count past MAX_NATIVE_STEPS would be wrapped by ctypes, not rejected
+    def test_step_count_reaches_the_library_unchanged(self):
+        # the largest step count the cell-step cap lets through (4 knots, the
+        # fewest a partition has) reaches the march in one call, unwrapped
+        march = scheme._compiled().march
+        if march is None:
+            pytest.skip("no compiled library on this machine")
         calls = []
-
-        def native(*args):
-            calls.append(args[-1])
-            return -1
-
-        p = constant_problem(0.0, n_cells=5)
-        k = _StepKernel(np.zeros(8), p, knot_coefficients(0.2), native)
-        k.march(2 * scheme.MAX_NATIVE_STEPS + 7)
-        assert calls == [scheme.MAX_NATIVE_STEPS, scheme.MAX_NATIVE_STEPS, 7]
+        spy = ctypes.CFUNCTYPE(march.restype, *march.argtypes)(
+            lambda *args: calls.append(args[-1]) or -1
+        )
+        p = constant_problem(0.0, n_cells=3)
+        k = _StepKernel(np.zeros(6), p, knot_coefficients(1.0 / 3), spy)
+        k.march(scheme.MAX_CELL_STEPS // 4)
+        assert calls == [scheme.MAX_CELL_STEPS // 4]
 
     def test_known_answer_check_rejects_a_wrong_finisher(self):
-        native = scheme._native_finish()
+        native = scheme._compiled().march
         if native is None:
             pytest.skip("no compiled step finisher on this machine")
-        assert scheme._finishes_alike(native)
+
+        def matches(march):
+            return scheme._matches_python(scheme._Compiled(march, None))
+
+        assert matches(native)
         # a march that skips every step, or blames the wrong row
-        assert not scheme._finishes_alike(lambda *args: -1)
-        assert not scheme._finishes_alike(lambda *args: native(*args) and 1)
+        assert not matches(lambda *args: -1)
+        assert not matches(lambda *args: native(*args) and 1)
         # a march that stops one step short
-        assert not scheme._finishes_alike(lambda *args: native(*args[:-1], args[-1] - 1))
+        assert not matches(lambda *args: native(*args[:-1], args[-1] - 1))
         # one that names the row after the zero pivot
-        assert not scheme._finishes_alike(
+        assert not matches(
             lambda *args: (lambda row: row + 1 if row >= 0 else row)(native(*args))
         )
 
@@ -637,7 +643,7 @@ class TestNativeFinisher:
              "regrouped-left-restore"],
     )
     def test_known_answer_check_rejects_a_mutant_finisher(self, statement, mutant, tmp_path):
-        if scheme._native_finish() is None:
+        if scheme._compiled().march is None:
             pytest.skip("no compiled library on this machine")
         source = _native.SOURCE.read_text()
         assert source.count(statement) == 1
@@ -648,27 +654,31 @@ class TestNativeFinisher:
             [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(path)],
             check=True, capture_output=True, timeout=120,
         )
-        lib = ctypes.CDLL(str(library))
-        assert scheme._fits_alike(scheme._bind_fit(lib))
-        assert not scheme._finishes_alike(scheme._bind_march(lib))
+        mutant = scheme._bind(ctypes.CDLL(str(library)))
+        # the mutant's fit alone passes: the march is what fails the check
+        assert scheme._matches_python(mutant._replace(march=None))
+        assert not scheme._matches_python(mutant)
 
     def test_known_answer_check_rejects_a_wrong_fit(self):
-        native = scheme._native_finish()
-        if native is None:
-            pytest.skip("no compiled library on this machine")
         fit = scheme._compiled().fit
-        assert scheme._fits_alike(fit)
+        if fit is None:
+            pytest.skip("no compiled library on this machine")
+
+        def matches(fit):
+            return scheme._matches_python(scheme._Compiled(None, fit))
+
+        assert matches(fit)
         # a fit that never reports a zero pivot, or blames the row after it
         def never_fails(*args):
             fit(*args)
             return -1
 
-        assert not scheme._fits_alike(never_fails)
-        assert not scheme._fits_alike(
+        assert not matches(never_fails)
+        assert not matches(
             lambda *args: (lambda row: row + 1 if row >= 0 else row)(fit(*args))
         )
         # one that leaves the last unknown unwritten
-        assert not scheme._fits_alike(lambda *args: fit(*args[:3], args[3] - 1, args[4]))
+        assert not matches(lambda *args: fit(*args[:3], args[3] - 1, args[4]))
 
     @pytest.mark.parametrize(
         "statement, mutant",
@@ -686,7 +696,7 @@ class TestNativeFinisher:
         ids=["regrouped-back-substitution", "unskipped-first", "unskipped-second"],
     )
     def test_known_answer_check_rejects_a_mutant_fit(self, statement, mutant, tmp_path):
-        if scheme._native_finish() is None:
+        if scheme._compiled().march is None:
             pytest.skip("no compiled library on this machine")
         source = _native.SOURCE.read_text()
         assert source.count(statement) == 1
@@ -697,9 +707,10 @@ class TestNativeFinisher:
             [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(path)],
             check=True, capture_output=True, timeout=120,
         )
-        lib = ctypes.CDLL(str(library))
-        assert scheme._finishes_alike(scheme._bind_march(lib))
-        assert not scheme._fits_alike(scheme._bind_fit(lib))
+        mutant = scheme._bind(ctypes.CDLL(str(library)))
+        # the mutant's march alone passes: the fit is what fails the check
+        assert scheme._matches_python(mutant._replace(fit=None))
+        assert not scheme._matches_python(mutant)
 
 
 class TestBruteForceEquivalence:
@@ -717,7 +728,7 @@ class TestConvergence:
     def test_spatial_refinement_monotone(self):
         errs = []
         for n in (10, 20, 40):
-            p = sine_problem(1.0, n, 1e-5, end_time=0.1)
+            p = sine_problem(1.0, n, 1e-5)
             u = solve_to_time(p, p.partition(), 0.1, [0.1])[0.1].u
             exact = np.array(
                 [sine_wave_exact(i / n, 0.1, 1.0) for i in range(n + 1)]
@@ -728,11 +739,11 @@ class TestConvergence:
     def test_time_step_halving_reduces_error(self):
         # against a 100x finer reference, so the spatial error cancels
         n, lam, t_end = 40, 0.1, 0.1
-        ref_p = sine_problem(lam, n, 1e-5, end_time=t_end)
+        ref_p = sine_problem(lam, n, 1e-5)
         u_ref = solve_to_time(ref_p, ref_p.partition(), t_end, [t_end])[t_end].u
         errs = []
         for dt in (2e-3, 1e-3):
-            p = sine_problem(lam, n, dt, end_time=t_end)
+            p = sine_problem(lam, n, dt)
             u = solve_to_time(p, p.partition(), t_end, [t_end])[t_end].u
             errs.append(np.max(np.abs(u - u_ref)))
         assert 1.5 <= errs[0] / errs[1] <= 4.5
@@ -746,17 +757,17 @@ class TestSolveToTime:
         assert states[0.0].u[5] == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_at_zero_and_later(self):
-        p = sine_problem(1.0, 10, 1e-3, end_time=0.01)
+        p = sine_problem(1.0, 10, 1e-3)
         states = solve_to_time(p, p.partition(), 0.01, [0.0, 0.01])
         assert set(states) == {0.0, 0.01}
 
     def test_misaligned_sample_time_rejected(self):
-        p = sine_problem(1.0, 10, 1e-3, end_time=0.01)
+        p = sine_problem(1.0, 10, 1e-3)
         with pytest.raises(ValueError, match="multiple of dt"):
             solve_to_time(p, p.partition(), 0.01, [0.0005])
 
     def test_sample_beyond_horizon_rejected(self):
-        p = sine_problem(1.0, 10, 1e-3, end_time=0.01)
+        p = sine_problem(1.0, 10, 1e-3)
         with pytest.raises(ValueError, match="beyond"):
             solve_to_time(p, p.partition(), 0.01, [0.02])
 
@@ -769,6 +780,16 @@ class TestSolveToTime:
         p = sine_problem(1.0, 10, 1e-2)
         with pytest.raises(ValueError, match=r"time -0\.01 is before"):
             solve_to_time(p, p.partition(), -0.01)
+
+    @pytest.mark.parametrize(
+        "t_end, message",
+        [(-0.5, r"time -0\.5 is before"), (math.inf, "finite"), (math.nan, "finite")],
+        ids=["-0.5", "inf", "nan"],
+    )
+    def test_rejects_unmarchable_horizon(self, t_end, message):
+        p = constant_problem(0.0)
+        with pytest.raises(ValueError, match=message):
+            solve_to_time(p, p.partition(), t_end)
 
     def test_colliding_sample_times_rejected(self):
         # distinct times that round to the same step must not merge silently
@@ -832,12 +853,8 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError, match="dt"):
             replace(constant_problem(0.0), dt=0.0).validate()
 
-    def test_rejects_negative_end_time(self):
-        with pytest.raises(ValueError, match="end_time"):
-            replace(constant_problem(0.0), end_time=-0.5).validate()
-
     @pytest.mark.parametrize(
-        "field", ["lam", "dt", "end_time", "a", "b", "boundary_left", "boundary_right"]
+        "field", ["lam", "dt", "a", "b", "boundary_left", "boundary_right"]
     )
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_nonfinite_parameters(self, field, value):
