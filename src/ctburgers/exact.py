@@ -2,9 +2,12 @@
 
 Two benchmark solutions are provided: the Fourier series with modified
 Bessel coefficients for the decaying sine wave on [0, 1] (homogeneous
-boundaries), and the closed-form traveling wave front.  The modified
-Bessel functions are computed in-module; for small viscosity the series
-is evaluated entirely through the ratios I_j(z)/I_0(z), which stay O(1)
+boundaries), which starts from :func:`sine_pulse`, and the closed-form
+traveling wave front.  This module alone evaluates solution values: each
+solution is one function of a float or a 1-D array of points, and an
+array gives the bits of the point-by-point calls.  The modified Bessel
+functions are computed in-module; for small viscosity the series is
+evaluated entirely through the ratios I_j(z)/I_0(z), which stay O(1)
 even when the raw function values overflow.
 """
 
@@ -21,9 +24,9 @@ __all__ = [
     "SeriesConvergenceError",
     "bessel_i",
     "bessel_i_ratio",
+    "sine_pulse",
     "sine_wave_exact",
     "traveling_wave_exact",
-    "traveling_wave_column",
 ]
 
 # switch point between the ascending power series and Miller's backward
@@ -81,7 +84,9 @@ def _miller_backward(jmax: int, z: float) -> tuple[list[float], float]:
 
     Starts high enough above ``jmax`` that the downward recursion has
     converged to the minimal solution; the start order is raised until two
-    successive answers agree on the scale-free ratios b_j/b_0.
+    successive answers agree on the scale-free ratios b_j/b_0.  Raises
+    :class:`SeriesConvergenceError` if the recurrence overflows, which the
+    step (2k/z) b does once z is below about 1e-47.
     """
     start = jmax + max(25, int(2.0 * math.sqrt((jmax + 40.0) * max(z, 1.0))))
     prev = None
@@ -93,7 +98,11 @@ def _miller_backward(jmax: int, z: float) -> tuple[list[float], float]:
             b_lo = b_hi + (2.0 * k / z) * b
             b_hi, b = b, b_lo
             total += b if k == 1 else 2.0 * b
-            if abs(b) > 1e260:
+            if not abs(b) <= 1e260:
+                if not math.isfinite(b):
+                    raise SeriesConvergenceError(
+                        f"Bessel backward recurrence overflows at z={z}"
+                    )
                 scale = 1e-260
                 b *= scale
                 b_hi *= scale
@@ -144,8 +153,7 @@ def bessel_i_ratio(order: int, z: float) -> float:
         raise ValueError("order must be >= 1")
     if not z > 0.0:
         raise ValueError("z must be positive")
-    vals, _ = _miller_backward(order, z)
-    return vals[order] / vals[0]
+    return _bessel_ratios(order, z)[order]
 
 
 @functools.lru_cache(maxsize=16)
@@ -210,6 +218,19 @@ def _trig_table(x_bytes: bytes, terms: int) -> tuple[np.ndarray, np.ndarray]:
     return s, c
 
 
+def sine_pulse(x):
+    """sin(pi x), the sine problem's initial condition, for a float or a
+    1-D array of points.
+
+    An array goes through ``math.sin`` point by point, because ``np.sin``
+    can differ from it in the last bit and the fit would then move.
+    """
+    if np.ndim(x) == 0:
+        return math.sin(math.pi * x)
+    angles = (math.pi * np.asarray(x, dtype=float)).tolist()
+    return np.fromiter(map(math.sin, angles), float, len(angles))
+
+
 def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl()):
     """Decaying sine-wave solution on [0, 1] with U(0,t) = U(1,t) = 0.
 
@@ -222,7 +243,7 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
     with that point alone.  The t-independent table of sin(pi j x) and
     cos(pi j x) is cached per (points, J), so calls at many t on the same
     points build it once.  At t = 0 the series does not decay and the
-    value is the initial condition sin(pi x) itself.
+    value is :func:`sine_pulse`, the initial condition itself.
 
     Raises
     ------
@@ -236,68 +257,58 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    if t < 0.0:
+    if not t >= 0.0:  # a NaN t fails too
         raise ValueError("t must be >= 0")
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("x must be a float or a 1-D array")
-    xs = xs.reshape(-1)
     if t == 0.0:
-        u = np.sin(np.pi * xs)
-    else:
-        jr, r2, e = (np.array(f)[:, None] for f in _series_factors(t, lam, ctl))
-        s, c = _trig_table(xs.tobytes(), len(e))
-        num = np.zeros_like(xs)
-        den = np.ones_like(xs)
-        # one row per term, added in ascending j like the scalar sum
-        for num_j, den_j in zip(jr * s * e, r2 * c * e):
-            num += num_j
-            den += den_j
-        u = 4.0 * math.pi * lam * num / den
-        wrong = ~((u >= -RANGE_TOL) & (u <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
-        if wrong.any():
-            k = int(np.argmax(wrong))
-            raise SeriesConvergenceError(
-                f"series value {u[k]:.6g} at x={xs[k]:.6g} lies outside [0, 1]"
-                f" (lam={lam}, t={t}): the sum has lost its accuracy"
-            )
+        return sine_pulse(x)
+    xs = xs.reshape(-1)
+    jr, r2, e = (np.array(f)[:, None] for f in _series_factors(t, lam, ctl))
+    s, c = _trig_table(xs.tobytes(), len(e))
+    num = np.zeros_like(xs)
+    den = np.ones_like(xs)
+    # one row per term, added in ascending j like the scalar sum
+    for num_j, den_j in zip(jr * s * e, r2 * c * e):
+        num += num_j
+        den += den_j
+    u = 4.0 * math.pi * lam * num / den
+    wrong = ~((u >= -RANGE_TOL) & (u <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        raise SeriesConvergenceError(
+            f"series value {u[k]:.6g} at x={xs[k]:.6g} lies outside [0, 1]"
+            f" (lam={lam}, t={t}): the sum has lost its accuracy"
+        )
     return float(u[0]) if np.ndim(x) == 0 else u
 
 
-def traveling_wave_exact(
-    x: float, t: float, alpha: float, mu: float, gamma: float, lam: float
-) -> float:
+def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam: float):
     """Closed-form wave front moving right at speed ``mu``.
 
-    The value falls from ``alpha + mu`` far left of the front to
-    ``mu - alpha`` far right; ``lam`` controls the front width.  The
-    positive-exponent side is rearranged so the exponential never
-    overflows.
+    ``x`` is a float or a 1-D array; a float gives a float, an array an
+    array of the same length.  The value falls from ``alpha + mu`` far
+    left of the front to ``mu - alpha`` far right; ``lam`` controls the
+    front width.  The positive-exponent side is rearranged so the
+    exponential never overflows.  An array goes through the same
+    operations in the same order, as numpy operations, with the
+    exponential on ``math.exp`` point by point, because ``np.exp`` differs
+    from it in the last bit for some arguments; each value is
+    bit-identical to a call with that point alone.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    eta = alpha * (x - mu * t - gamma) / lam
-    if eta > 0.0:
-        em = math.exp(-eta)
-        return ((alpha + mu) * em + (mu - alpha)) / (em + 1.0)
-    e = math.exp(eta)
-    return (alpha + mu + (mu - alpha) * e) / (1.0 + e)
-
-
-def traveling_wave_column(
-    x: np.ndarray, t: float, alpha: float, mu: float, gamma: float, lam: float
-) -> np.ndarray:
-    """:func:`traveling_wave_exact` over a 1-D array of points, bit for bit.
-
-    The front position, the branch mask and both rational forms are numpy
-    operations in the scalar function's order; the exponential stays on
-    ``math.exp``, point by point, because ``np.exp`` differs from it in
-    the last bit for some arguments and the published error profiles are
-    pinned byte for byte.
-    """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    if np.ndim(x) == 0:
+        eta = alpha * (x - mu * t - gamma) / lam
+        if eta > 0.0:
+            em = math.exp(-eta)
+            return ((alpha + mu) * em + (mu - alpha)) / (em + 1.0)
+        e = math.exp(eta)
+        return (alpha + mu + (mu - alpha) * e) / (1.0 + e)
     eta = alpha * (np.asarray(x, dtype=float) - mu * t - gamma) / lam
+    if eta.ndim > 1:
+        raise ValueError("x must be a float or a 1-D array")
     right = eta > 0.0
     e = np.fromiter(map(math.exp, np.where(right, -eta, eta).tolist()), float, len(eta))
     far_left, far_right = alpha + mu, mu - alpha

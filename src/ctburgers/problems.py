@@ -1,21 +1,15 @@
 """Factories for the two benchmark problems.
 
-Each problem's ``initial_condition`` and ``exact`` take a float or a 1-D
-array of points; an array gives the bits of the point-by-point calls.
+A factory only binds parameters: each problem's ``initial_condition``
+and ``exact`` are :mod:`ctburgers.exact` functions of a float or a 1-D
+array of points, with the problem's constants filled in.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .exact import (
-    sine_wave_exact,
-    traveling_wave_column,
-    traveling_wave_exact,
-    traveling_wave_slope,
-)
+from .exact import sine_pulse, sine_wave_exact, traveling_wave_exact, traveling_wave_slope
 from .scheme import ProblemSpec
 
 __all__ = ["sine_problem", "traveling_problem"]
@@ -31,18 +25,6 @@ TRAVELING_GAMMA = 0.125
 TRAVELING_COMPAT_TOL = 1e-2
 
 
-def _sine_pulse(x):
-    """sin(pi x) for a float or a 1-D array of points.
-
-    An array goes through ``math.sin`` point by point, because ``np.sin``
-    can differ from it in the last bit and the fit would then move.
-    """
-    if np.ndim(x) == 0:
-        return math.sin(math.pi * x)
-    angles = (math.pi * np.asarray(x, dtype=float)).tolist()
-    return np.fromiter(map(math.sin, angles), float, len(angles))
-
-
 def sine_problem(lam: float, n_cells: int, dt: float) -> ProblemSpec:
     """Decaying sine wave on [0, 1] with homogeneous Dirichlet boundaries."""
     return ProblemSpec(
@@ -51,7 +33,7 @@ def sine_problem(lam: float, n_cells: int, dt: float) -> ProblemSpec:
         b=1.0,
         dt=dt,
         n_cells=n_cells,
-        initial_condition=_sine_pulse,
+        initial_condition=sine_pulse,
         initial_derivative=lambda x: math.pi * math.cos(math.pi * x),
         boundary_left=0.0,
         boundary_right=0.0,
@@ -74,9 +56,7 @@ def traveling_problem(
     """
 
     def front(x, t):
-        if np.ndim(x) == 0:
-            return traveling_wave_exact(x, t, alpha, mu, gamma, lam)
-        return traveling_wave_column(x, t, alpha, mu, gamma, lam)
+        return traveling_wave_exact(x, t, alpha, mu, gamma, lam)
 
     return ProblemSpec(
         lam=lam,
@@ -91,4 +71,3 @@ def traveling_problem(
         compat_tol=TRAVELING_COMPAT_TOL,
         exact=front,
     )
-

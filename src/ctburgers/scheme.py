@@ -133,10 +133,6 @@ class CoefficientVector:
     delta: np.ndarray
     time: float
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.delta) - 3
-
 
 @dataclass
 class NodalState:
@@ -562,14 +558,11 @@ def solve_to_time(
     sc = knot_coefficients(part.h)
     c = initialize_coefficients(p, part, sc)
     out: dict[float, NodalState] = {}
-    if 0 in wanted:
-        out[wanted[0]] = nodal_values(c, sc)
     kernel = _StepKernel(c.delta, p, sc, _compiled().march)
     done = 0
     for k, t in wanted.items():
-        if k > done:
-            kernel.march(k - done)
-            done = k
-            out[t] = nodal_values(CoefficientVector(delta=kernel.delta, time=t), sc)
+        kernel.march(k - done)
+        done = k
+        out[t] = nodal_values(CoefficientVector(delta=kernel.delta, time=t), sc)
     kernel.march(n_steps - done)
     return out

@@ -580,6 +580,16 @@ class TestProcessExitCodes:
         assert proc.returncode == cli.EXIT_CONFIG
         assert "error: invalid config:" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_huge_viscosity_exits_two(self):
+        # z = 1/(2 pi lam) ~ 1.6e-51 overflows the Bessel recurrence, which
+        # used to loop forever on NaN ratios
+        proc = self.ctburgers(
+            "run", "--problem", "sine", "--lambda", "1e50", "--n-cells", "4", "--dt", "0.001",
+            "--t-end", "0.001", "--sample-xs", "0.5", "--outputs", "table",
+        )
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert "error: numerical failure:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_invalid_config_exits_one(self):
         proc = self.ctburgers("run", "--dt", "nan")
         assert proc.returncode == cli.EXIT_CONFIG

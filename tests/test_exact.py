@@ -1,6 +1,10 @@
 """Reference-solution tests: Bessel functions, series, traveling wave."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,14 +17,15 @@ from ctburgers.exact import (
     SeriesControl,
     SeriesConvergenceError,
     _bessel_ratios,
+    _series_factors,
     _trig_table,
     bessel_i,
     bessel_i_ratio,
     sine_wave_exact,
-    traveling_wave_column,
     traveling_wave_exact,
     traveling_wave_slope,
 )
+from ctburgers.problems import sine_problem
 
 mp.mp.dps = 50
 
@@ -98,6 +103,26 @@ class TestBesselRatio:
         with pytest.raises(ValueError):
             bessel_i_ratio(1, 0.0)
 
+    def test_overflowing_recurrence_raises_and_returns(self):
+        # (2k/z) b overflows for z below about 1e-47; the ratios used to
+        # turn NaN and the start-order search looped forever, so the call
+        # runs in a child process with a hard time bound
+        code = (
+            "from ctburgers.exact import SeriesConvergenceError, bessel_i_ratio\n"
+            "try:\n"
+            "    bessel_i_ratio(1, 1e-60)\n"
+            "except SeriesConvergenceError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert bessel_i_ratio(1, 1e-46) == pytest.approx(5e-47, rel=1e-15)
+
 
 class TestSineWaveSeries:
     def test_boundary_values_vanish(self):
@@ -109,6 +134,14 @@ class TestSineWaveSeries:
     def test_time_zero_is_the_initial_condition(self):
         for x in (0.0, 0.3, 0.5, 1.0):
             assert sine_wave_exact(x, 0.0, 1.0) == math.sin(math.pi * x)
+
+    @pytest.mark.parametrize("n_cells", [3, 40, 400, 4000])
+    def test_time_zero_column_is_the_problem_initial_condition(self, n_cells):
+        p = sine_problem(0.1, n_cells, 1e-3)
+        knots = np.array(p.partition().knots())
+        assert sine_wave_exact(knots, 0.0, 0.1).tobytes() == p.initial_condition(knots).tobytes()
+        for x in knots.tolist():
+            assert sine_wave_exact(x, 0.0, 0.1) == p.initial_condition(x)
 
     def test_published_value_lam_one(self):
         assert sine_wave_exact(0.5, 0.4, 1.0) == pytest.approx(0.01924, abs=1e-5)
@@ -128,7 +161,10 @@ class TestSineWaveSeries:
         # tolerance, not a larger cap, is what sums more terms
         ctl = SeriesControl(abs_tol=1e-12)
         tighter = SeriesControl(abs_tol=1e-15)
-        for lam, t in [(1.0, 0.4), (0.1, 0.6), (0.01, 3.0)]:
+        for lam, t in [(1.0, 0.1), (0.1, 0.6), (0.01, 3.0)]:
+            # each point must sum more terms under the tighter tolerance,
+            # or it compares a value with itself
+            assert len(_series_factors(t, lam, ctl)[0]) < len(_series_factors(t, lam, tighter)[0])
             a = sine_wave_exact(0.3, t, lam, ctl)
             b = sine_wave_exact(0.3, t, lam, tighter)
             assert abs(a - b) < ctl.abs_tol
@@ -149,6 +185,15 @@ class TestSineWaveSeries:
             sine_wave_exact(0.5, 0.4, 0.0)
         with pytest.raises(ValueError):
             sine_wave_exact(0.5, -0.1, 1.0)
+
+    def test_nan_time_raises(self):
+        for x in (0.5, np.array([0.25, 0.5])):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                sine_wave_exact(x, math.nan, 1.0)
+
+    def test_infinite_time_gives_the_decayed_limit(self):
+        assert sine_wave_exact(0.5, math.inf, 1.0) == 0.0
+        assert not sine_wave_exact(np.array([0.25, 0.5]), math.inf, 1.0).any()
 
 
 def sine_wave_point(x, t, lam, ctl=SeriesControl()):
@@ -360,7 +405,7 @@ class TestTravelingWave:
         with pytest.raises(ValueError):
             traveling_wave_exact(0.5, 0.1, ALPHA, MU, GAMMA, 0.0)
         with pytest.raises(ValueError):
-            traveling_wave_column(np.array([0.5]), 0.1, ALPHA, MU, GAMMA, 0.0)
+            traveling_wave_exact(np.array([0.5]), 0.1, ALPHA, MU, GAMMA, 0.0)
 
 
 class TestTravelingWaveColumns:
@@ -369,7 +414,7 @@ class TestTravelingWaveColumns:
     def test_column_is_bit_identical_to_point_calls(self, lam, n_cells):
         knots = UniformPartition(0.0, 1.0, n_cells).knots()
         for t in (0.0, 0.1, 0.4, 0.5, 1.0, 1.2):
-            col = traveling_wave_column(np.array(knots), t, ALPHA, MU, GAMMA, lam)
+            col = traveling_wave_exact(np.array(knots), t, ALPHA, MU, GAMMA, lam)
             points = np.array([traveling_wave_exact(x, t, ALPHA, MU, GAMMA, lam) for x in knots])
             assert col.tobytes() == points.tobytes()
 
@@ -378,6 +423,14 @@ class TestTravelingWaveColumns:
         # that underflow to exact zero
         xs = [GAMMA, 0.0, -0.0, -1e300, 1e300, MU * 0.5 + GAMMA, 0.5]
         for t in (0.0, 0.5):
-            col = traveling_wave_column(np.array(xs), t, ALPHA, MU, GAMMA, 1e-6)
+            col = traveling_wave_exact(np.array(xs), t, ALPHA, MU, GAMMA, 1e-6)
             points = np.array([traveling_wave_exact(x, t, ALPHA, MU, GAMMA, 1e-6) for x in xs])
             assert col.tobytes() == points.tobytes()
+
+    def test_float_in_gives_python_float(self):
+        for x in (0.3, np.float64(0.3), 1):
+            assert type(traveling_wave_exact(x, 0.5, ALPHA, MU, GAMMA, 0.01)) is float
+
+    def test_rejects_two_dimensional_x(self):
+        with pytest.raises(ValueError, match="1-D"):
+            traveling_wave_exact(np.zeros((2, 2)), 0.5, ALPHA, MU, GAMMA, 0.01)
