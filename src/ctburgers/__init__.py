@@ -7,7 +7,6 @@ from .basis import (
     UniformPartition,
     ctb_deriv,
     ctb_eval,
-    ctb_eval_recurrence,
     knot_coefficients,
 )
 from .exact import (
@@ -26,7 +25,6 @@ from .scheme import (
     NodalState,
     ProblemSpec,
     advance,
-    assemble_step,
     initialize_coefficients,
     nodal_values,
     solve_to_time,
@@ -38,7 +36,6 @@ __all__ = [
     "UniformPartition",
     "SchemeCoefficients",
     "ctb_eval",
-    "ctb_eval_recurrence",
     "ctb_deriv",
     "knot_coefficients",
     "ProblemSpec",
@@ -46,7 +43,6 @@ __all__ = [
     "NodalState",
     "nodal_values",
     "initialize_coefficients",
-    "assemble_step",
     "advance",
     "solve_to_time",
     "ZeroPivotError",

@@ -2,8 +2,7 @@
 
 The basis functions are built from half-angle sine factors, are C²
 continuous, and each one is supported over four mesh cells.  Besides the
-closed-form evaluator this module provides the de-Boor-style recurrence
-(used as an independent cross-check) and the six knot-value constants
+closed-form evaluator this module provides the six knot-value constants
 that the collocation scheme is assembled from.
 """
 
@@ -18,7 +17,6 @@ __all__ = [
     "UniformPartition",
     "SchemeCoefficients",
     "ctb_eval",
-    "ctb_eval_recurrence",
     "ctb_deriv",
     "knot_coefficients",
 ]
@@ -216,30 +214,3 @@ def ctb_deriv(i: int, x: float, p: UniformPartition, order: int) -> float:
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     return _eval_with_derivatives(i, x, p)[order]
-
-
-def ctb_eval_recurrence(i: int, k: int, x: float, p: UniformPartition) -> float:
-    """Order-k trigonometric B-spline at ``x`` by the two-term recurrence.
-
-    The recursion bottoms out at the order-1 indicator of the half-open
-    cell [knot(i), knot(i+1)).  Evaluating at order 4 reproduces
-    :func:`ctb_eval` with the basis index shifted by two (the closed form
-    is centered, the recurrence is left-anchored); the proportionality
-    constant between the two is calibrated in the test suite.
-    """
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
-    h = p.h
-    xi = p.a + i * h
-    if k == 1:
-        return 1.0 if xi <= x < xi + h else 0.0
-    d = math.sin(0.5 * (k - 1) * h)
-    if abs(d) < 1e-14:
-        raise ValueError(
-            f"recurrence denominator sin((k-1)h/2) vanishes for k={k}, h={h}"
-        )
-    left = math.sin(0.5 * (x - xi)) / d * ctb_eval_recurrence(i, k - 1, x, p)
-    right = (
-        math.sin(0.5 * (xi + k * h - x)) / d * ctb_eval_recurrence(i + 1, k - 1, x, p)
-    )
-    return left + right

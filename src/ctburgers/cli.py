@@ -32,13 +32,7 @@ from . import reference as ref
 from .exact import SeriesConvergenceError, sine_wave_exact
 from .linalg import ZeroPivotError
 from .metrics import _knot_index, table_report
-from .problems import (
-    TRAVELING_ALPHA,
-    TRAVELING_GAMMA,
-    TRAVELING_MU,
-    sine_problem,
-    traveling_problem,
-)
+from .problems import sine_problem, traveling_problem
 from .scheme import NodalState, solve_to_time
 
 __all__ = ["RunConfig", "ConfigError", "run", "reproduce", "main"]
@@ -49,6 +43,8 @@ EXIT_NUMERICAL = 2
 EXIT_MISMATCH = 3
 
 REPRODUCE_TARGETS = ("table2", "table3", "table4", "table5", "fig7", "fig8")
+
+PROBLEMS = {"sine": sine_problem, "traveling": traveling_problem}
 
 
 class ConfigError(ValueError):
@@ -66,18 +62,19 @@ class RunConfig:
     sample_xs: list[float] | str = "all-knots"
     outputs: set[str] = field(default_factory=lambda: {"table"})
     output_dir: Path = Path(".")
-    alpha: float = TRAVELING_ALPHA
-    mu: float = TRAVELING_MU
-    gamma: float = TRAVELING_GAMMA
+    alpha: float | None = None
+    mu: float | None = None
+    gamma: float | None = None
 
     def build_problem(self):
-        if self.problem == "sine":
-            return sine_problem(self.lam, self.n_cells, self.dt)
-        if self.problem == "traveling":
-            return traveling_problem(
-                self.lam, self.n_cells, self.dt, alpha=self.alpha, mu=self.mu, gamma=self.gamma
-            )
-        raise ConfigError(f"problem must be 'sine' or 'traveling', got {self.problem!r}")
+        if self.problem not in PROBLEMS:
+            names = " or ".join(map(repr, PROBLEMS))
+            raise ConfigError(f"problem must be {names}, got {self.problem!r}")
+        # the front constants a run leaves unset keep the factory's defaults
+        front = {k: v for k in ("alpha", "mu", "gamma") if (v := getattr(self, k)) is not None}
+        if front and self.problem != "traveling":
+            raise ConfigError(f"{', '.join(front)} set, but only the traveling problem takes them")
+        return PROBLEMS[self.problem](self.lam, self.n_cells, self.dt, **front)
 
     def validate(self):
         bad = self.outputs - {"table", "csv", "plotdata"}
@@ -257,7 +254,7 @@ def _reproduce_fig(num: int, config_lam: float, out, output_dir: Path) -> bool:
         path, "x,t,abs_error", "%.12g," + _fmt12(t).replace("%", "%%") + ",%.12g\n",
         [knots, errs.tolist()],
     )
-    front = TRAVELING_MU * t + TRAVELING_GAMMA
+    front = problem.exact.mu * t + problem.exact.gamma
     peak_x = knots[int(np.argmax(errs))]
     ok = abs(peak_x - front) <= 3.0 / 36.0
     out.write(
@@ -349,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the dests are the RunConfig fields; a flag left out keeps its default
     runp = sub.add_parser("run", help="solve one configured problem")
     runp.add_argument("--config", type=Path, help="key=value config file")
-    runp.add_argument("--problem", choices=("sine", "traveling"))
+    runp.add_argument("--problem", choices=tuple(PROBLEMS))
     runp.add_argument("--lambda", dest="lam", type=float, help="viscosity")
     runp.add_argument("--n-cells", type=int)
     runp.add_argument("--dt", type=float)

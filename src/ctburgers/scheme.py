@@ -25,8 +25,7 @@ rows and then :func:`~ctburgers.linalg.thomas_sweep`, and the fit in
 statements in the same order, so the results do not depend on which one
 runs; :func:`step_finisher` says which does.  :func:`solve_to_time`
 marches on one kernel and copies the state out only at sample times;
-:func:`assemble_step` and :func:`advance` are one-step wrappers over the
-same kernel.
+:func:`advance` is a one-step wrapper over the same kernel.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "NodalState",
     "nodal_values",
     "initialize_coefficients",
-    "assemble_step",
     "advance",
     "solve_to_time",
     "step_finisher",
@@ -80,9 +78,10 @@ class ProblemSpec:
     one is known, take a float or a 1-D array of points and give a float
     or an array; :func:`initialize_coefficients` calls
     ``initial_condition`` once, on the array of knots, and a scalar result
-    stands for a constant.  ``initial_derivative`` takes a float.  The
-    factories bind ``initial_condition`` and ``exact`` to their ``lam``,
-    so ``dataclasses.replace(p, lam=...)`` needs a fresh factory call.
+    stands for a constant.  ``initial_derivative`` takes a float.  A
+    callable with a ``lam`` dataclass field, as the factories bind, is
+    rebound to ``self.lam``, so ``dataclasses.replace(p, lam=...)``
+    equals a fresh factory call; plain callables are kept as they are.
     """
 
     lam: float
@@ -96,6 +95,14 @@ class ProblemSpec:
     boundary_right: float
     compat_tol: float = 1e-10
     exact: Callable | None = None
+
+    def __post_init__(self):
+        for name in ("initial_condition", "initial_derivative", "exact"):
+            f = getattr(self, name)
+            # a plain callable has no lam, so a NaN self.lam leaves it alone
+            lam = getattr(f, "lam", None)
+            if lam is not None and lam != self.lam:
+                object.__setattr__(self, name, replace(f, lam=self.lam))
 
     def validate(self) -> None:
         for field_name in ("lam", "dt", "a", "b", "boundary_left", "boundary_right"):
@@ -251,7 +258,21 @@ class _StepKernel:
             )
 
     def assemble(self) -> tuple[list[float], list[float], list[float], list[float]]:
-        """The folded square system of the current state, as :func:`assemble_step`."""
+        """The square (N+1) x (N+1) tridiagonal system of one step from ``delta``.
+
+        Collocating the trapezoidal-in-time, Rubin-Graves-linearized
+        equation at knot m gives left-hand coefficients
+        ``alpha_k + dt/2 (alpha_k U'_m + beta_k U_m - lam gamma_k)`` on the
+        new-level parameters and ``(alpha_k + lam dt/2 gamma_k)`` on the
+        old ones, with U_m, U'_m taken from ``delta``.  Row m couples
+        parameters m-1, m, m+1, so the N+1 rows have two unknowns too
+        many; the Dirichlet values fix the phantoms ``delta_{-1}`` and
+        ``delta_{N+1}`` in terms of their two interior neighbours, and
+        substituting them into the first and last rows squares the system.
+
+        Returns plain float lists ``(sub, diag, sup, rhs)`` in the layout
+        of :func:`~ctburgers.linalg.thomas_sweep`.
+        """
         (a1, a2, b1, b2, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre,
          bc_left, bc_right) = self._constants
         lower, upper, diag, rhs = [], [], [], []
@@ -470,27 +491,6 @@ def step_finisher() -> str:
     Builds and checks the library if this process has not tried yet.
     """
     return "python" if _compiled().march is None else "native"
-
-
-def assemble_step(
-    c: CoefficientVector, p: ProblemSpec, sc: SchemeCoefficients
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """The square (N+1) x (N+1) tridiagonal system of one step from ``c``.
-
-    Collocating the trapezoidal-in-time, Rubin-Graves-linearized equation
-    at knot m gives left-hand coefficients
-    ``alpha_k + dt/2 (alpha_k U'_m + beta_k U_m - lam gamma_k)`` on the
-    new-level parameters and ``(alpha_k + lam dt/2 gamma_k)`` on the old
-    ones, with U_m, U'_m taken from ``c``.  Row m couples parameters
-    m-1, m, m+1, so the N+1 rows have two unknowns too many; the Dirichlet
-    values fix the phantoms ``delta_{-1}`` and ``delta_{N+1}`` in terms of
-    their two interior neighbours, and substituting them into the first
-    and last rows squares the system.
-
-    Returns plain float lists ``(sub, diag, sup, rhs)`` in the layout of
-    :func:`~ctburgers.linalg.thomas_sweep`.
-    """
-    return _StepKernel(c.delta, p, sc, None).assemble()
 
 
 def advance(

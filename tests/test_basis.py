@@ -12,13 +12,40 @@ from ctburgers.basis import (
     UniformPartition,
     ctb_deriv,
     ctb_eval,
-    ctb_eval_recurrence,
     knot_coefficients,
 )
 
 REL_TOL_KNOT_TABLE = 1e-12
 C2_TOL = 1e-10
 FD_REL_TOL = 1e-6
+
+
+def ctb_eval_recurrence(i: int, k: int, x: float, p: UniformPartition) -> float:
+    """Order-k trigonometric B-spline at ``x`` by the two-term recurrence.
+
+    An independent cross-check of :func:`ctb_eval`.  The recursion bottoms
+    out at the order-1 indicator of the half-open cell [knot(i),
+    knot(i+1)).  Evaluating at order 4 reproduces :func:`ctb_eval` with the
+    basis index shifted by two (the closed form is centered, the
+    recurrence is left-anchored); the proportionality constant between
+    the two is calibrated in the tests below.
+    """
+    if k < 1:
+        raise ValueError(f"order must be >= 1, got {k}")
+    h = p.h
+    xi = p.a + i * h
+    if k == 1:
+        return 1.0 if xi <= x < xi + h else 0.0
+    d = math.sin(0.5 * (k - 1) * h)
+    if abs(d) < 1e-14:
+        raise ValueError(
+            f"recurrence denominator sin((k-1)h/2) vanishes for k={k}, h={h}"
+        )
+    left = math.sin(0.5 * (x - xi)) / d * ctb_eval_recurrence(i, k - 1, x, p)
+    right = (
+        math.sin(0.5 * (xi + k * h - x)) / d * ctb_eval_recurrence(i + 1, k - 1, x, p)
+    )
+    return left + right
 
 
 def one_sided_d2(f, x0, step, sign):

@@ -134,6 +134,25 @@ class TestRunCommand:
         assert code == cli.EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--alpha", "5"), ("--mu", "0.3"), ("--gamma", "nan")])
+    def test_front_constant_for_sine_exits_config_error(self, flag, value, capsys):
+        code = run_main(
+            ["run", "--problem", "sine", "--lambda", "0.1", "--n-cells", "10", "--dt", "0.01",
+             "--t-end", "0.1", flag, value]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: invalid config: {flag[2:]} set, but only the traveling problem takes them\n"
+        )
+
+    def test_front_constants_reach_the_factory(self):
+        config = cli.RunConfig(problem="traveling", lam=0.01, n_cells=36, dt=1e-3, mu=0.5)
+        assert config.build_problem() == problems.traveling_problem(0.01, 36, 1e-3, mu=0.5)
+        config.mu = None
+        assert config.build_problem() == problems.traveling_problem(0.01, 36, 1e-3)
+
     def test_unknown_flag_exits_config_error(self, capsys):
         assert run_main(["run", "--nope", "1"]) == cli.EXIT_CONFIG
 
@@ -363,6 +382,12 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
         assert "1.00000" in out  # t=0 value, so the CLI override won
+
+    def test_front_constant_for_sine_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = sine\nalpha = 0.3\nt-end = 0\n")
+        assert run_main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "error: invalid config: alpha set" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -25,11 +25,15 @@ from ctburgers.scheme import (
     ProblemSpec,
     _StepKernel,
     advance,
-    assemble_step,
     initialize_coefficients,
     nodal_values,
     solve_to_time,
 )
+
+
+def assemble_step(c, p, sc):
+    """The folded square system of one step from ``c``, on the Python path."""
+    return _StepKernel(c.delta, p, sc, None).assemble()
 
 
 def constant_problem(c, n_cells=40, lam=1.0, dt=1e-4):
@@ -677,8 +681,9 @@ class TestNativeFinisher:
         assert not matches(
             lambda *args: (lambda row: row + 1 if row >= 0 else row)(fit(*args))
         )
-        # one that leaves the last unknown unwritten
-        assert not matches(lambda *args: fit(*args[:3], args[3] - 1, args[4]))
+        # one that leaves the last unknown unwritten; never on n = 0 rows,
+        # where fit would write x[-1], before its buffer
+        assert not matches(lambda *args: fit(*args[:3], max(args[3] - 1, 1), args[4]))
 
     @pytest.mark.parametrize(
         "statement, mutant",
@@ -875,3 +880,40 @@ class TestProblemSpecValidation:
         # exact front at t=0 reaches only ~0.99465 at x=0 while the
         # benchmark clamps the boundary at 1; the factory must accept this
         traveling_problem(0.01, 36, 1e-3).validate()
+
+
+class TestProblemValue:
+    """A factory-built problem is a value: ``replace`` rebinds its λ and
+    equal arguments give equal problems."""
+
+    @pytest.mark.parametrize("factory", [sine_problem, traveling_problem])
+    @pytest.mark.parametrize("lam", [1.0, 0.1, 0.01, 0.005])
+    def test_replaced_viscosity_is_the_fresh_problem(self, factory, lam):
+        fresh = factory(lam, 40, 1e-3)
+        got = replace(factory(1.0, 40, 1e-3), lam=lam)
+        assert got == fresh
+        xs = np.linspace(0.0, 1.0, 41)
+        # the sine series keeps its accuracy over the whole column at these
+        # times for every lam here; at lam = 0.005 it raises for t in 0.1-0.5
+        for t in (0.0, 1.0):
+            assert bits(got.exact(xs, t)) == bits(fresh.exact(xs, t))
+        for x, t in ((0.25, 0.05), (0.3, 0.4), (0.5, 0.5)):
+            assert bits(got.exact(x, t)) == bits(fresh.exact(x, t))
+            assert bits(got.initial_condition(x)) == bits(fresh.initial_condition(x))
+            assert bits(got.initial_derivative(x)) == bits(fresh.initial_derivative(x))
+
+    @pytest.mark.parametrize("factory", [sine_problem, traveling_problem])
+    def test_equal_arguments_give_equal_problems(self, factory):
+        first, second = factory(0.1, 40, 1e-3), factory(0.1, 40, 1e-3)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != factory(0.01, 40, 1e-3)
+
+    @pytest.mark.parametrize("lam", [0.5, math.nan])
+    def test_plain_callables_pass_through(self, lam):
+        p = replace(constant_problem(0.25), exact=lambda x, t: 0.25)
+        got = replace(p, lam=lam)
+        assert got.initial_condition is p.initial_condition
+        assert got.initial_derivative is p.initial_derivative
+        assert got.exact is p.exact
