@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import reference as ref
-from .exact import SeriesConvergenceError, sine_wave_exact
+from .exact import SeriesConvergenceError
 from .linalg import ZeroPivotError
 from .metrics import _knot_index, table_report
 from .problems import sine_problem, traveling_problem
-from .scheme import NodalState, solve_to_time
+from .scheme import solve_to_time
 
 __all__ = ["RunConfig", "ConfigError", "run", "reproduce", "main"]
 
@@ -41,8 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_MISMATCH = 3
-
-REPRODUCE_TARGETS = ("table2", "table3", "table4", "table5", "fig7", "fig8")
 
 PROBLEMS = {"sine": sine_problem, "traveling": traveling_problem}
 
@@ -111,7 +109,7 @@ def _write_csv(path: Path, header: str, row: str, columns) -> None:
 
 def _write_snapshot(path: Path, x_text: list[str], t: float, u: np.ndarray, ue: np.ndarray):
     """One ``run`` snapshot: the knots (already formatted), t, U, exact and |error|."""
-    row = "%s," + _fmt12(t).replace("%", "%%") + ",%.12g,%.12g,%.12g\n"
+    row = "%s," + _fmt12(t) + ",%.12g,%.12g,%.12g\n"
     err = np.abs(np.subtract(u, ue))
     _write_csv(
         path, "x,t,numerical,exact,abs_error", row, [x_text, u.tolist(), ue.tolist(), err.tolist()]
@@ -158,112 +156,111 @@ def run(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sine_states(lam: float) -> dict[float, NodalState]:
-    problem = sine_problem(lam, 40, 1e-4)
-    return solve_to_time(problem, problem.partition(), 3.0, list(ref.SINE_TIMES))
-
-
-def _report_cells(rows, out):
-    for x, t, ours, expected, dev, ok, note in rows:
-        flag = "ok" if ok else "FAIL"
+def _report_cells(rows, out) -> bool:
+    """Print one line per cell; whether every |dev| is within ``ref.SINE_TOL``."""
+    all_ok = True
+    for x, t, ours, expected, dev, note in rows:
+        ok = dev <= ref.SINE_TOL
+        all_ok &= ok
         extra = f"  [{note}]" if note else ""
         out.write(
             f"  x={x:5.3f} t={t:3.1f}  ours={ours:.5f}  published={expected:.5f}"
-            f"  |dev|={dev:.2e}  {flag}{extra}\n"
+            f"  |dev|={dev:.2e}  {'ok' if ok else 'FAIL'}{extra}\n"
         )
-
-
-def _reproduce_sine_table(num: int, out) -> bool:
-    lam = {2: 1.0, 3: 0.1, 4: 0.01}[num]
-    present = getattr(ref, f"TABLE{num}_PRESENT")
-    exact_printed = getattr(ref, f"TABLE{num}_EXACT")
-    states = _sine_states(lam)
-    out.write(f"table{num}: sine problem, lam={lam}, N=40, dt=0.0001\n")
-    all_ok = True
-    rows = []
-    for (x, t), expected in sorted(present.items()):
-        ours = float(states[t].u[round(x * 40)])
-        dev = abs(ours - expected)
-        ok = dev <= ref.SINE_TOL
-        all_ok &= ok
-        rows.append((x, t, ours, expected, dev, ok, ""))
-    _report_cells(rows, out)
-    out.write("  exact column check (series oracle vs printed):\n")
-    # one series call per t on its sorted points; each value has the bits
-    # of a call at that point alone
-    oracle_at = {}
-    for t in {t for _, t in exact_printed}:
-        xs = sorted(x for x, s in exact_printed if s == t)
-        column = sine_wave_exact(np.array(xs), t, lam).tolist()
-        oracle_at.update(zip([(x, t) for x in xs], column))
-    rows = []
-    for (x, t), printed in sorted(exact_printed.items()):
-        oracle = oracle_at[x, t]
-        if num == 4 and (x, t) == ref.TABLE4_EXACT_MISPRINT:
-            # known misprint: compare the method value against the oracle
-            dev = abs(float(states[t].u[round(x * 40)]) - oracle)
-            ok = dev <= ref.SINE_TOL
-            note = f"printed {printed} excluded-by-config (misprint); oracle {oracle:.5f}"
-            rows.append((x, t, oracle, oracle, dev, ok, note))
-        else:
-            dev = abs(oracle - printed)
-            ok = dev <= ref.SINE_TOL
-            rows.append((x, t, oracle, printed, dev, ok, ""))
-        all_ok &= ok
-    _report_cells(rows, out)
     return all_ok
 
 
-def _reproduce_table5(out) -> bool:
-    out.write("table5: traveling wave, lam=0.01, h=1/36, t=0.5\n")
+def _sine_table(lam, present, printed, name, out, output_dir, misprint=None) -> bool:
+    """Tables 2-4: the method against ``present`` and the series oracle against
+    the ``printed`` exact column, whose ``misprint`` cell is checked as method vs oracle."""
+    problem = sine_problem(lam, 40, 1e-4)
+    part = problem.partition()
+    states = solve_to_time(problem, part, max(ref.SINE_TIMES), list(ref.SINE_TIMES))
+    out.write(f"{name}: sine problem, lam={problem.lam}, N={part.n_cells}, dt={problem.dt}\n")
+
+    def ours(x, t):
+        return float(states[t].u[_knot_index(x, part)])
+
+    rows = [
+        (x, t, ours(x, t), expected, abs(ours(x, t) - expected), "")
+        for (x, t), expected in sorted(present.items())
+    ]
+    all_ok = _report_cells(rows, out)
+    out.write("  exact column check (series oracle vs printed):\n")
+    # one series call per t; each value has the bits of a call at that point alone
+    oracle_at = {}
+    for t in {t for _, t in printed}:
+        xs = sorted(x for x, s in printed if s == t)
+        oracle_at.update(zip([(x, t) for x in xs], problem.exact(np.array(xs), t).tolist()))
+    rows = []
+    for (x, t), value in sorted(printed.items()):
+        oracle = oracle_at[x, t]
+        if (x, t) == misprint:
+            note = f"printed {value} excluded-by-config (misprint); oracle {oracle:.5f}"
+            rows.append((x, t, oracle, oracle, abs(ours(x, t) - oracle), note))
+        else:
+            rows.append((x, t, oracle, value, abs(oracle - value), ""))
+    return _report_cells(rows, out) and all_ok
+
+
+def _table5(name, out, output_dir) -> bool:
+    """Table 5: the traveling front at every second knot; passes when one published dt does."""
+    t, present = ref.TABLE5_TIME, ref.TABLE5_PRESENT
+    problems = [traveling_problem(0.01, ref.TABLE5_N_CELLS, dt) for dt in ref.TABLE5_DTS]
+    part = problems[0].partition()
+    out.write(f"{name}: traveling wave, lam={problems[0].lam}, h=1/{part.n_cells}, t={t}\n")
     passing = []
-    for dt in ref.TABLE5_DTS:
-        problem = traveling_problem(0.01, ref.TABLE5_N_CELLS, dt)
-        states = solve_to_time(
-            problem, problem.partition(), ref.TABLE5_TIME, [ref.TABLE5_TIME]
-        )
-        u = states[ref.TABLE5_TIME].u
-        devs = [
-            abs(float(u[2 * i]) - ref.TABLE5_PRESENT[i]) for i in range(19)
-        ]
-        ok = max(devs) <= ref.TRAVELING_TOL
+    for problem in problems:
+        u = solve_to_time(problem, part, t, [t])[t].u
+        dev = float(np.max(np.abs(np.subtract(u[::2], present))))
+        ok = dev <= ref.TRAVELING_TOL
         out.write(
-            f"  dt={dt}: max |ours - published| = {max(devs):.2e} over 19 cells"
+            f"  dt={problem.dt}: max |ours - published| = {dev:.2e} over {len(present)} cells"
             f" -> {'ok' if ok else 'FAIL'}\n"
         )
         if ok:
-            passing.append(dt)
+            passing.append(problem.dt)
     if passing:
         out.write(f"  published header/text disagree on dt; matching dt: {passing}\n")
-        return True
-    return False
+    return bool(passing)
 
 
-def _reproduce_fig(num: int, config_lam: float, out, output_dir: Path) -> bool:
-    """Error-profile targets: traveling wave at t=0.4, h=1/36, dt=0.001."""
-    t = 0.4
-    problem = traveling_problem(config_lam, 36, 1e-3)
+def _error_profile(lam, name, out, output_dir: Path) -> bool:
+    """Figs 7-8: the traveling front's |error| profile, whose peak must lie near the front."""
+    t, cells = 0.4, 3
+    problem = traveling_problem(lam, 36, 1e-3)
     part = problem.partition()
     output_dir.mkdir(parents=True, exist_ok=True)
-    states = solve_to_time(problem, part, t, [t])
-    u = states[t].u
+    u = solve_to_time(problem, part, t, [t])[t].u
     knots = part.knots()
     errs = np.abs(u - problem.exact(np.array(knots), t))
-    path = output_dir / f"fig{num}_error_profile.csv"
-    _write_csv(
-        path, "x,t,abs_error", "%.12g," + _fmt12(t).replace("%", "%%") + ",%.12g\n",
-        [knots, errs.tolist()],
-    )
+    path = output_dir / f"{name}_error_profile.csv"
+    _write_csv(path, "x,t,abs_error", "%.12g," + _fmt12(t) + ",%.12g\n", [knots, errs.tolist()])
     front = problem.exact.mu * t + problem.exact.gamma
     peak_x = knots[int(np.argmax(errs))]
-    ok = abs(peak_x - front) <= 3.0 / 36.0
+    ok = abs(peak_x - front) <= cells * part.h
     out.write(
-        f"fig{num}: traveling wave lam={config_lam}, h=1/36, dt=0.001, t={t}\n"
+        f"{name}: traveling wave lam={problem.lam}, h=1/{part.n_cells}, dt={problem.dt}, t={t}\n"
         f"  error profile written to {path}\n"
         f"  peak |error| at x={peak_x:.3f}, front at x={front:.3f}"
-        f" -> {'ok' if ok else 'FAIL'} (peak within 3 cells of front)\n"
+        f" -> {'ok' if ok else 'FAIL'} (peak within {cells} cells of front)\n"
     )
     return ok
+
+
+# each target's check(target, out, output_dir), bound to the reference module's own data
+_REPRODUCERS = {
+    "table2": functools.partial(_sine_table, 1.0, ref.TABLE2_PRESENT, ref.TABLE2_EXACT),
+    "table3": functools.partial(_sine_table, 0.1, ref.TABLE3_PRESENT, ref.TABLE3_EXACT),
+    "table4": functools.partial(
+        _sine_table, 0.01, ref.TABLE4_PRESENT, ref.TABLE4_EXACT,
+        misprint=ref.TABLE4_EXACT_MISPRINT,
+    ),
+    "table5": _table5,
+    "fig7": functools.partial(_error_profile, 0.01),
+    "fig8": functools.partial(_error_profile, 0.005),
+}
+REPRODUCE_TARGETS = tuple(_REPRODUCERS)
 
 
 def reproduce(target: str, output_dir: Path = Path(".")) -> int:
@@ -272,17 +269,11 @@ def reproduce(target: str, output_dir: Path = Path(".")) -> int:
     Returns 0 when every cell is within tolerance and 3 when one is not;
     raises as :func:`run` does.
     """
-    if target not in REPRODUCE_TARGETS:
+    check = _REPRODUCERS.get(target)
+    if check is None:
         raise ConfigError(f"target must be one of {REPRODUCE_TARGETS}")
-    out = sys.stdout
-    if target in ("table2", "table3", "table4"):
-        ok = _reproduce_sine_table(int(target[-1]), out)
-    elif target == "table5":
-        ok = _reproduce_table5(out)
-    else:
-        lam = 0.01 if target == "fig7" else 0.005
-        ok = _reproduce_fig(int(target[-1]), lam, out, output_dir)
-    out.write(f"{target}: {'PASS' if ok else 'FAIL'}\n")
+    ok = check(target, sys.stdout, output_dir)
+    sys.stdout.write(f"{target}: {'PASS' if ok else 'FAIL'}\n")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

@@ -33,6 +33,9 @@ __all__ = [
 # recurrence for I_n(z)
 SERIES_Z_MAX = 15.0
 
+# highest start order of Miller's backward recurrence, which grows like sqrt(z)
+MAX_START_ORDER = 100_000
+
 # how far a sine-wave value on [0, 1] may stray outside [0, 1], the bounds
 # of its data, before it counts as a lost sum rather than rounding
 RANGE_TOL = 1e-9
@@ -86,11 +89,16 @@ def _miller_backward(jmax: int, z: float) -> tuple[list[float], float]:
     converged to the minimal solution; the start order is raised until two
     successive answers agree on the scale-free ratios b_j/b_0.  Raises
     :class:`SeriesConvergenceError` if the recurrence overflows, which the
-    step (2k/z) b does once z is below about 1e-47.
+    step (2k/z) b does once z is below about 1e-47, or if the start order
+    passes ``MAX_START_ORDER``, which it does once z exceeds a few times 1e7.
     """
     start = jmax + max(25, int(2.0 * math.sqrt((jmax + 40.0) * max(z, 1.0))))
     prev = None
     while True:
+        if start > MAX_START_ORDER:
+            raise SeriesConvergenceError(
+                f"Bessel backward recurrence would start above order {MAX_START_ORDER} at z={z}"
+            )
         vals = [0.0] * (jmax + 1)
         b_hi, b = 0.0, 1e-280
         total = 0.0

@@ -568,6 +568,27 @@ class TestReproduce:
         assert code == cli.EXIT_MISMATCH
         assert "FAIL" in capsys.readouterr().out
 
+    def test_sine_table_mismatch_exit_code(self, monkeypatch, capsys):
+        # the published data are read when the target runs, not copied
+        # when the target table is built
+        monkeypatch.setitem(cli.ref.TABLE3_PRESENT, (0.5, 1.0), 0.9)
+        assert run_main(["reproduce", "table3"]) == cli.EXIT_MISMATCH
+        lines = capsys.readouterr().out.splitlines()
+        (cell,) = [line for line in lines if "published=0.90000" in line]
+        assert cell.startswith("  x=0.500 t=1.0") and cell.endswith("FAIL")
+        assert lines[-1] == "table3: FAIL"
+
+    def test_exact_column_mismatch_keeps_the_misprint_excluded(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli.ref.TABLE4_EXACT, (0.75, 1.0), 0.9)
+        assert run_main(["reproduce", "table4"]) == cli.EXIT_MISMATCH
+        out = capsys.readouterr().out
+        method, exact = out.split("  exact column check (series oracle vs printed):\n")
+        assert "FAIL" not in method
+        (cell,) = [line for line in exact.splitlines() if "published=0.90000" in line]
+        assert cell.startswith("  x=0.750 t=1.0") and cell.endswith("FAIL")
+        (misprint,) = [line for line in exact.splitlines() if "misprint" in line]
+        assert misprint.startswith("  x=0.250 t=0.6") and "excluded-by-config" in misprint
+
 
 def test_no_arguments_prints_help(capsys):
     assert run_main([]) == cli.EXIT_CONFIG
@@ -611,6 +632,16 @@ class TestProcessExitCodes:
         proc = self.ctburgers(
             "run", "--problem", "sine", "--lambda", "1e50", "--n-cells", "4", "--dt", "0.001",
             "--t-end", "0.001", "--sample-xs", "0.5", "--outputs", "table",
+        )
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert "error: numerical failure:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_tiny_viscosity_exits_two(self):
+        # z = 1/(2 pi lam) ~ 1.6e299 put the Bessel recurrence's start order
+        # near 1e151, and the series never returned
+        proc = self.ctburgers(
+            "run", "--problem", "sine", "--lambda", "1e-300", "--n-cells", "10", "--dt", "0.1",
+            "--t-end", "0.1", "--sample-xs", "0.5",
         )
         assert proc.returncode == cli.EXIT_NUMERICAL
         assert "error: numerical failure:" in proc.stderr and "Traceback" not in proc.stderr

@@ -123,6 +123,25 @@ class TestBesselRatio:
         assert proc.returncode == 0, proc.stderr
         assert bessel_i_ratio(1, 1e-46) == pytest.approx(5e-47, rel=1e-15)
 
+    def test_huge_argument_raises_at_once(self):
+        # the start order of the backward recurrence grows like sqrt(z): at
+        # z = 1e300 it was ~1e151 and the loop never ended, so the call runs
+        # in a child process with a hard time bound
+        code = (
+            "from ctburgers.exact import SeriesConvergenceError, bessel_i_ratio\n"
+            "try:\n"
+            "    bessel_i_ratio(1, 1e300)\n"
+            "except SeriesConvergenceError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestSineWaveSeries:
     def test_boundary_values_vanish(self):
@@ -264,6 +283,19 @@ class TestSineWaveColumns:
         # agrees with it to 7 digits
         assert sine_wave_exact(0.98, 0.05, 0.01) == pytest.approx(
             0.07394522089704537, abs=1e-6
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="mid-domain at lam=0.005, t=0.1 the double-precision sum loses "
+        "about 6e-3 without leaving [0, 1], so no error is raised",
+    )
+    def test_small_viscosity_mid_domain(self):
+        # 40-digit mpmath sum of the same series (mp.besseli, j = 1..599,
+        # x = 0.575, t = 0.1, lam = 0.005); the same digits at 60 digits.
+        # One ulp to the right, x = 0.5750000000000001, the call raises
+        assert sine_wave_exact(0.575, 0.1, 0.005) == pytest.approx(
+            0.9923068931808001, abs=1e-6
         )
 
 
