@@ -13,16 +13,30 @@
  *
  * Every expression has the operands of the Python code in its
  * left-to-right order, and the build turns off contraction and fast-math,
- * so the results are the Python path's to the bit.  scheme.py uses the
- * library only when both entry points end every one of a fixed set of
- * known-answer marches and fits with the Python path's zero-pivot row and
- * result bits (scheme._matches_python).
+ * so the results are the Python path's to the bit.
+ *
+ * rows writes the rows of a CSV snapshot, each value with the bytes of
+ * Python's '%.12g' % v.  The 12 digits come from scaling the value by a
+ * power of ten in double-double arithmetic: exactly when one power up to
+ * 10^22 does it, to within 2^-50 otherwise.  Zero, subnormals, inf, nan
+ * and a value whose inexact scaling lies too close to a rounding tie take
+ * their digits from glibc's correctly rounded %.11e instead.  The inexact
+ * scaling earns its place: the |error| of a flat front, 1e-17 to 1e-11,
+ * is 16 % of the values of the fine_mesh benchmark, and sending those to
+ * %.11e doubles the time rows takes there (BENCH_csv_writer.json).
+ *
+ * scheme.py uses the library only when all three entry points end every
+ * one of a fixed set of known-answer marches, fits and rows as the Python
+ * path does: on the same zero-pivot row and bits, and the same bytes
+ * (scheme._matches_python).
  *
  * Build: cc -O2 -std=c99 -ffp-contract=off -fno-fast-math -shared -fPIC
  */
 
 #include <float.h>
 #include <math.h>
+#include <stdio.h>
+#include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "double expressions must be evaluated in double precision"
@@ -162,4 +176,234 @@ long fit(double *bands, double *rhs, double *x, long n, double tol)
         x[i] = ((rhs[i] - r[3] * x[i + 1]) - r[4] * x[i + 2]) / r[2];
     }
     return -1;
+}
+
+/* 10^0 .. 10^22, the powers of ten a double holds exactly */
+static const double POW10[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+#define DIGITS 12
+#define TEN_TO_DIGITS 1000000000000LL
+
+/* how close to a tie an inexact scaling may come: its at most 15 steps,
+ * each within about 2^-101 relative, keep a 10^s < 2^44 within 2^-50 */
+#define NEAR_TIE 0x1p-40
+
+/* hi + lo = a b exactly (Dekker's product), barring overflow and underflow */
+static void two_product(double a, double b, double *hi, double *lo)
+{
+    double t, a_hi, a_lo, b_hi, b_lo;
+
+    t = 134217729.0 * a; /* 2^27 + 1 */
+    a_hi = t - (t - a);
+    a_lo = a - a_hi;
+    t = 134217729.0 * b;
+    b_hi = t - (t - b);
+    b_lo = b - b_hi;
+    *hi = a * b;
+    *lo = ((a_hi * b_hi - *hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo;
+}
+
+/* hi + lo times p: exact when lo is 0 */
+static void times(double *hi, double *lo, double p)
+{
+    double h, l;
+
+    two_product(*hi, p, &h, &l);
+    *hi = h;
+    *lo = l + *lo * p;
+}
+
+/* hi + lo over p: when lo is 0, lo gets the sign of the exact remainder */
+static void divide(double *hi, double *lo, double p)
+{
+    double q = *hi / p, h, l;
+
+    /* the remainder hi - q p is a double */
+    two_product(q, p, &h, &l);
+    *lo = (((*hi - h) - l) + *lo) / p;
+    *hi = q;
+}
+
+/* Writes the integer nearest a 10^s, ties to even, to out, for a positive
+ * normal a with a 10^s in [10^11, 10^13).  hi + lo is a 10^s, exactly for
+ * |s| <= 22, where one exact power of ten scales it, and within 2^-50 when
+ * factors of 10^22 come first.  Returns 0, with out unwritten, when an
+ * inexact hi + lo lies too close to a tie to tell its side.
+ */
+static int nearest(double a, int s, long long *out)
+{
+    double hi = a, lo = 0.0, half;
+    long long n;
+    int exact = s >= -22 && s <= 22;
+
+    for (; s > 22; s -= 22)
+        times(&hi, &lo, 1e22);
+    for (; s < -22; s += 22)
+        divide(&hi, &lo, 1e22);
+    if (s >= 0)
+        times(&hi, &lo, POW10[s]);
+    else
+        divide(&hi, &lo, POW10[-s]);
+    n = (long long) hi;
+    /* exact: hi < 2^44 is a multiple of its ulp, at most 2^-9 */
+    half = (hi - (double) n) - 0.5;
+    if (!exact) {
+        half += lo;
+        if (fabs(half) < NEAR_TIE)
+            return 0;
+    } else if (half == 0.0) {
+        /* |lo| is below the ulp of hi, so it decides only here; 0 is a tie */
+        half = lo;
+    }
+    *out = n + (half > 0.0 || (half == 0.0 && n % 2 != 0));
+    return 1;
+}
+
+/* Writes |v|'s 12 significant digits, correctly rounded with ties to even,
+ * as an integer in [10^11, 10^12) to digits and its decimal exponent to
+ * exp10, for a normal v of binary exponent k.  Returns 0 when nearest
+ * cannot give them.
+ */
+static int decimal(double v, int k, long long *digits, int *exp10)
+{
+    /* floor(k log10 2): the decimal exponent of |v| or one below it */
+    int e = k >= 0 ? (k * 78913) >> 18 : -((-k * 78913 + 262143) >> 18);
+
+    /* a carry in the rounding, 99..9.5 -> 10^12, moves the exponent up too */
+    for (;; e++) {
+        if (!nearest(fabs(v), DIGITS - 1 - e, digits))
+            return 0;
+        if (*digits < TEN_TO_DIGITS)
+            break;
+    }
+    *exp10 = e;
+    return 1;
+}
+
+/* Writes the %.12g text of sign, the 12 digits of n (0, or in
+ * [10^11, 10^12)) and the decimal exponent e at p; returns its end.
+ */
+static char *layout(char *p, int negative, long long n, int e)
+{
+    char d[DIGITS];
+    int i, k;
+
+    for (i = DIGITS - 1; i >= 0; i--) {
+        d[i] = (char) ('0' + n % 10);
+        n /= 10;
+    }
+    /* k significant digits, without the trailing zeros */
+    for (k = DIGITS; k > 1 && d[k - 1] == '0'; k--)
+        ;
+    if (negative)
+        *p++ = '-';
+    if (e < -4 || e >= DIGITS) {
+        *p++ = d[0];
+        if (k > 1)
+            *p++ = '.';
+        for (i = 1; i < k; i++)
+            *p++ = d[i];
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (e < 0)
+            e = -e;
+        if (e >= 100)
+            *p++ = (char) ('0' + e / 100);
+        *p++ = (char) ('0' + e / 10 % 10);
+        *p++ = (char) ('0' + e % 10);
+    } else if (e >= 0) {
+        for (i = 0; i <= e; i++)
+            *p++ = d[i];
+        if (k > e + 1)
+            *p++ = '.';
+        for (i = e + 1; i < k; i++)
+            *p++ = d[i];
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (i = e + 1; i < 0; i++)
+            *p++ = '0';
+        for (i = 0; i < k; i++)
+            *p++ = d[i];
+    }
+    return p;
+}
+
+/* Writes the %.12g text of v from glibc's correctly rounded %.11e; only
+ * its sign, digits, exponent and the letters of inf and nan are read, so
+ * the locale's decimal point cannot matter.
+ */
+static char *exact_text(char *p, double v)
+{
+    char text[32], *c = text;
+    long long n = 0;
+    int negative, e = 0, e_negative;
+
+    snprintf(text, sizeof text, "%.11e", v);
+    negative = *c == '-';
+    c += negative;
+    /* Python writes every NaN as nan, glibc a negative one as -nan */
+    if (*c == 'n')
+        negative = 0;
+    if (*c == 'i' || *c == 'n') {
+        if (negative)
+            *p++ = '-';
+        memcpy(p, c, 3);
+        return p + 3;
+    }
+    for (; *c != 'e'; c++)
+        if (*c >= '0' && *c <= '9')
+            n = 10 * n + (*c - '0');
+    e_negative = *++c == '-';
+    for (c++; *c != '\0'; c++)
+        e = 10 * e + (*c - '0');
+    return layout(p, negative, n, e_negative ? -e : e);
+}
+
+/* Writes the %.12g text of v at p; returns its end. */
+static char *format(char *p, double v)
+{
+    unsigned long long bits;
+    long long digits;
+    int k, e;
+
+    memcpy(&bits, &v, sizeof bits);
+    k = (int) ((bits >> 52) & 0x7ff) - 1023;
+    /* zero and subnormals have k = -1023, inf and nan k = 1024 */
+    if (k > -1023 && k < 1024 && decimal(v, k, &digits, &e))
+        return layout(p, v < 0.0, digits, e);
+    return exact_text(p, v);
+}
+
+/* cols:   (width, n) row-major: column j of the CSV is cols[j n .. j n + n - 1].
+ * width:  number of value columns, at least 1.
+ * n:      number of rows.
+ * t_text: NUL-terminated text written as the second field of every row.
+ * out:    room for at least n (20 width + strlen(t_text) + 1) bytes: a
+ *         value takes at most 19, as in -1.23456789012e-308.
+ *
+ * Writes the rows c0,<t_text>,c1,...,c_{width-1} and a newline, each value
+ * with the bytes of Python's '%.12g' % v; returns the number of bytes.
+ */
+long rows(const double *cols, long width, long n, const char *t_text, char *out)
+{
+    char *p = out;
+    const char *t;
+    long i, j;
+
+    for (i = 0; i < n; i++) {
+        p = format(p, cols[i]);
+        *p++ = ',';
+        for (t = t_text; *t != '\0'; t++)
+            *p++ = *t;
+        for (j = 1; j < width; j++) {
+            *p++ = ',';
+            p = format(p, cols[j * n + i]);
+        }
+        *p++ = '\n';
+    }
+    return (long) (p - out);
 }

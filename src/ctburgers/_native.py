@@ -1,6 +1,7 @@
-"""Build and load ``_finish.c``, the compiled library with the two C
+"""Build and load ``_finish.c``, the compiled library with the three C
 entry points of the scheme: ``march``, which runs whole Crank-Nicolson
-steps, and ``fit``, which solves the initial spline fit.
+steps, ``fit``, which solves the initial spline fit, and ``rows``, which
+writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``.
 
 The library is compiled on first use, never at import, by the C compiler
 Python was built with, and cached under
@@ -9,8 +10,8 @@ SHA-256 of the source and the compile command, the platform and the
 interpreter's cache tag, so an edited source, other flags or another
 interpreter get a build of their own.  No compiler, a failed compile or
 an unwritable cache gives ``None``, and the caller keeps to the Python
-path.  One load serves both entry points; :mod:`ctburgers.scheme` checks
-both before it uses either.
+path.  One load serves all three entry points; :mod:`ctburgers.scheme`
+checks all three before it uses any.
 """
 
 from __future__ import annotations

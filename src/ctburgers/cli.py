@@ -25,10 +25,12 @@ import functools
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import reference as ref
+from . import scheme
 from .exact import SeriesConvergenceError
 from .linalg import ZeroPivotError
 from .metrics import _knot_index, table_report
@@ -42,7 +44,15 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_MISMATCH = 3
 
-PROBLEMS = {"sine": sine_problem, "traveling": traveling_problem}
+
+class _Problem(NamedTuple):
+    """A ``run`` problem: its factory and the decimals of its printed table."""
+
+    factory: Callable
+    decimals: int
+
+
+PROBLEMS = {"sine": _Problem(sine_problem, 5), "traveling": _Problem(traveling_problem, 3)}
 
 
 class ConfigError(ValueError):
@@ -72,7 +82,7 @@ class RunConfig:
         front = {k: v for k in ("alpha", "mu", "gamma") if (v := getattr(self, k)) is not None}
         if front and self.problem != "traveling":
             raise ConfigError(f"{', '.join(front)} set, but only the traveling problem takes them")
-        return PROBLEMS[self.problem](self.lam, self.n_cells, self.dt, **front)
+        return PROBLEMS[self.problem].factory(self.lam, self.n_cells, self.dt, **front)
 
     def validate(self):
         bad = self.outputs - {"table", "csv", "plotdata"}
@@ -91,29 +101,26 @@ def _fmt12(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _write_csv(path: Path, header: str, row: str, columns) -> None:
-    """Write ``header`` and one ``row`` line per element of ``columns``.
+def _write_csv(path: Path, header: str, t: float, columns) -> None:
+    """Write ``header`` and the rows ``c0,t,c1,...`` of the float ``columns``,
+    one line per element, every number as ``"%.12g" % v``.
 
-    ``row`` is a %-template ending in a newline, with one conversion per
-    column; it is filled once for the whole file, which is written as
-    ASCII bytes, skipping the text layer's encoder.  ``"%.12g" % v`` and
+    The rows come from the compiled library's ``rows`` when it passed its
+    check, and from one %-template filled once for the whole file
+    otherwise (:func:`ctburgers.scheme._csv_rows`).  ``"%.12g" % v`` and
     ``f"{v:.12g}"`` format a float through the same routine, so the bytes
     are those of a per-row f-string writer.
     """
-    width, n = len(columns), len(columns[0])
-    flat = [None] * (width * n)
-    for k, col in enumerate(columns):
-        flat[k::width] = col
-    path.write_bytes((header + "\n" + (row * n) % tuple(flat)).encode("ascii"))
+    rows = scheme._csv_rows(scheme._compiled().rows, columns, _fmt12(t))
+    with path.open("wb") as f:
+        f.write(header.encode("ascii") + b"\n")
+        f.write(rows)
 
 
-def _write_snapshot(path: Path, x_text: list[str], t: float, u: np.ndarray, ue: np.ndarray):
-    """One ``run`` snapshot: the knots (already formatted), t, U, exact and |error|."""
-    row = "%s," + _fmt12(t) + ",%.12g,%.12g,%.12g\n"
+def _write_snapshot(path: Path, x, t: float, u: np.ndarray, ue: np.ndarray):
+    """One ``run`` snapshot: the knots x, t, U, exact and |error|."""
     err = np.abs(np.subtract(u, ue))
-    _write_csv(
-        path, "x,t,numerical,exact,abs_error", row, [x_text, u.tolist(), ue.tolist(), err.tolist()]
-    )
+    _write_csv(path, "x,t,numerical,exact,abs_error", t, [x, u, ue, err])
 
 
 def run(config: RunConfig) -> int:
@@ -136,18 +143,16 @@ def run(config: RunConfig) -> int:
 
     if "table" in config.outputs:
         xs = part.knots() if config.sample_xs == "all-knots" else list(config.sample_xs)
-        decimals = 3 if config.problem == "traveling" else 5
+        decimals = PROBLEMS[config.problem].decimals
         sys.stdout.write(table_report(states, xs, problem.exact, part, decimals=decimals))
     if writes_files:
         knot_array = part.knot_array()
         # every exact column is evaluated before the first file is written,
         # so an oracle that fails at any snapshot leaves no CSV behind
         exact = {t: problem.exact(knot_array, t) for t in sorted(states)}
-        # every snapshot of a run shares the knots: format them once
-        x_text = ["%.12g" % x for x in knot_array.tolist()]
         for t, ue in exact.items():
             name = f"{config.problem}_lam{_fmt12(config.lam)}_t{_fmt12(t)}.csv"
-            _write_snapshot(config.output_dir / name, x_text, t, states[t].u, ue)
+            _write_snapshot(config.output_dir / name, knot_array, t, states[t].u, ue)
     return EXIT_OK
 
 
@@ -235,7 +240,7 @@ def _error_profile(lam, name, out, output_dir: Path) -> bool:
     knots = part.knots()
     errs = np.abs(u - problem.exact(np.array(knots), t))
     path = output_dir / f"{name}_error_profile.csv"
-    _write_csv(path, "x,t,abs_error", "%.12g," + _fmt12(t) + ",%.12g\n", [knots, errs.tolist()])
+    _write_csv(path, "x,t,abs_error", t, [knots, errs])
     front = problem.exact.mu * t + problem.exact.gamma
     peak_x = knots[int(np.argmax(errs))]
     ok = abs(peak_x - front) <= cells * part.h

@@ -13,19 +13,23 @@ system from the current parameters, folds the phantoms into the end
 rows, solves the tridiagonal system and writes the new parameters,
 phantoms restored, back into the state buffer.
 
-A small C library (``_finish.c``, built on the first fit or kernel of a
-process and loaded with ctypes) has two entry points: ``march`` takes
-every step between two sample times in one call, and ``fit`` solves the
-bandwidth-2 system of the initial spline fit.  The library is used, both
-entry points or neither, when it gives the bits of the Python path on a
-fixed set of known-answer marches and fits.  Otherwise, and on machines
-without a C compiler, each step runs on Python floats, one loop over the
-rows and then :func:`~ctburgers.linalg.thomas_sweep`, and the fit in
-:func:`~ctburgers.linalg.banded_solve`.  Both paths have the same
-statements in the same order, so the results do not depend on which one
-runs; :func:`step_finisher` says which does.  :func:`solve_to_time`
-marches on one kernel and copies the state out only at sample times;
-:func:`advance` is a one-step wrapper over the same kernel.
+A small C library (``_finish.c``, built on the first fit, kernel or CSV
+file of a process and loaded with ctypes) has three entry points:
+``march`` takes every step between two sample times in one call, ``fit``
+solves the bandwidth-2 system of the initial spline fit, and ``rows``
+writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``.  The
+library is used, all three entry points or none, when it gives the bits
+and bytes of the Python path on a fixed set of known-answer marches, fits
+and rows.  Otherwise, and on machines without a C compiler, each step
+runs on Python floats, one loop over the rows and then
+:func:`~ctburgers.linalg.thomas_sweep`, the fit in
+:func:`~ctburgers.linalg.banded_solve` and the rows in one %-template.
+The step and the fit have the same statements in the same order on both
+paths, and the template is the reference for the rows, so the results do
+not depend on which path runs; :func:`step_finisher` says which does.
+:func:`solve_to_time` marches on one kernel and copies the state out
+only at sample times; :func:`advance` is a one-step wrapper over the
+same kernel.
 """
 
 from __future__ import annotations
@@ -212,6 +216,27 @@ def _fit(native: Callable | None, bands: np.ndarray, rhs: np.ndarray) -> np.ndar
     if row >= 0:
         raise ZeroPivotError(row)
     return x
+
+
+def _csv_rows(native: Callable | None, columns, t_text: str):
+    """The CSV rows ``c0,<t_text>,c1,...,c_{w-1}`` of ``columns``, w
+    columns of n floats each, one line per row and every value written as
+    ``'%.12g' % v``, by the compiled ``rows`` when ``native`` is given.
+
+    Without it, one %-template is filled once for all rows: the reference
+    the compiled rows are checked against.  Returns the ASCII bytes, or a
+    uint8 array holding them.
+    """
+    values = np.ascontiguousarray(columns, dtype=float)
+    width, n = values.shape
+    if native is None:
+        row = "%.12g," + t_text + ",%.12g" * (width - 1) + "\n"
+        return ((row * n) % tuple(values.T.ravel().tolist())).encode("ascii")
+    t = t_text.encode("ascii")
+    # a value takes at most 19 bytes and one separator
+    out = np.empty(n * (20 * width + len(t) + 1), dtype=np.uint8)
+    size = native(values.ctypes.data, width, n, t, out.ctypes.data)
+    return out[:size]
 
 
 class _StepKernel:
@@ -414,20 +439,47 @@ def _known_answer_fits():
     ]
 
 
+def _known_answer_rows():
+    """Fixed (3, 12) columns and the t text for the rows check.
+
+    They hold exact ties at the 13th digit (2^-18, 100000000000.5 and
+    100000000001.5, which round to even), values on both sides of the %g
+    switches at 10^-4 and 10^12, where the rounding moves the exponent,
+    1e-05 and 1e12, +-0.0, the smallest subnormal and normal doubles, the
+    largest double, +-inf, a NaN with its sign bit set, and values that,
+    scaled by factors of 10^22 to 12 integer digits, lie within 2^-51 of a
+    tie.
+    """
+    tie_4, tie_12 = 9.999999999995e-05, 999999999999.5
+    values = [
+        2.0**-18, 100000000000.5, 100000000001.5,
+        tie_4, math.nextafter(tie_4, 0.0), math.nextafter(tie_4, 1.0), 1e-05, 1e-04,
+        tie_12, math.nextafter(tie_12, 0.0), math.nextafter(tie_12, math.inf), 1e12,
+        0.0, -0.0, 5e-324, -3e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+        math.inf, -math.inf, math.copysign(math.nan, -1.0), math.nan,
+        0.1, -1.0 / 3.0, 123456.789, -7.0, 1e22, 1e23, 2.0**53, 1e-300,
+        6.050602459065e-34, 1.616629688645e-19, 1.383957592355e-12,
+        5.760931982955e+34, 1.565497303285e+56, 1.795097866425e+301,
+    ]
+    return np.array(values).reshape(3, -1), "%.12g" % 0.7
+
+
 class _Compiled(NamedTuple):
-    """The two entry points of ``_finish.c``, typed for ctypes, or two
-    Nones when the march and the fit run in Python."""
+    """The three entry points of ``_finish.c``, typed for ctypes, or three
+    Nones when the march, the fit and the CSV rows run in Python."""
 
     march: Callable | None
     fit: Callable | None
+    rows: Callable | None
 
 
-_PYTHON = _Compiled(None, None)
+_PYTHON = _Compiled(None, None, None)
 
 
 def _bind(lib: ctypes.CDLL) -> _Compiled:
-    """``lib.march`` and ``lib.fit`` with the argument and result types of ``_finish.c``."""
-    march, fit = lib.march, lib.fit
+    """``lib.march``, ``lib.fit`` and ``lib.rows`` with the argument and
+    result types of ``_finish.c``."""
+    march, fit, rows = lib.march, lib.fit, lib.rows
     march.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_longlong,
     )
@@ -436,12 +488,17 @@ def _bind(lib: ctypes.CDLL) -> _Compiled:
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
     )
     fit.restype = ctypes.c_long
-    return _Compiled(march, fit)
+    rows.argtypes = (
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_void_p,
+    )
+    rows.restype = ctypes.c_long
+    return _Compiled(march, fit, rows)
 
 
 def _known_answer_outcomes(compiled: _Compiled):
     """The zero-pivot row, or None, and the result bits of every
-    known-answer march and fit run by ``compiled``.
+    known-answer march and fit run by ``compiled``, then the bytes of its
+    known-answer rows.
 
     Each march is one multi-step call, and its result is the state after
     the last completed step; a fit that meets a zero pivot has no result.
@@ -461,17 +518,19 @@ def _known_answer_outcomes(compiled: _Compiled):
             yield err.row, None
         else:
             yield None, x.view(np.int64).tolist()
+    yield bytes(_csv_rows(compiled.rows, *_known_answer_rows()))
 
 
 def _matches_python(compiled: _Compiled) -> bool:
     """Whether ``compiled`` ends every known-answer march and fit as the
-    Python path does: on the same zero-pivot row, or none, with the same bits."""
+    Python path does, on the same zero-pivot row, or none, with the same
+    bits, and writes the known-answer rows with the same bytes."""
     return list(_known_answer_outcomes(_PYTHON)) == list(_known_answer_outcomes(compiled))
 
 
 @functools.cache
 def _compiled() -> _Compiled:
-    """The compiled march and fit, or ``_PYTHON`` when both run in Python.
+    """The compiled march, fit and rows, or ``_PYTHON`` when all three run in Python.
 
     Built on the first call in a process and trusted only when it passes
     :func:`_matches_python`: one library, used whole or not at all.
@@ -485,8 +544,8 @@ def _compiled() -> _Compiled:
 
 
 def step_finisher() -> str:
-    """``"native"`` when the march and the initial fit run in the compiled
-    library, ``"python"`` when both fall back.
+    """``"native"`` when the march, the initial fit and the CSV rows run in
+    the compiled library, ``"python"`` when all three fall back.
 
     Builds and checks the library if this process has not tried yet.
     """

@@ -360,10 +360,93 @@ class TestCsvWriter:
         # the difference of two huge finite floats is inf in both writers;
         # numpy would also warn about it
         with np.errstate(over="ignore"):
-            cli._write_snapshot(
-                path, ["%.12g" % x for x in xs], t, np.array(nums), np.array(exacts)
-            )
+            cli._write_snapshot(path, xs, t, np.array(nums), np.array(exacts))
         assert path.read_text() == reference_snapshot_text(t, xs, nums, exacts)
+
+
+def compiled_rows():
+    rows = scheme._compiled().rows
+    if rows is None:
+        pytest.skip("no compiled library on this machine")
+    return rows
+
+
+def assert_rows_match(values):
+    """The compiled rows of ``values`` have the bytes of ``"%.12g" % v``."""
+    columns = np.asarray(values, dtype=float).reshape(1, -1)
+    got = bytes(scheme._csv_rows(compiled_rows(), columns, "0.5"))
+    want = bytes(scheme._csv_rows(None, columns, "0.5"))
+    if got != want:
+        pairs = zip(columns[0].tolist(), got.splitlines(), want.splitlines())
+        wrong = [(v, g, w) for v, g, w in pairs if g != w]
+        pytest.fail(f"{len(wrong)} values differ, first (value, compiled, Python): {wrong[:5]}")
+
+
+# doubles that, scaled by factors of 10^22 to 12 integer digits, lie
+# within 2^-51 of a tie, so the compiled rows take their digits from
+# glibc's %.11e
+HARDEST_TIES = [
+    1.795097866425e+301, 2.991829777375e+301, 1.524398535095e+161, 3.600634578055e+161,
+    1.565497303285e+56, 5.916766772085e+56, 5.742874964365e+41, 4.571395387415e+41,
+    5.760931982955e+34, 3.050499789745e+34, 1.383957592355e-12, 5.262199099345e-12,
+    1.616629688645e-19, 6.304542888995e-19, 6.050602459065e-34, 3.134661855525e-34,
+    5.497361012675e-68, 1.470341743525e-68, 4.902447821655e-139, 2.792803962175e-139,
+    2.889400732605e-289, 3.435598140815e-289,
+]
+
+
+class TestCompiledRows:
+    """The compiled rows write every double with the bytes of ``"%.12g" % v``."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20141)
+        values = rng.integers(0, 2**64, size=1_100_000, dtype=np.uint64, endpoint=False)
+        values = values.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert len(values) >= 10**6
+        assert_rows_match(values)
+
+    def test_near_ties(self):
+        # the doubles nearest 12 digits and a 5, at every decimal exponent,
+        # their neighbours, and exact ties N + 1/2 scaled by powers of two
+        rng = np.random.default_rng(20142)
+        digits = rng.integers(10**11, 10**12, size=50_000).tolist()
+        exponents = rng.integers(-320, 297, size=50_000).tolist()
+        near = np.array([float(f"{d}5e{e}") for d, e in zip(digits, exponents)])
+        ties = rng.integers(10**11, 10**12, size=10_000) + 0.5
+        scaled = ties * np.exp2(-rng.integers(0, 40, size=10_000).astype(float))
+        assert_rows_match(np.concatenate([
+            near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf), ties, scaled,
+            HARDEST_TIES,
+        ]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=30))
+    def test_any_float(self, values):
+        assert_rows_match(values)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--problem", "sine", "--lambda", "0.01", "--n-cells", "400", "--dt", "0.01",
+             "--t-end", "1", "--sample-times", "0.7,1", "--outputs", "csv"],
+            ["run", "--problem", "traveling", "--lambda", "0.005", "--n-cells", "400",
+             "--dt", "0.001", "--t-end", "0.03", "--sample-times", "0.02,0.03", "--outputs", "csv"],
+            ["reproduce", "fig7"],
+            ["reproduce", "fig8"],
+        ],
+        ids=["sine", "traveling", "fig7", "fig8"],
+    )
+    def test_files_match_the_python_writer(self, argv, tmp_path, monkeypatch, capsys):
+        compiled_rows()
+        native, python = tmp_path / "native", tmp_path / "python"
+        assert run_main([*argv, "--output-dir", str(native)]) == cli.EXIT_OK
+        monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+        assert run_main([*argv, "--output-dir", str(python)]) == cli.EXIT_OK
+        names = sorted(f.name for f in native.iterdir())
+        assert names and names == sorted(f.name for f in python.iterdir())
+        for name in names:
+            assert (native / name).read_bytes() == (python / name).read_bytes(), name
 
 
 class TestConfigFile:

@@ -604,7 +604,7 @@ class TestNativeFinisher:
             pytest.skip("no compiled step finisher on this machine")
 
         def matches(march):
-            return scheme._matches_python(scheme._Compiled(march, None))
+            return scheme._matches_python(scheme._Compiled(march, None, None))
 
         assert matches(native)
         # a march that skips every step, or blames the wrong row
@@ -669,7 +669,7 @@ class TestNativeFinisher:
             pytest.skip("no compiled library on this machine")
 
         def matches(fit):
-            return scheme._matches_python(scheme._Compiled(None, fit))
+            return scheme._matches_python(scheme._Compiled(None, fit, None))
 
         assert matches(fit)
         # a fit that never reports a zero pivot, or blames the row after it
@@ -715,6 +715,41 @@ class TestNativeFinisher:
         mutant = scheme._bind(ctypes.CDLL(str(library)))
         # the mutant's march alone passes: the fit is what fails the check
         assert scheme._matches_python(mutant._replace(fit=None))
+        assert not scheme._matches_python(mutant)
+
+    @pytest.mark.parametrize(
+        "statement, mutant",
+        [
+            # exact ties rounded half up instead of to even
+            (
+                "*out = n + (half > 0.0 || (half == 0.0 && n % 2 != 0));",
+                "*out = n + (half >= 0.0);",
+            ),
+            # glibc's -nan for a NaN with its sign bit set written as it is
+            ("if (*c == 'n')\n        negative = 0;", ""),
+            # trailing zeros kept: 1e-05 as 1.00000000000e-05
+            (
+                "for (k = DIGITS; k > 1 && d[k - 1] == '0'; k--)",
+                "for (k = DIGITS; 0; k--)",
+            ),
+        ],
+        ids=["ties-half-up", "signed-nan", "trailing-zeros"],
+    )
+    def test_known_answer_check_rejects_a_mutant_rows(self, statement, mutant, tmp_path):
+        if scheme._compiled().rows is None:
+            pytest.skip("no compiled library on this machine")
+        source = _native.SOURCE.read_text()
+        assert source.count(statement) == 1
+        path = tmp_path / "mutant.c"
+        path.write_text(source.replace(statement, mutant))
+        library = tmp_path / "mutant.so"
+        subprocess.run(
+            [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(path)],
+            check=True, capture_output=True, timeout=120,
+        )
+        mutant = scheme._bind(ctypes.CDLL(str(library)))
+        # the mutant's march and fit alone pass: the rows are what fail the check
+        assert scheme._matches_python(mutant._replace(rows=None))
         assert not scheme._matches_python(mutant)
 
 
