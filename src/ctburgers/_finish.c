@@ -1,15 +1,21 @@
 /* The compiled kernels of ctburgers' collocation scheme, in C.
  *
  * march runs whole Crank-Nicolson steps on the state buffer of a
- * ctburgers.scheme._StepKernel.  Each step fills the four bands of the
- * step system from the current parameters and folds the phantom
- * parameters into the end rows with the statements of
- * _StepKernel.assemble in the same order, runs the Thomas sweep of
- * ctburgers.linalg.thomas_sweep and restores the phantoms as
- * _StepKernel.march does.
+ * ctburgers.scheme._StepKernel.  Each step computes the lower, upper,
+ * diag and rhs entries of one row of the step system from the current
+ * parameters, folds a phantom parameter into it if it is an end row and
+ * eliminates it at once, then back-substitutes and restores the phantoms.
+ * The Python step of _StepKernel.assemble, ctburgers.linalg.thomas_sweep
+ * and _StepKernel.march fills all the bands before it sweeps: the order of
+ * the statements differs, but every value has the same expression, so the
+ * bits are the same.
  *
  * fit solves the bandwidth-2 system of the initial spline fit with the
  * statements of ctburgers.linalg.banded_solve in the same order.
+ *
+ * front evaluates ctburgers.exact.traveling_wave_exact on an array of
+ * points with the expressions of its numpy column, and with libm's exp,
+ * the function Python's math.exp calls.
  *
  * Every expression has the operands of the Python code in its
  * left-to-right order, and the build turns off contraction and fast-math,
@@ -23,14 +29,16 @@
  * their digits from glibc's correctly rounded %.11e instead.  The inexact
  * scaling earns its place: the |error| of a flat front, 1e-17 to 1e-11,
  * is 16 % of the values of the fine_mesh benchmark, and sending those to
- * %.11e doubles the time rows takes there (BENCH_csv_writer.json).
+ * %.11e doubles the time rows takes there (BENCH_csv_writer.json).  The
+ * digits are written two at a time from a table of the pairs "00" to "99".
  *
- * scheme.py uses the library only when all three entry points end every
- * one of a fixed set of known-answer marches, fits and rows as the Python
- * path does: on the same zero-pivot row and bits, and the same bytes
- * (scheme._matches_python).
+ * scheme.py uses the library only when all four entry points end every
+ * one of a fixed set of known-answer marches, fits, rows and front columns
+ * as the Python path does: on the same zero-pivot row and bits, and the
+ * same bytes (scheme._matches_python).
  *
- * Build: cc -O2 -std=c99 -ffp-contract=off -fno-fast-math -shared -fPIC
+ * Build (ctburgers._native.compile_command): cc -O2 -std=c99
+ *     -ffp-contract=off -fno-fast-math -shared -fPIC -o LIB _finish.c -lm
  */
 
 #include <float.h>
@@ -42,9 +50,33 @@
 #error "double expressions must be evaluated in double precision"
 #endif
 
-/* bands: (4, n) row-major scratch for the rows lower, upper, diag, rhs
- *        of the n = N+1 collocation rows; lower[m] and upper[m] multiply
- *        the parameters m-1 and m+1 of row m.
+/* Writes the lower, upper, diag and rhs entries of the collocation row whose
+ * parameters are d[0..2], from the constants k of march; lower and upper
+ * multiply d[0] and d[2].
+ */
+static inline void row(const double *k, const double *d, double *lo, double *up, double *dg,
+                       double *rh)
+{
+    const double a1 = k[0], a2 = k[1], b1 = k[2], b2 = k[3], half_dt = k[4];
+    const double lam_g1 = k[5], lam_g2 = k[6], rhs_outer = k[7], rhs_centre = k[8];
+    const double d0 = d[0], d1 = d[1], d2 = d[2];
+    double u, ux, a1_ux;
+
+    /* U = (a1 d0 + a2 d1) + a1 d2,  U_x = b1 d0 + b2 d2 */
+    u = a1 * d0 + a2 * d1 + a1 * d2;
+    ux = b1 * d0 + b2 * d2;
+    /* lower, upper = a1 + dt/2 ((a1 U_x + beta U) - lam g1) */
+    a1_ux = a1 * ux;
+    *lo = a1 + half_dt * (a1_ux + b1 * u - lam_g1);
+    *up = a1 + half_dt * (a1_ux + b2 * u - lam_g1);
+    /* diag = a2 + dt/2 (a2 U_x - lam g2) */
+    *dg = a2 + half_dt * (a2 * ux - lam_g2);
+    /* rhs = (a1 + dt/2 lam g1)(d0 + d2) + (a2 + dt/2 lam g2) d1 */
+    *rh = rhs_outer * (d0 + d2) + rhs_centre * d1;
+}
+
+/* bands: (3, n) row-major scratch for the upper, diag and rhs entries the
+ *        forward elimination leaves for the back substitution, n = N+1.
  * delta: the n+2 parameters, advanced in place one step at a time.
  * k:     alpha1, alpha2, beta1, beta2, dt/2, lam gamma1, lam gamma2,
  *        alpha1 + dt/2 lam gamma1, alpha2 + dt/2 lam gamma2,
@@ -53,58 +85,51 @@
  * steps: number of steps to take, in one call however many: the run cap
  *        scheme.MAX_CELL_STEPS keeps it below 10^11, far inside 64 bits.
  *
+ * Each step assembles row i, folds a phantom into it if it is an end row,
+ * and eliminates it at once; the back substitution then writes the new
+ * parameters and the phantoms are restored.
+ *
  * Returns -1, or the row of the first pivot whose magnitude is below the
  * tolerance; delta then holds the parameters after the last completed
  * step.
  */
 long march(double *bands, double *delta, const double *k, long n, long long steps)
 {
-    double *lower = bands, *upper = bands + n, *diag = bands + 2 * n, *rhs = bands + 3 * n;
-    const double a1 = k[0], a2 = k[1], b1 = k[2], b2 = k[3], half_dt = k[4];
-    const double lam_g1 = k[5], lam_g2 = k[6], rhs_outer = k[7], rhs_centre = k[8];
+    double *upper = bands, *diag = bands + n, *rhs = bands + 2 * n;
+    const double a1 = k[0], a2 = k[1];
     const double bc_left = k[9], bc_right = k[10], tol = k[11];
-    double d0, d1, d2, u, ux, a1_ux, first, last, piv, acc, m, x;
+    double lo, up, dg, rh, first, last, piv, acc, m, x;
     long long s;
     long i;
 
     for (s = 0; s < steps; s++) {
-        for (i = 0; i < n; i++) {
-            d0 = delta[i];
-            d1 = delta[i + 1];
-            d2 = delta[i + 2];
-            /* U = (a1 d0 + a2 d1) + a1 d2,  U_x = b1 d0 + b2 d2 */
-            u = a1 * d0 + a2 * d1 + a1 * d2;
-            ux = b1 * d0 + b2 * d2;
-            /* lower, upper = a1 + dt/2 ((a1 U_x + beta U) - lam g1) */
-            a1_ux = a1 * ux;
-            lower[i] = a1 + half_dt * (a1_ux + b1 * u - lam_g1);
-            upper[i] = a1 + half_dt * (a1_ux + b2 * u - lam_g1);
-            /* diag = a2 + dt/2 (a2 U_x - lam g2) */
-            diag[i] = a2 + half_dt * (a2 * ux - lam_g2);
-            /* rhs = (a1 + dt/2 lam g1)(d0 + d2) + (a2 + dt/2 lam g2) d1 */
-            rhs[i] = rhs_outer * (d0 + d2) + rhs_centre * d1;
-        }
-
+        row(k, delta, &lo, &up, &dg, &rh);
         /* delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1 */
-        first = lower[0];
-        diag[0] -= first * a2 / a1;
-        upper[0] -= first;
-        rhs[0] -= first * bc_left / a1;
-        /* delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1 */
-        last = upper[n - 1];
-        diag[n - 1] -= last * a2 / a1;
-        lower[n - 1] -= last;
-        rhs[n - 1] -= last * bc_right / a1;
-
-        /* Thomas sweep: sub[i-1] is lower[i], sup[i] is upper[i] */
-        piv = diag[0];
-        acc = rhs[0];
+        first = lo;
+        dg -= first * a2 / a1;
+        up -= first;
+        rh -= first * bc_left / a1;
+        /* Thomas sweep: row i's lower multiplies parameter i-1 */
+        piv = dg;
+        acc = rh;
+        upper[0] = up;
+        diag[0] = piv;
+        rhs[0] = acc;
         for (i = 1; i < n; i++) {
+            row(k, delta + i, &lo, &up, &dg, &rh);
+            if (i == n - 1) {
+                /* delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1 */
+                last = up;
+                dg -= last * a2 / a1;
+                lo -= last;
+                rh -= last * bc_right / a1;
+            }
             if (fabs(piv) < tol)
                 return i - 1;
-            m = lower[i] / piv;
-            piv = diag[i] - m * upper[i - 1];
-            acc = rhs[i] - m * acc;
+            m = lo / piv;
+            piv = dg - m * upper[i - 1];
+            acc = rh - m * acc;
+            upper[i] = up;
             diag[i] = piv;
             rhs[i] = acc;
         }
@@ -176,6 +201,35 @@ long fit(double *bands, double *rhs, double *x, long n, double tol)
         x[i] = ((rhs[i] - r[3] * x[i + 1]) - r[4] * x[i + 2]) / r[2];
     }
     return -1;
+}
+
+/* x:   the n points of the column.
+ * n:   number of points.
+ * k:   alpha, mu, t, gamma, lam.
+ * out: the n values, written.
+ *
+ * Writes the traveling front of ctburgers.exact.traveling_wave_exact at
+ * time t: the value falls from alpha + mu far left of x = mu t + gamma to
+ * mu - alpha far right.  exp is only ever taken of a value <= 0, so it
+ * never overflows; it is the libm exp that Python's math.exp calls.
+ */
+void front(const double *x, long n, const double *k, double *out)
+{
+    const double alpha = k[0], mu = k[1], t = k[2], gamma = k[3], lam = k[4];
+    const double mu_t = mu * t, far_left = alpha + mu, far_right = mu - alpha;
+    double eta, e;
+    long i;
+
+    for (i = 0; i < n; i++) {
+        eta = alpha * (x[i] - mu_t - gamma) / lam;
+        if (eta > 0.0) {
+            e = exp(-eta);
+            out[i] = (far_left * e + far_right) / (e + 1.0);
+        } else {
+            e = exp(eta);
+            out[i] = (far_left + far_right * e) / (1.0 + e);
+        }
+    }
 }
 
 /* 10^0 .. 10^22, the powers of ten a double holds exactly */
@@ -283,6 +337,28 @@ static int decimal(double v, int k, long long *digits, int *exp10)
     return 1;
 }
 
+/* "00" .. "99": the two digits of 0 <= r < 100 start at PAIRS + 2 r */
+static const char PAIRS[201] =
+    "00010203040506070809"
+    "10111213141516171819"
+    "20212223242526272829"
+    "30313233343536373839"
+    "40414243444546474849"
+    "50515253545556575859"
+    "60616263646566676869"
+    "70717273747576777879"
+    "80818283848586878889"
+    "90919293949596979899";
+
+/* Writes the 6 decimal digits of v < 10^6, leading zeros included, at d. */
+static inline void six(char *d, unsigned v)
+{
+    memcpy(d + 4, PAIRS + 2 * (v % 100), 2);
+    v /= 100;
+    memcpy(d + 2, PAIRS + 2 * (v % 100), 2);
+    memcpy(d, PAIRS + 2 * (v / 100), 2);
+}
+
 /* Writes the %.12g text of sign, the 12 digits of n (0, or in
  * [10^11, 10^12)) and the decimal exponent e at p; returns its end.
  */
@@ -291,10 +367,8 @@ static char *layout(char *p, int negative, long long n, int e)
     char d[DIGITS];
     int i, k;
 
-    for (i = DIGITS - 1; i >= 0; i--) {
-        d[i] = (char) ('0' + n % 10);
-        n /= 10;
-    }
+    six(d, (unsigned) (n / 1000000));
+    six(d + DIGITS / 2, (unsigned) (n % 1000000));
     /* k significant digits, without the trailing zeros */
     for (k = DIGITS; k > 1 && d[k - 1] == '0'; k--)
         ;

@@ -1,7 +1,8 @@
-"""Build and load ``_finish.c``, the compiled library with the three C
+"""Build and load ``_finish.c``, the compiled library with the four C
 entry points of the scheme: ``march``, which runs whole Crank-Nicolson
-steps, ``fit``, which solves the initial spline fit, and ``rows``, which
-writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``.
+steps, ``fit``, which solves the initial spline fit, ``rows``, which
+writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``, and
+``front``, which evaluates the traveling front on an array of points.
 
 The library is compiled on first use, never at import, by the C compiler
 Python was built with, and cached under
@@ -10,8 +11,9 @@ SHA-256 of the source and the compile command, the platform and the
 interpreter's cache tag, so an edited source, other flags or another
 interpreter get a build of their own.  No compiler, a failed compile or
 an unwritable cache gives ``None``, and the caller keeps to the Python
-path.  One load serves all three entry points; :mod:`ctburgers.scheme`
-checks all three before it uses any.
+path.  One load serves all four entry points; :mod:`ctburgers.scheme`
+checks all four before it uses any.  :func:`compile_command` is the one
+place the command is spelled out.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ SOURCE = Path(__file__).with_name("_finish.c")
 # fixed, and CFLAGS is never read: contraction or fast-math would change bits
 FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
+# libm, for front's exp: linked after the source, because a linker run with
+# --as-needed drops a library named before the objects that use it
+LIBS = ("-lm",)
+
 # seconds a compile may take before the Python path is kept
 COMPILE_TIMEOUT = 120
 
@@ -38,6 +44,17 @@ COMPILE_TIMEOUT = 120
 def compiler() -> list[str]:
     """The C compiler command Python was built with, or plain ``cc``."""
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def compile_command(
+    output, source=SOURCE, *, cc: list[str] | None = None, flags: tuple[str, ...] = ()
+) -> list[str]:
+    """The command that builds ``source`` into the shared library ``output``:
+    ``cc`` (by default :func:`compiler`), ``FLAGS``, the extra ``flags``,
+    the output and the source, then ``LIBS``."""
+    return [
+        *(compiler() if cc is None else cc), *FLAGS, *flags, "-o", str(output), str(source), *LIBS,
+    ]
 
 
 def cache_dir() -> Path:
@@ -56,7 +73,7 @@ def library_path(source: bytes, command: list[str]) -> Path:
     return cache_dir() / name
 
 
-def _compile(command: list[str], path: Path) -> bool:
+def _compile(path: Path) -> bool:
     """Compile ``SOURCE`` to ``path`` through a temporary file in its directory."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -66,7 +83,7 @@ def _compile(command: list[str], path: Path) -> bool:
         return False
     try:
         subprocess.run(
-            [*command, "-o", tmp, str(SOURCE)],
+            compile_command(tmp),
             stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=COMPILE_TIMEOUT,
         )
         os.replace(tmp, path)
@@ -80,12 +97,14 @@ def _compile(command: list[str], path: Path) -> bool:
 
 def load_library() -> ctypes.CDLL | None:
     """The compiled library, built first if the cache has none for this source and command."""
-    command = [*compiler(), *FLAGS]
+    # the command names its two paths alike in every checkout, so one
+    # source's build serves them all
+    command = compile_command("library", "source")
     try:
         path = library_path(SOURCE.read_bytes(), command)
     except OSError:
         return None
-    if not path.is_file() and not _compile(command, path):
+    if not path.is_file() and not _compile(path):
         return None
     try:
         return ctypes.CDLL(str(path))

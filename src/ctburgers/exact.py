@@ -5,7 +5,9 @@ Bessel coefficients for the decaying sine wave on [0, 1] (homogeneous
 boundaries), which starts from :func:`sine_pulse`, and the closed-form
 traveling wave front.  This module alone evaluates solution values: each
 solution is one function of a float or a 1-D array of points, and an
-array gives the bits of the point-by-point calls.  The modified Bessel
+array gives the bits of the point-by-point calls.  An array of points on
+the front is one call into the compiled library of
+:mod:`ctburgers.scheme` when that passed its check.  The modified Bessel
 functions are computed in-module; for small viscosity the series is
 evaluated entirely through the ratios I_j(z)/I_0(z), which stay O(1)
 even when the raw function values overflow.
@@ -299,11 +301,12 @@ def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam
     array of the same length.  The value falls from ``alpha + mu`` far
     left of the front to ``mu - alpha`` far right; ``lam`` controls the
     front width.  The positive-exponent side is rearranged so the
-    exponential never overflows.  An array goes through the same
-    operations in the same order, as numpy operations, with the
-    exponential on ``math.exp`` point by point, because ``np.exp`` differs
-    from it in the last bit for some arguments; each value is
-    bit-identical to a call with that point alone.
+    exponential never overflows.  An array is one call of the compiled
+    ``front`` when :mod:`ctburgers.scheme`'s library passed its check, and
+    otherwise :func:`_front_column`'s numpy operations; both take the
+    operations of a float in the same order, with the exponential of libm,
+    which ``math.exp`` calls, so each value is bit-identical to a call with
+    that point alone.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -314,9 +317,34 @@ def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam
             return ((alpha + mu) * em + (mu - alpha)) / (em + 1.0)
         e = math.exp(eta)
         return (alpha + mu + (mu - alpha) * e) / (1.0 + e)
-    eta = alpha * (np.asarray(x, dtype=float) - mu * t - gamma) / lam
-    if eta.ndim > 1:
+    xs = np.ascontiguousarray(x, dtype=float)
+    if xs.ndim > 1:
         raise ValueError("x must be a float or a 1-D array")
+    # scheme imports this module, so its library gate is looked up per call
+    from .scheme import _compiled
+
+    return _front_column(_compiled().front, xs, t, alpha, mu, gamma, lam)
+
+
+def _front_column(native, xs: np.ndarray, t: float, alpha: float, mu: float, gamma: float,
+                  lam: float) -> np.ndarray:
+    """:func:`traveling_wave_exact` at the points ``xs``, a C-contiguous
+    1-D float array, by the compiled ``front`` when ``native`` is given.
+
+    Without it, numpy operations with the exponential on ``math.exp``
+    point by point, because ``np.exp`` differs from it in the last bit for
+    some arguments: the reference the compiled front is checked against.
+    """
+    if native is not None:
+        out = np.empty(len(xs))
+        constants = np.array([alpha, mu, t, gamma, lam])
+        # xs, constants and out stay bound to names here, so alive, for the whole call
+        native(xs.ctypes.data, len(xs), constants.ctypes.data, out.ctypes.data)
+        return out
+    # an eta beyond the double range is the far field: its exponential is
+    # 0, as in C, where the overflow passes silently too
+    with np.errstate(over="ignore"):
+        eta = alpha * (xs - mu * t - gamma) / lam
     right = eta > 0.0
     e = np.fromiter(map(math.exp, np.where(right, -eta, eta).tolist()), float, len(eta))
     far_left, far_right = alpha + mu, mu - alpha

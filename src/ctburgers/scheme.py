@@ -13,20 +13,23 @@ system from the current parameters, folds the phantoms into the end
 rows, solves the tridiagonal system and writes the new parameters,
 phantoms restored, back into the state buffer.
 
-A small C library (``_finish.c``, built on the first fit, kernel or CSV
-file of a process and loaded with ctypes) has three entry points:
-``march`` takes every step between two sample times in one call, ``fit``
-solves the bandwidth-2 system of the initial spline fit, and ``rows``
-writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``.  The
-library is used, all three entry points or none, when it gives the bits
-and bytes of the Python path on a fixed set of known-answer marches, fits
-and rows.  Otherwise, and on machines without a C compiler, each step
-runs on Python floats, one loop over the rows and then
-:func:`~ctburgers.linalg.thomas_sweep`, the fit in
-:func:`~ctburgers.linalg.banded_solve` and the rows in one %-template.
-The step and the fit have the same statements in the same order on both
-paths, and the template is the reference for the rows, so the results do
-not depend on which path runs; :func:`step_finisher` says which does.
+A small C library (``_finish.c``, built on the first fit, kernel, front
+column or CSV file of a process and loaded with ctypes) has four entry
+points: ``march`` takes every step between two sample times in one call,
+``fit`` solves the bandwidth-2 system of the initial spline fit, ``rows``
+writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``, and
+``front`` evaluates :func:`~ctburgers.exact.traveling_wave_exact` on an
+array of points.  The library is used, all four entry points or none,
+when it gives the bits and bytes of the Python path on a fixed set of
+known-answer marches, fits, rows and front columns.  Otherwise, and on
+machines without a C compiler, each step runs on Python floats, one loop
+over the rows and then :func:`~ctburgers.linalg.thomas_sweep`, the fit in
+:func:`~ctburgers.linalg.banded_solve`, the rows in one %-template and
+the front in numpy with ``math.exp`` point by point.  Every value of the
+step and the fit has the same expression on both paths, and the template
+and the numpy front are the references for the rows and the front, so
+the results do not depend on which path runs; :func:`step_finisher` says
+which does.
 :func:`solve_to_time` marches on one kernel and copies the state out
 only at sample times; :func:`advance` is a one-step wrapper over the
 same kernel.
@@ -44,6 +47,7 @@ import numpy as np
 
 from . import _native
 from .basis import SchemeCoefficients, UniformPartition, knot_coefficients
+from .exact import _front_column
 from .linalg import PIVOT_TOL, ZeroPivotError, banded_solve, thomas_sweep
 
 __all__ = [
@@ -249,8 +253,9 @@ class _StepKernel:
 
     The Python step is :meth:`assemble` (one loop over the collocation
     rows, then the phantom fold), :func:`~ctburgers.linalg.thomas_sweep`
-    and the phantom restore: the statements of ``march`` in
-    ``_finish.c``, in the same order, so both give the same bits.
+    and the phantom restore.  ``march`` in ``_finish.c`` assembles each
+    row and eliminates it at once, but every value has the expression
+    and operand order of the Python step, so both give the same bits.
     """
 
     def __init__(
@@ -275,7 +280,7 @@ class _StepKernel:
         self._native = native
         if native is not None:
             # the compiled march reads these; the kernel keeps every buffer alive
-            self._bands = np.empty((4, rows))  # lower, upper, diag, rhs
+            self._bands = np.empty((3, rows))  # upper, diag, rhs after elimination
             self._native_constants = np.array([*self._constants, PIVOT_TOL])
             self._native_args = (
                 self._bands.ctypes.data, self.delta.ctypes.data,
@@ -440,15 +445,16 @@ def _known_answer_fits():
 
 
 def _known_answer_rows():
-    """Fixed (3, 12) columns and the t text for the rows check.
+    """Fixed (3, 19) columns and the t text for the rows check.
 
     They hold exact ties at the 13th digit (2^-18, 100000000000.5 and
     100000000001.5, which round to even), values on both sides of the %g
     switches at 10^-4 and 10^12, where the rounding moves the exponent,
     1e-05 and 1e12, +-0.0, the smallest subnormal and normal doubles, the
-    largest double, +-inf, a NaN with its sign bit set, and values that,
+    largest double, +-inf, a NaN with its sign bit set, values that,
     scaled by factors of 10^22 to 12 integer digits, lie within 2^-51 of a
-    tie.
+    tie, and 21 values whose digit pairs take every pair from 00 to 99 in
+    the last five places.
     """
     tie_4, tie_12 = 9.999999999995e-05, 999999999999.5
     values = [
@@ -461,25 +467,62 @@ def _known_answer_rows():
         6.050602459065e-34, 1.616629688645e-19, 1.383957592355e-12,
         5.760931982955e+34, 1.565497303285e+56, 1.795097866425e+301,
     ]
+    # 12 digits: a leading pair 10 .. 90, then the pairs 5j .. 5j + 4 (mod 100)
+    values += [
+        float("%d%s" % (10 + 4 * j, "".join("%02d" % ((5 * j + i) % 100) for i in range(5))))
+        * 10.0**(j - 15)
+        for j in range(21)
+    ]
     return np.array(values).reshape(3, -1), "%.12g" % 0.7
 
 
+def _known_answer_fronts():
+    """Fixed columns for the front check: (points, t, alpha, mu, gamma, lam).
+
+    They hold a point exactly at the front (eta = 0), +-0.0, +-inf and a
+    NaN, eta beyond +-745, where the exponential underflows to zero, eta
+    from -708.5 to -745, where it is subnormal, a lam so small that eta
+    overflows to +-inf, and irregular points around two fronts, one with a
+    negative alpha, whose positions mu t + gamma round, so that a regrouped
+    eta or an exponential other than ``math.exp``'s moves last bits.
+    """
+    alpha, mu, gamma = 0.4, 0.6, 0.125
+    lam = 1e-4
+    # eta = alpha (x - gamma) / lam at t = 0
+    edges = [gamma + eta * lam / alpha for eta in (-708.5, -720.0, -745.0, -745.5, 745.5, 1e4)]
+    specials = [gamma, 0.0, -0.0, math.inf, -math.inf, math.nan, *edges]
+    # around the front at 0.6 * 0.37 + 0.125 eta runs over +-1.2: most
+    # exponentials are near 1, so a last bit of exp moves the value
+    near = [0.347 + 0.3 * math.sin(0.37 * j + 0.1) for j in range(64)]
+    # a front rising to the right, at 0.45 * 0.71 + 0.2; eta over +-12
+    wide = [0.52 + 0.4 * math.sin(0.37 * j + 0.1) for j in range(48)]
+    return [
+        (np.array(specials), 0.0, alpha, mu, gamma, lam),
+        (np.array(specials), 0.0, alpha, mu, gamma, 1e-310),
+        (np.array(near), 0.37, alpha, mu, gamma, 0.1),
+        (np.array(wide), 0.71, -0.3, 0.45, 0.2, 0.01),
+    ]
+
+
 class _Compiled(NamedTuple):
-    """The three entry points of ``_finish.c``, typed for ctypes, or three
-    Nones when the march, the fit and the CSV rows run in Python."""
+    """The four entry points of ``_finish.c``, typed for ctypes, or four
+    Nones when the march, the fit, the CSV rows and the front run in Python."""
 
     march: Callable | None
     fit: Callable | None
     rows: Callable | None
+    # a default, so that a _Compiled built from three entry points keeps
+    # the front in Python
+    front: Callable | None = None
 
 
-_PYTHON = _Compiled(None, None, None)
+_PYTHON = _Compiled(None, None, None, None)
 
 
 def _bind(lib: ctypes.CDLL) -> _Compiled:
-    """``lib.march``, ``lib.fit`` and ``lib.rows`` with the argument and
-    result types of ``_finish.c``."""
-    march, fit, rows = lib.march, lib.fit, lib.rows
+    """``lib.march``, ``lib.fit``, ``lib.rows`` and ``lib.front`` with the
+    argument and result types of ``_finish.c``."""
+    march, fit, rows, front = lib.march, lib.fit, lib.rows, lib.front
     march.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_longlong,
     )
@@ -492,13 +535,15 @@ def _bind(lib: ctypes.CDLL) -> _Compiled:
         ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_void_p,
     )
     rows.restype = ctypes.c_long
-    return _Compiled(march, fit, rows)
+    front.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p)
+    front.restype = None
+    return _Compiled(march, fit, rows, front)
 
 
 def _known_answer_outcomes(compiled: _Compiled):
     """The zero-pivot row, or None, and the result bits of every
     known-answer march and fit run by ``compiled``, then the bytes of its
-    known-answer rows.
+    known-answer rows and the bits of its known-answer front columns.
 
     Each march is one multi-step call, and its result is the state after
     the last completed step; a fit that meets a zero pivot has no result.
@@ -519,18 +564,21 @@ def _known_answer_outcomes(compiled: _Compiled):
         else:
             yield None, x.view(np.int64).tolist()
     yield bytes(_csv_rows(compiled.rows, *_known_answer_rows()))
+    for case in _known_answer_fronts():
+        yield _front_column(compiled.front, *case).view(np.int64).tolist()
 
 
 def _matches_python(compiled: _Compiled) -> bool:
     """Whether ``compiled`` ends every known-answer march and fit as the
     Python path does, on the same zero-pivot row, or none, with the same
-    bits, and writes the known-answer rows with the same bytes."""
+    bits, writes the known-answer rows with the same bytes and gives the
+    known-answer front columns the same bits."""
     return list(_known_answer_outcomes(_PYTHON)) == list(_known_answer_outcomes(compiled))
 
 
 @functools.cache
 def _compiled() -> _Compiled:
-    """The compiled march, fit and rows, or ``_PYTHON`` when all three run in Python.
+    """The compiled march, fit, rows and front, or ``_PYTHON`` when all four run in Python.
 
     Built on the first call in a process and trusted only when it passes
     :func:`_matches_python`: one library, used whole or not at all.
@@ -544,8 +592,9 @@ def _compiled() -> _Compiled:
 
 
 def step_finisher() -> str:
-    """``"native"`` when the march, the initial fit and the CSV rows run in
-    the compiled library, ``"python"`` when all three fall back.
+    """``"native"`` when the march, the initial fit, the CSV rows and the
+    traveling front's columns run in the compiled library, ``"python"``
+    when all four fall back.
 
     Builds and checks the library if this process has not tried yet.
     """

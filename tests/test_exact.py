@@ -12,11 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctburgers.basis import UniformPartition
+from ctburgers import scheme
+from ctburgers.basis import UniformPartition, knot_coefficients
 from ctburgers.exact import (
     SeriesControl,
     SeriesConvergenceError,
     _bessel_ratios,
+    _front_column,
     _series_factors,
     _trig_table,
     bessel_i,
@@ -25,7 +27,7 @@ from ctburgers.exact import (
     traveling_wave_exact,
     traveling_wave_slope,
 )
-from ctburgers.problems import sine_problem
+from ctburgers.problems import sine_problem, traveling_problem
 
 mp.mp.dps = 50
 
@@ -466,3 +468,51 @@ class TestTravelingWaveColumns:
     def test_rejects_two_dimensional_x(self):
         with pytest.raises(ValueError, match="1-D"):
             traveling_wave_exact(np.zeros((2, 2)), 0.5, ALPHA, MU, GAMMA, 0.01)
+
+
+def compiled_front():
+    front = scheme._compiled().front
+    if front is None:
+        pytest.skip("no compiled library on this machine")
+    return front
+
+
+class TestCompiledFront:
+    """The compiled front gives the bits of the numpy column and of the
+    point-by-point calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xs=st.lists(st.floats(), min_size=1, max_size=40),
+        # every lam and t a run accepts: positive and non-negative, finite
+        t=st.floats(min_value=0.0, allow_infinity=False),
+        lam=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        constants=st.one_of(
+            st.just((ALPHA, MU, GAMMA)),
+            st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        ),
+    )
+    @example(xs=[GAMMA, 0.0, -0.0, math.inf, -math.inf, math.nan], t=0.0, lam=5e-324,
+             constants=(ALPHA, MU, GAMMA))
+    def test_compiled_column_is_bit_identical(self, xs, t, lam, constants):
+        front = compiled_front()
+        points = np.array(xs)
+        alpha, mu, gamma = constants
+        # an infinite x against an overflowing mu t is inf - inf, a NaN in
+        # both columns alike
+        with np.errstate(invalid="ignore"):
+            python = _front_column(None, points, t, alpha, mu, gamma, lam)
+        compiled = _front_column(front, points, t, alpha, mu, gamma, lam)
+        single = np.array([traveling_wave_exact(x, t, alpha, mu, gamma, lam) for x in xs])
+        assert compiled.tobytes() == python.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("n_cells", [3, 36, 4000])
+    def test_traveling_fit_is_bit_identical_on_both_paths(self, n_cells, monkeypatch):
+        compiled_front()
+        p = traveling_problem(0.005, n_cells, 1e-3)
+        part = p.partition()
+        sc = knot_coefficients(part.h)
+        native = scheme.initialize_coefficients(p, part, sc).delta
+        monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+        python = scheme.initialize_coefficients(p, part, sc).delta
+        assert native.tobytes() == python.tobytes()

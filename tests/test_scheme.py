@@ -627,16 +627,16 @@ class TestNativeFinisher:
             ),
             # lower regrouped as a1_ux + (b1 U - lam g1)
             (
-                "lower[i] = a1 + half_dt * (a1_ux + b1 * u - lam_g1);",
-                "lower[i] = a1 + half_dt * (a1_ux + (b1 * u - lam_g1));",
+                "*lo = a1 + half_dt * (a1_ux + b1 * u - lam_g1);",
+                "*lo = a1 + half_dt * (a1_ux + (b1 * u - lam_g1));",
             ),
             # rhs with the outer weight distributed over d0 + d2
             (
-                "rhs[i] = rhs_outer * (d0 + d2) + rhs_centre * d1;",
-                "rhs[i] = rhs_outer * d0 + rhs_outer * d2 + rhs_centre * d1;",
+                "*rh = rhs_outer * (d0 + d2) + rhs_centre * d1;",
+                "*rh = rhs_outer * d0 + rhs_outer * d2 + rhs_centre * d1;",
             ),
             # the left fold with a2 / a1 taken first
-            ("diag[0] -= first * a2 / a1;", "diag[0] -= first * (a2 / a1);"),
+            ("dg -= first * a2 / a1;", "dg -= first * (a2 / a1);"),
             # the left phantom restore regrouped as U_a - (a2 d0 + a1 d1)
             (
                 "delta[0] = (bc_left - a2 * delta[1] - a1 * delta[2]) / a1;",
@@ -655,7 +655,7 @@ class TestNativeFinisher:
         path.write_text(source.replace(statement, mutant))
         library = tmp_path / "mutant.so"
         subprocess.run(
-            [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(path)],
+            _native.compile_command(library, path),
             check=True, capture_output=True, timeout=120,
         )
         mutant = scheme._bind(ctypes.CDLL(str(library)))
@@ -709,7 +709,7 @@ class TestNativeFinisher:
         path.write_text(source.replace(statement, mutant))
         library = tmp_path / "mutant.so"
         subprocess.run(
-            [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(path)],
+            _native.compile_command(library, path),
             check=True, capture_output=True, timeout=120,
         )
         mutant = scheme._bind(ctypes.CDLL(str(library)))
@@ -732,8 +732,10 @@ class TestNativeFinisher:
                 "for (k = DIGITS; k > 1 && d[k - 1] == '0'; k--)",
                 "for (k = DIGITS; 0; k--)",
             ),
+            # the pair table off by one entry: 37 written as 38
+            ('"30313233343536373839"', '"30313233343536383839"'),
         ],
-        ids=["ties-half-up", "signed-nan", "trailing-zeros"],
+        ids=["ties-half-up", "signed-nan", "trailing-zeros", "pair-table-off-by-one"],
     )
     def test_known_answer_check_rejects_a_mutant_rows(self, statement, mutant, tmp_path):
         if scheme._compiled().rows is None:
@@ -744,12 +746,42 @@ class TestNativeFinisher:
         path.write_text(source.replace(statement, mutant))
         library = tmp_path / "mutant.so"
         subprocess.run(
-            [*_native.compiler(), *_native.FLAGS, "-o", str(library), str(path)],
+            _native.compile_command(library, path),
             check=True, capture_output=True, timeout=120,
         )
         mutant = scheme._bind(ctypes.CDLL(str(library)))
         # the mutant's march and fit alone pass: the rows are what fail the check
         assert scheme._matches_python(mutant._replace(rows=None))
+        assert not scheme._matches_python(mutant)
+
+    @pytest.mark.parametrize(
+        "statement, mutant",
+        [
+            # exp(-eta) taken as the reciprocal of exp(eta)
+            ("e = exp(-eta);", "e = 1.0 / exp(eta);"),
+            # the front's position summed before it is subtracted
+            (
+                "eta = alpha * (x[i] - mu_t - gamma) / lam;",
+                "eta = alpha * (x[i] - (mu_t + gamma)) / lam;",
+            ),
+        ],
+        ids=["reciprocal-exp", "regrouped-eta"],
+    )
+    def test_known_answer_check_rejects_a_mutant_front(self, statement, mutant, tmp_path):
+        if scheme._compiled().front is None:
+            pytest.skip("no compiled library on this machine")
+        source = _native.SOURCE.read_text()
+        assert source.count(statement) == 1
+        path = tmp_path / "mutant.c"
+        path.write_text(source.replace(statement, mutant))
+        library = tmp_path / "mutant.so"
+        subprocess.run(
+            _native.compile_command(library, path),
+            check=True, capture_output=True, timeout=120,
+        )
+        mutant = scheme._bind(ctypes.CDLL(str(library)))
+        # the mutant's march, fit and rows alone pass: the front is what fails the check
+        assert scheme._matches_python(mutant._replace(front=None))
         assert not scheme._matches_python(mutant)
 
 
