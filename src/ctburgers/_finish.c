@@ -17,6 +17,11 @@
  * points with the expressions of its numpy column, and with libm's exp,
  * the function Python's math.exp calls.
  *
+ * sine sums the series of ctburgers.exact.sine_wave_exact on an array of
+ * points from the factors and the sin/cos table Python computes, each
+ * point's terms added in ascending j as the numpy column adds its rows,
+ * and finds the first point whose value leaves [0, 1].
+ *
  * Every expression has the operands of the Python code in its
  * left-to-right order, and the build turns off contraction and fast-math,
  * so the results are the Python path's to the bit.
@@ -32,10 +37,11 @@
  * %.11e doubles the time rows takes there (BENCH_csv_writer.json).  The
  * digits are written two at a time from a table of the pairs "00" to "99".
  *
- * scheme.py uses the library only when all four entry points end every
- * one of a fixed set of known-answer marches, fits, rows and front columns
- * as the Python path does: on the same zero-pivot row and bits, and the
- * same bytes (scheme._matches_python).
+ * scheme.py uses the library only when all five entry points end every
+ * one of a fixed set of known-answer marches, fits, rows, front columns
+ * and sine columns as the Python path does: on the same zero-pivot row
+ * or out-of-range point, the same bits and the same bytes
+ * (scheme._matches_python).
  *
  * Build (ctburgers._native.compile_command): cc -O2 -std=c99
  *     -ffp-contract=off -fno-fast-math -shared -fPIC -o LIB _finish.c -lm
@@ -205,7 +211,7 @@ long fit(double *bands, double *rhs, double *x, long n, double tol)
 
 /* x:   the n points of the column.
  * n:   number of points.
- * k:   alpha, mu, t, gamma, lam.
+ * alpha, mu, gamma, lam: the front's constants; t: the time.
  * out: the n values, written.
  *
  * Writes the traveling front of ctburgers.exact.traveling_wave_exact at
@@ -213,9 +219,9 @@ long fit(double *bands, double *rhs, double *x, long n, double tol)
  * mu - alpha far right.  exp is only ever taken of a value <= 0, so it
  * never overflows; it is the libm exp that Python's math.exp calls.
  */
-void front(const double *x, long n, const double *k, double *out)
+void front(const double *x, long n, double alpha, double mu, double t, double gamma,
+           double lam, double *out)
 {
-    const double alpha = k[0], mu = k[1], t = k[2], gamma = k[3], lam = k[4];
     const double mu_t = mu * t, far_left = alpha + mu, far_right = mu - alpha;
     double eta, e;
     long i;
@@ -230,6 +236,67 @@ void front(const double *x, long n, const double *k, double *out)
             out[i] = (far_left + far_right * e) / (1.0 + e);
         }
     }
+}
+
+/* points whose sums are taken together: their additions do not wait on
+ * each other, so they overlap in the pipeline */
+#define SINE_POINTS 4
+
+/* Writes scale num / den at the k <= SINE_POINTS points whose table
+ * columns start at s and c, n apart from one term to the next.
+ */
+static inline void sine_sums(const double *s, const double *c, const double *jr,
+                             const double *r2, const double *e, long terms, long n, long k,
+                             double scale, double *out)
+{
+    double num[SINE_POINTS], den[SINE_POINTS];
+    long i, j;
+
+    for (i = 0; i < k; i++) {
+        num[i] = 0.0;
+        den[i] = 1.0;
+    }
+    for (j = 0; j < terms; j++)
+        for (i = 0; i < k; i++) {
+            num[i] += jr[j] * s[j * n + i] * e[j];
+            den[i] += r2[j] * c[j * n + i] * e[j];
+        }
+    for (i = 0; i < k; i++)
+        out[i] = scale * num[i] / den[i];
+}
+
+/* x:       the n points of the column.
+ * n:       number of points.
+ * s, c:    (terms, n) row-major: sin(pi j x_i) and cos(pi j x_i) in row j - 1.
+ * factors: (3, terms) row-major: j r_j, 2 r_j and e_j in column j - 1.
+ * terms:   number of terms J, at least 1.
+ * scale:   4 pi lam.
+ * tol:     how far a value at a point in [0, 1] may stray outside [0, 1].
+ * out:     the n values, written.
+ *
+ * Writes the sine wave of ctburgers.exact.sine_wave_exact: the quotient
+ * scale num / den of num = sum_j (j r_j s_j) e_j and den = 1 +
+ * sum_j (2 r_j c_j) e_j, each added in ascending j from 0.0 and 1.0.
+ * Returns -1, or the first point in [0, 1] whose value lies outside
+ * [-tol, 1 + tol] or is a NaN; every value is written either way.
+ */
+long sine(const double *x, long n, const double *s, const double *c, const double *factors,
+          long terms, double scale, double tol, double *out)
+{
+    const double *jr = factors, *r2 = factors + terms, *e = factors + 2 * terms;
+    double u;
+    long i;
+
+    for (i = 0; i + SINE_POINTS <= n; i += SINE_POINTS)
+        sine_sums(s + i, c + i, jr, r2, e, terms, n, SINE_POINTS, scale, out + i);
+    if (i < n)
+        sine_sums(s + i, c + i, jr, r2, e, terms, n, n - i, scale, out + i);
+    for (i = 0; i < n; i++) {
+        u = out[i];
+        if (x[i] >= 0.0 && x[i] <= 1.0 && !(u >= -tol && u <= 1.0 + tol))
+            return i;
+    }
+    return -1;
 }
 
 /* 10^0 .. 10^22, the powers of ten a double holds exactly */

@@ -1,8 +1,9 @@
-"""Build and load ``_finish.c``, the compiled library with the four C
+"""Build and load ``_finish.c``, the compiled library with the five C
 entry points of the scheme: ``march``, which runs whole Crank-Nicolson
 steps, ``fit``, which solves the initial spline fit, ``rows``, which
-writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``, and
-``front``, which evaluates the traveling front on an array of points.
+writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``,
+``front``, which evaluates the traveling front on an array of points,
+and ``sine``, which sums the sine wave's series on an array of points.
 
 The library is compiled on first use, never at import, by the C compiler
 Python was built with, and cached under
@@ -11,8 +12,8 @@ SHA-256 of the source and the compile command, the platform and the
 interpreter's cache tag, so an edited source, other flags or another
 interpreter get a build of their own.  No compiler, a failed compile or
 an unwritable cache gives ``None``, and the caller keeps to the Python
-path.  One load serves all four entry points; :mod:`ctburgers.scheme`
-checks all four before it uses any.  :func:`compile_command` is the one
+path.  One load serves all five entry points; :mod:`ctburgers.scheme`
+checks all five before it uses any.  :func:`compile_command` is the one
 place the command is spelled out.
 """
 

@@ -6,8 +6,9 @@ boundaries), which starts from :func:`sine_pulse`, and the closed-form
 traveling wave front.  This module alone evaluates solution values: each
 solution is one function of a float or a 1-D array of points, and an
 array gives the bits of the point-by-point calls.  An array of points on
-the front is one call into the compiled library of
-:mod:`ctburgers.scheme` when that passed its check.  The modified Bessel
+the front, and the sum of the sine wave's series over an array, is one
+call into the compiled library of :mod:`ctburgers.scheme` when that
+passed its check.  The modified Bessel
 functions are computed in-module; for small viscosity the series is
 evaluated entirely through the ratios I_j(z)/I_0(z), which stay O(1)
 even when the raw function values overflow.
@@ -252,8 +253,11 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
     same J terms, in ascending j; each value is bit-identical to a call
     with that point alone.  The t-independent table of sin(pi j x) and
     cos(pi j x) is cached per (points, J), so calls at many t on the same
-    points build it once.  At t = 0 the series does not decay and the
-    value is :func:`sine_pulse`, the initial condition itself.
+    points build it once.  The sum over the table is one call of the
+    compiled ``sine`` when :mod:`ctburgers.scheme`'s library passed its
+    check, and otherwise :func:`_sine_column`'s numpy rows, in the same
+    order.  At t = 0 the series does not decay and the value is
+    :func:`sine_pulse`, the initial condition itself.
 
     Raises
     ------
@@ -269,29 +273,58 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
         raise ValueError("lam must be positive")
     if not t >= 0.0:  # a NaN t fails too
         raise ValueError("t must be >= 0")
-    xs = np.asarray(x, dtype=float)
+    # a float gives a 1-element array
+    xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("x must be a float or a 1-D array")
     if t == 0.0:
         return sine_pulse(x)
-    xs = xs.reshape(-1)
-    jr, r2, e = (np.array(f)[:, None] for f in _series_factors(t, lam, ctl))
-    s, c = _trig_table(xs.tobytes(), len(e))
-    num = np.zeros_like(xs)
-    den = np.ones_like(xs)
-    # one row per term, added in ascending j like the scalar sum
-    for num_j, den_j in zip(jr * s * e, r2 * c * e):
-        num += num_j
-        den += den_j
-    u = 4.0 * math.pi * lam * num / den
-    wrong = ~((u >= -RANGE_TOL) & (u <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
-    if wrong.any():
-        k = int(np.argmax(wrong))
+    factors = np.array(_series_factors(t, lam, ctl))
+    s, c = _trig_table(xs.tobytes(), factors.shape[1])
+    # scheme imports this module, so its library gate is looked up per call
+    from .scheme import _compiled
+
+    u, k = _sine_column(_compiled().sine, xs, s, c, factors, 4.0 * math.pi * lam)
+    if k >= 0:
         raise SeriesConvergenceError(
             f"series value {u[k]:.6g} at x={xs[k]:.6g} lies outside [0, 1]"
             f" (lam={lam}, t={t}): the sum has lost its accuracy"
         )
     return float(u[0]) if np.ndim(x) == 0 else u
+
+
+def _sine_column(native, xs: np.ndarray, s: np.ndarray, c: np.ndarray, factors: np.ndarray,
+                 scale: float) -> tuple[np.ndarray, int]:
+    """The sine-wave series at the points ``xs``, by the compiled ``sine``
+    when ``native`` is given, and the first point in [0, 1] whose value
+    lies outside [0, 1] by more than ``RANGE_TOL``, or -1.
+
+    ``s`` and ``c`` are the (J, M) tables of sin(pi j x) and cos(pi j x),
+    ``factors`` the (3, J) rows ``j*r_j``, ``2*r_j`` and ``e_j`` of
+    :func:`_series_factors` and ``scale`` is 4 pi lam; every array is
+    C-contiguous.  Without ``native``, numpy adds one row per term in
+    ascending j, like the scalar sum: the reference the compiled sum is
+    checked against.  A NaN value counts as outside; a NaN point is not
+    in [0, 1], so it is not checked.
+    """
+    if native is not None:
+        u = np.empty(len(xs))
+        # every array stays bound to a name here, so alive, for the whole call
+        k = native(xs.ctypes.data, len(xs), s.ctypes.data, c.ctypes.data, factors.ctypes.data,
+                   factors.shape[1], scale, RANGE_TOL, u.ctypes.data)
+        return u, k
+    jr, r2, e = factors[:, :, None]
+    num = np.zeros_like(xs)
+    den = np.ones_like(xs)
+    # an overflowing term or a zero denominator gives an inf or NaN value,
+    # which the range check below flags; in C it passes silently too
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for num_j, den_j in zip(jr * s * e, r2 * c * e):
+            num += num_j
+            den += den_j
+        u = scale * num / den
+    wrong = ~((u >= -RANGE_TOL) & (u <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
+    return u, int(np.argmax(wrong)) if wrong.any() else -1
 
 
 def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam: float):
@@ -337,9 +370,8 @@ def _front_column(native, xs: np.ndarray, t: float, alpha: float, mu: float, gam
     """
     if native is not None:
         out = np.empty(len(xs))
-        constants = np.array([alpha, mu, t, gamma, lam])
-        # xs, constants and out stay bound to names here, so alive, for the whole call
-        native(xs.ctypes.data, len(xs), constants.ctypes.data, out.ctypes.data)
+        # xs and out stay bound to names here, so alive, for the whole call
+        native(xs.ctypes.data, len(xs), alpha, mu, t, gamma, lam, out.ctypes.data)
         return out
     # an eta beyond the double range is the far field: its exponential is
     # 0, as in C, where the overflow passes silently too

@@ -13,22 +13,25 @@ system from the current parameters, folds the phantoms into the end
 rows, solves the tridiagonal system and writes the new parameters,
 phantoms restored, back into the state buffer.
 
-A small C library (``_finish.c``, built on the first fit, kernel, front
-column or CSV file of a process and loaded with ctypes) has four entry
+A small C library (``_finish.c``, built on the first fit, kernel, exact
+column or CSV file of a process and loaded with ctypes) has five entry
 points: ``march`` takes every step between two sample times in one call,
 ``fit`` solves the bandwidth-2 system of the initial spline fit, ``rows``
-writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``, and
+writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``,
 ``front`` evaluates :func:`~ctburgers.exact.traveling_wave_exact` on an
-array of points.  The library is used, all four entry points or none,
-when it gives the bits and bytes of the Python path on a fixed set of
-known-answer marches, fits, rows and front columns.  Otherwise, and on
-machines without a C compiler, each step runs on Python floats, one loop
-over the rows and then :func:`~ctburgers.linalg.thomas_sweep`, the fit in
-:func:`~ctburgers.linalg.banded_solve`, the rows in one %-template and
-the front in numpy with ``math.exp`` point by point.  Every value of the
-step and the fit has the same expression on both paths, and the template
-and the numpy front are the references for the rows and the front, so
-the results do not depend on which path runs; :func:`step_finisher` says
+array of points and ``sine`` sums the series of
+:func:`~ctburgers.exact.sine_wave_exact` on one.  The library is used,
+all five entry points or none, when it gives the bits and bytes of the
+Python path on a fixed set of known-answer marches, fits, rows, front
+columns and sine columns.  Otherwise, and on machines without a C
+compiler, each step runs on Python floats, one loop over the rows and
+then :func:`~ctburgers.linalg.thomas_sweep`, the fit in
+:func:`~ctburgers.linalg.banded_solve`, the rows in one %-template, the
+front in numpy with ``math.exp`` point by point and the sine series in
+numpy one row of terms at a time.  Every value of the step and the fit
+has the same expression on both paths, and the template and the numpy
+columns are the references for the rows and the exact columns, so the
+results do not depend on which path runs; :func:`step_finisher` says
 which does.
 :func:`solve_to_time` marches on one kernel and copies the state out
 only at sample times; :func:`advance` is a one-step wrapper over the
@@ -47,7 +50,7 @@ import numpy as np
 
 from . import _native
 from .basis import SchemeCoefficients, UniformPartition, knot_coefficients
-from .exact import _front_column
+from .exact import RANGE_TOL, _front_column, _sine_column
 from .linalg import PIVOT_TOL, ZeroPivotError, banded_solve, thomas_sweep
 
 __all__ = [
@@ -504,25 +507,76 @@ def _known_answer_fronts():
     ]
 
 
+def _known_answer_sines():
+    """Fixed columns for the sine check: (points, s, c, factors, scale) as
+    :func:`~ctburgers.exact._sine_column` takes them.
+
+    One-term columns with factors 1, 0 and 1 and scale 1 give each point
+    the value in s: values on and just past both ends of [-RANGE_TOL,
+    1 + RANGE_TOL] and a NaN, at points 0 and 1, inside, outside [0, 1]
+    and NaN, so that the first point out of range is point 0 in one
+    column, a NaN value at x = 1 after values in range in another, and
+    none where only the points outside [0, 1] stray.  Another holds +-0.0 and subnormals in s, c and
+    the factors and a denominator that reaches +0.0, under a zero and a
+    non-zero numerator.  The last sums 24 terms of both signs at 22
+    points, five groups of the C loop's four and two left over, so that
+    a regrouped product or another order of the sums moves last bits.
+    """
+    tol, inf, nan = RANGE_TOL, math.inf, math.nan
+    low, high = -tol, 1.0 + tol
+    below, above = math.nextafter(low, -inf), math.nextafter(high, inf)
+
+    def values(xs, us):
+        us = np.array([us])
+        return np.array(xs), us, np.zeros_like(us), np.array([[1.0], [0.0], [1.0]]), 1.0
+
+    smallest, subnormal = 5e-324, -2.2250738585072014e-309
+    specials = [0.0, -0.0, smallest, subnormal, 0.5, -0.75]
+    special_s = [specials + [0.0, 0.25, -0.25],
+                 [3.0e-310, 0.25, -0.0, 0.0, -0.0, smallest, 0.0, 0.25, -0.0]]
+    special_c = [specials + [-1.0, -1.0, -1.0], [0.125, -0.0, smallest] + specials]
+    terms = np.arange(1.0, 25.0)[:, None]
+    points = np.arange(22.0)
+    return [
+        # the first value out of range is the NaN at x = 1, then 3.0 and inf
+        values([-0.25, 1.5, nan, -0.0, 0.0, 0.5, 0.25, 1.0, 0.75, 0.5],
+               [-0.7, -1.0, 2.0, low, -0.0, high, 0.5, nan, 3.0, inf]),
+        values([0.0, 1.0], [below, above]),
+        # every stray value lies at a point outside [0, 1]
+        values([-0.25, 1.5, nan, inf, -inf, 1.0], [-0.7, -0.7, nan, 5.0, -5.0, high]),
+        # 1 + (2 * -1) * 0.5 = +0.0 at the last three points, the first of
+        # them under a zero numerator
+        (np.array([0.5, 0.0, 0.25, 1.0, 0.75, 0.125, 0.375, 0.625, 0.875]),
+         np.array(special_s), np.array(special_c),
+         np.array([[0.75, 1e300], [2.0, subnormal], [0.5, 3.0e-310]]), 0.125),
+        (points / 21.0,
+         np.sin(0.37 * terms * points + 0.1), np.cos(0.53 * terms * points - 0.2),
+         np.vstack([terms.T * 0.93**terms.T, 2.0 * 0.93**terms.T, np.exp(-0.01 * terms.T**2)]),
+         0.0125),
+    ]
+
+
 class _Compiled(NamedTuple):
-    """The four entry points of ``_finish.c``, typed for ctypes, or four
-    Nones when the march, the fit, the CSV rows and the front run in Python."""
+    """The five entry points of ``_finish.c``, typed for ctypes, or five
+    Nones when the march, the fit, the CSV rows, the front and the sine
+    series run in Python."""
 
     march: Callable | None
     fit: Callable | None
     rows: Callable | None
-    # a default, so that a _Compiled built from three entry points keeps
-    # the front in Python
+    # defaults, so that a _Compiled built from fewer entry points keeps
+    # the rest in Python
     front: Callable | None = None
+    sine: Callable | None = None
 
 
-_PYTHON = _Compiled(None, None, None, None)
+_PYTHON = _Compiled(None, None, None, None, None)
 
 
 def _bind(lib: ctypes.CDLL) -> _Compiled:
-    """``lib.march``, ``lib.fit``, ``lib.rows`` and ``lib.front`` with the
-    argument and result types of ``_finish.c``."""
-    march, fit, rows, front = lib.march, lib.fit, lib.rows, lib.front
+    """``lib.march``, ``lib.fit``, ``lib.rows``, ``lib.front`` and
+    ``lib.sine`` with the argument and result types of ``_finish.c``."""
+    march, fit, rows, front, sine = lib.march, lib.fit, lib.rows, lib.front, lib.sine
     march.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_longlong,
     )
@@ -535,15 +589,23 @@ def _bind(lib: ctypes.CDLL) -> _Compiled:
         ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_void_p,
     )
     rows.restype = ctypes.c_long
-    front.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p)
+    front.argtypes = (
+        ctypes.c_void_p, ctypes.c_long, *[ctypes.c_double] * 5, ctypes.c_void_p,
+    )
     front.restype = None
-    return _Compiled(march, fit, rows, front)
+    sine.argtypes = (
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_long, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+    )
+    sine.restype = ctypes.c_long
+    return _Compiled(march, fit, rows, front, sine)
 
 
 def _known_answer_outcomes(compiled: _Compiled):
     """The zero-pivot row, or None, and the result bits of every
     known-answer march and fit run by ``compiled``, then the bytes of its
-    known-answer rows and the bits of its known-answer front columns.
+    known-answer rows, the bits of its known-answer front columns and the
+    out-of-range point, or -1, and the bits of its known-answer sine columns.
 
     Each march is one multi-step call, and its result is the state after
     the last completed step; a fit that meets a zero pivot has no result.
@@ -566,19 +628,23 @@ def _known_answer_outcomes(compiled: _Compiled):
     yield bytes(_csv_rows(compiled.rows, *_known_answer_rows()))
     for case in _known_answer_fronts():
         yield _front_column(compiled.front, *case).view(np.int64).tolist()
+    for case in _known_answer_sines():
+        u, k = _sine_column(compiled.sine, *case)
+        yield k, u.view(np.int64).tolist()
 
 
 def _matches_python(compiled: _Compiled) -> bool:
     """Whether ``compiled`` ends every known-answer march and fit as the
     Python path does, on the same zero-pivot row, or none, with the same
-    bits, writes the known-answer rows with the same bytes and gives the
-    known-answer front columns the same bits."""
+    bits, writes the known-answer rows with the same bytes, gives the
+    known-answer front columns the same bits and the known-answer sine
+    columns the same bits and the same first out-of-range point."""
     return list(_known_answer_outcomes(_PYTHON)) == list(_known_answer_outcomes(compiled))
 
 
 @functools.cache
 def _compiled() -> _Compiled:
-    """The compiled march, fit, rows and front, or ``_PYTHON`` when all four run in Python.
+    """The compiled march, fit, rows, front and sine, or ``_PYTHON`` when all five run in Python.
 
     Built on the first call in a process and trusted only when it passes
     :func:`_matches_python`: one library, used whole or not at all.
@@ -592,9 +658,9 @@ def _compiled() -> _Compiled:
 
 
 def step_finisher() -> str:
-    """``"native"`` when the march, the initial fit, the CSV rows and the
-    traveling front's columns run in the compiled library, ``"python"``
-    when all four fall back.
+    """``"native"`` when the march, the initial fit, the CSV rows, the
+    traveling front's columns and the sine series run in the compiled
+    library, ``"python"`` when all five fall back.
 
     Builds and checks the library if this process has not tried yet.
     """

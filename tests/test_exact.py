@@ -20,6 +20,7 @@ from ctburgers.exact import (
     _bessel_ratios,
     _front_column,
     _series_factors,
+    _sine_column,
     _trig_table,
     bessel_i,
     bessel_i_ratio,
@@ -358,11 +359,12 @@ class TestTrigTableCache:
         assert _trig_table.cache_info().maxsize <= 8
 
 
+# (x, t, lam) whose sums have lost their accuracy
+RANGE_CASES = [(0.9925, 0.02, 0.01), (0.5, 0.01, 0.003), (0.75, 0.01, 1e-3), (0.5, 0.01, 1e-4)]
+
+
 class TestSineWaveRangeCheck:
-    @pytest.mark.parametrize(
-        "x,t,lam",
-        [(0.9925, 0.02, 0.01), (0.5, 0.01, 0.003), (0.75, 0.01, 1e-3), (0.5, 0.01, 1e-4)],
-    )
+    @pytest.mark.parametrize("x,t,lam", RANGE_CASES)
     def test_value_outside_unit_interval_raises(self, x, t, lam):
         # the maximum principle bounds the solution to [0, 1]; these sums
         # have lost their accuracy (-0.0132, -4.02, 2.34 and -0.137)
@@ -516,3 +518,73 @@ class TestCompiledFront:
         monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
         python = scheme.initialize_coefficients(p, part, sc).delta
         assert native.tobytes() == python.tobytes()
+
+
+def compiled_sine():
+    sine = scheme._compiled().sine
+    if sine is None:
+        pytest.skip("no compiled library on this machine")
+    return sine
+
+
+class TestCompiledSine:
+    """The compiled sine series gives the bits and the first out-of-range
+    point of the numpy column, and the bits of the point-by-point sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # knots, repeated points, +-0.0 and the odd periodic extension, up
+        # to 100 points: groups of the C loop's four and every remainder
+        xs=st.lists(
+            st.one_of(
+                st.sampled_from(UniformPartition(0.0, 1.0, 40).knots()),
+                st.sampled_from([0.0, -0.0, -0.25, 1.5]),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=100,
+        ).map(np.array),
+        # every lam whose series converges within the default 500 terms at
+        # every t; below about 0.01 some sums leave [0, 1]
+        lam=st.floats(min_value=1e-3, max_value=1.0),
+        t=st.one_of(st.floats(min_value=1e-3, max_value=3.0), st.just(math.inf)),
+    )
+    # J = 35; x = 0.9875, a knot of N = 400, raises the range check
+    @example(xs=np.array([0.0, -0.0, 0.5, 0.5, 0.9875, 1.0, -0.25, 1.5]), lam=0.01, t=0.02)
+    @example(xs=np.linspace(0.0, 1.0, 81), lam=1.0, t=math.inf)
+    # the knots of the exact_snapshots benchmark at one of its times
+    @example(xs=UniformPartition(0.0, 1.0, 400).knot_array(), lam=0.01, t=0.7)
+    def test_compiled_column_is_bit_identical(self, xs, lam, t):
+        sine = compiled_sine()
+        factors = np.array(_series_factors(t, lam, SeriesControl()))
+        scale = 4.0 * math.pi * lam
+        reference = np.array([sine_wave_point(x, t, lam) for x in xs.tolist()])
+        for warm in (False, True):
+            if not warm:
+                _trig_table.cache_clear()
+            s, c = _trig_table(xs.tobytes(), factors.shape[1])
+            compiled, k = _sine_column(sine, xs, s, c, factors, scale)
+            python, k_python = _sine_column(None, xs, s, c, factors, scale)
+            assert k == k_python
+            assert compiled.tobytes() == python.tobytes() == reference.tobytes()
+        if k < 0:
+            assert sine_wave_exact(xs, t, lam).tobytes() == reference.tobytes()
+        else:
+            with pytest.raises(SeriesConvergenceError, match=rf"at x={xs[k]:.6g} "):
+                sine_wave_exact(xs, t, lam)
+
+    @pytest.mark.parametrize("x,t,lam", RANGE_CASES)
+    def test_range_check_raises_alike_on_both_paths(self, x, t, lam, monkeypatch):
+        compiled_sine()
+        messages = []
+        for points in (x, np.array([-0.25, 1.5, x])):
+            with pytest.raises(SeriesConvergenceError, match=r"outside \[0, 1\]") as native:
+                sine_wave_exact(points, t, lam)
+            with monkeypatch.context() as m:
+                m.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+                with pytest.raises(SeriesConvergenceError) as python:
+                    sine_wave_exact(points, t, lam)
+            assert str(native.value) == str(python.value)
+            messages.append(str(native.value))
+        # the points outside [0, 1] are not checked, so the column fails at x
+        assert messages[0] == messages[1]

@@ -51,6 +51,22 @@ def setup(problem):
     return part, sc
 
 
+def compile_mutant(tmp_path, replacements):
+    """The library built from ``_finish.c`` with each (statement, mutant)
+    replacement made, bound like the package's own."""
+    source = _native.SOURCE.read_text()
+    for statement, mutant in replacements:
+        assert source.count(statement) == 1
+        source = source.replace(statement, mutant)
+    path = tmp_path / "mutant.c"
+    path.write_text(source)
+    library = tmp_path / "mutant.so"
+    subprocess.run(
+        _native.compile_command(library, path), check=True, capture_output=True, timeout=120,
+    )
+    return scheme._bind(ctypes.CDLL(str(library)))
+
+
 class TestNodalValues:
     def test_zero_coefficients(self):
         sc = knot_coefficients(0.1)
@@ -649,16 +665,7 @@ class TestNativeFinisher:
     def test_known_answer_check_rejects_a_mutant_finisher(self, statement, mutant, tmp_path):
         if scheme._compiled().march is None:
             pytest.skip("no compiled library on this machine")
-        source = _native.SOURCE.read_text()
-        assert source.count(statement) == 1
-        path = tmp_path / "mutant.c"
-        path.write_text(source.replace(statement, mutant))
-        library = tmp_path / "mutant.so"
-        subprocess.run(
-            _native.compile_command(library, path),
-            check=True, capture_output=True, timeout=120,
-        )
-        mutant = scheme._bind(ctypes.CDLL(str(library)))
+        mutant = compile_mutant(tmp_path, [(statement, mutant)])
         # the mutant's fit alone passes: the march is what fails the check
         assert scheme._matches_python(mutant._replace(march=None))
         assert not scheme._matches_python(mutant)
@@ -703,16 +710,7 @@ class TestNativeFinisher:
     def test_known_answer_check_rejects_a_mutant_fit(self, statement, mutant, tmp_path):
         if scheme._compiled().march is None:
             pytest.skip("no compiled library on this machine")
-        source = _native.SOURCE.read_text()
-        assert source.count(statement) == 1
-        path = tmp_path / "mutant.c"
-        path.write_text(source.replace(statement, mutant))
-        library = tmp_path / "mutant.so"
-        subprocess.run(
-            _native.compile_command(library, path),
-            check=True, capture_output=True, timeout=120,
-        )
-        mutant = scheme._bind(ctypes.CDLL(str(library)))
+        mutant = compile_mutant(tmp_path, [(statement, mutant)])
         # the mutant's march alone passes: the fit is what fails the check
         assert scheme._matches_python(mutant._replace(fit=None))
         assert not scheme._matches_python(mutant)
@@ -740,16 +738,7 @@ class TestNativeFinisher:
     def test_known_answer_check_rejects_a_mutant_rows(self, statement, mutant, tmp_path):
         if scheme._compiled().rows is None:
             pytest.skip("no compiled library on this machine")
-        source = _native.SOURCE.read_text()
-        assert source.count(statement) == 1
-        path = tmp_path / "mutant.c"
-        path.write_text(source.replace(statement, mutant))
-        library = tmp_path / "mutant.so"
-        subprocess.run(
-            _native.compile_command(library, path),
-            check=True, capture_output=True, timeout=120,
-        )
-        mutant = scheme._bind(ctypes.CDLL(str(library)))
+        mutant = compile_mutant(tmp_path, [(statement, mutant)])
         # the mutant's march and fit alone pass: the rows are what fail the check
         assert scheme._matches_python(mutant._replace(rows=None))
         assert not scheme._matches_python(mutant)
@@ -770,18 +759,45 @@ class TestNativeFinisher:
     def test_known_answer_check_rejects_a_mutant_front(self, statement, mutant, tmp_path):
         if scheme._compiled().front is None:
             pytest.skip("no compiled library on this machine")
-        source = _native.SOURCE.read_text()
-        assert source.count(statement) == 1
-        path = tmp_path / "mutant.c"
-        path.write_text(source.replace(statement, mutant))
-        library = tmp_path / "mutant.so"
-        subprocess.run(
-            _native.compile_command(library, path),
-            check=True, capture_output=True, timeout=120,
-        )
-        mutant = scheme._bind(ctypes.CDLL(str(library)))
+        mutant = compile_mutant(tmp_path, [(statement, mutant)])
         # the mutant's march, fit and rows alone pass: the front is what fails the check
         assert scheme._matches_python(mutant._replace(front=None))
+        assert not scheme._matches_python(mutant)
+
+    @pytest.mark.parametrize(
+        "replacements",
+        [
+            # s e multiplied first
+            [
+                (
+                    "num[i] += jr[j] * s[j * n + i] * e[j];",
+                    "num[i] += jr[j] * (s[j * n + i] * e[j]);",
+                ),
+            ],
+            # the denominator summed from 0.0, with its 1.0 added last
+            [
+                ("den[i] = 1.0;", "den[i] = 0.0;"),
+                (
+                    "out[i] = scale * num[i] / den[i];",
+                    "out[i] = scale * num[i] / (den[i] + 1.0);",
+                ),
+            ],
+            # the terms added from the last down
+            [("for (j = 0; j < terms; j++)\n", "for (j = terms - 1; j >= 0; j--)\n")],
+            # a NaN value passes the range check
+            [("!(u >= -tol && u <= 1.0 + tol)", "(u < -tol || u > 1.0 + tol)")],
+            # points outside [0, 1] are checked too
+            [("x[i] >= 0.0 && x[i] <= 1.0 && !(u", "!(u")],
+        ],
+        ids=["regrouped-term", "one-added-last", "descending-j", "nan-in-range",
+             "checks-outside"],
+    )
+    def test_known_answer_check_rejects_a_mutant_sine(self, replacements, tmp_path):
+        if scheme._compiled().sine is None:
+            pytest.skip("no compiled library on this machine")
+        mutant = compile_mutant(tmp_path, replacements)
+        # the mutant's other entry points alone pass: the sine is what fails the check
+        assert scheme._matches_python(mutant._replace(sine=None))
         assert not scheme._matches_python(mutant)
 
 
