@@ -26,7 +26,7 @@
  * left-to-right order, and the build turns off contraction and fast-math,
  * so the results are the Python path's to the bit.
  *
- * rows writes the rows of a CSV snapshot, each value with the bytes of
+ * rows writes the rows of a CSV file, each value with the bytes of
  * Python's '%.12g' % v.  The 12 digits come from scaling the value by a
  * power of ten in double-double arithmetic: exactly when one power up to
  * 10^22 does it, to within 2^-50 otherwise.  Zero, subnormals, inf, nan
@@ -37,10 +37,15 @@
  * %.11e doubles the time rows takes there (BENCH_csv_writer.json).  The
  * digits are written two at a time from a table of the pairs "00" to "99".
  *
- * scheme.py uses the library only when all five entry points end every
- * one of a fixed set of known-answer marches, fits, rows, front columns
- * and sine columns as the Python path does: on the same zero-pivot row
- * or out-of-range point, the same bits and the same bytes
+ * snapshot writes the rows x,t,U,exact,|U - exact| of one run snapshot
+ * with the digits of rows: it copies the knot texts a run formats once
+ * for all its snapshots, writes t once per row and takes |U - exact| as
+ * fabs(u - ue), the same operation as numpy's abs of the difference.
+ *
+ * scheme.py uses the library only when all six entry points end every
+ * one of a fixed set of known-answer marches, fits, rows, front columns,
+ * sine columns and snapshot rows as the Python path does: on the same
+ * zero-pivot row or out-of-range point, the same bits and the same bytes
  * (scheme._matches_python).
  *
  * Build (ctburgers._native.compile_command): cc -O2 -std=c99
@@ -544,6 +549,46 @@ long rows(const double *cols, long width, long n, const char *t_text, char *out)
             *p++ = ',';
             p = format(p, cols[j * n + i]);
         }
+        *p++ = '\n';
+    }
+    return (long) (p - out);
+}
+
+/* knot_text:  the n knot texts, each followed by its comma, end to end.
+ * knot_ends:  the n offsets in knot_text where each text and comma ends.
+ * u, ue:      the n numerical and exact values.
+ * n:          number of rows.
+ * t_text:     NUL-terminated text written as the second field of every row.
+ * out:        room for at least knot_ends[n - 1] + n (strlen(t_text) + 61)
+ *             bytes: each of the three values takes at most 19 and a
+ *             separator.
+ *
+ * Writes the rows <knot text>,<t_text>,u,ue,|u - ue| and a newline, each
+ * value with the bytes of Python's '%.12g' % v; returns the number of
+ * bytes.
+ */
+long snapshot(const char *knot_text, const long long *knot_ends, const double *u,
+              const double *ue, long n, const char *t_text, char *out)
+{
+    const size_t t_len = strlen(t_text);
+    char *p = out;
+    long long start, len;
+    long i;
+
+    for (i = 0; i < n; i++) {
+        start = i > 0 ? knot_ends[i - 1] : 0;
+        len = knot_ends[i] - start;
+        memcpy(p, knot_text + start, (size_t) len);
+        p += len;
+        memcpy(p, t_text, t_len);
+        p += t_len;
+        *p++ = ',';
+        p = format(p, u[i]);
+        *p++ = ',';
+        p = format(p, ue[i]);
+        *p++ = ',';
+        /* the sign bit cleared, NaN's too, as numpy's abs does */
+        p = format(p, fabs(u[i] - ue[i]));
         *p++ = '\n';
     }
     return (long) (p - out);

@@ -1,9 +1,10 @@
-"""Build and load ``_finish.c``, the compiled library with the five C
+"""Build and load ``_finish.c``, the compiled library with the six C
 entry points of the scheme: ``march``, which runs whole Crank-Nicolson
 steps, ``fit``, which solves the initial spline fit, ``rows``, which
-writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``,
+writes the rows of a CSV file with the bytes of ``'%.12g' % v``,
 ``front``, which evaluates the traveling front on an array of points,
-and ``sine``, which sums the sine wave's series on an array of points.
+``sine``, which sums the sine wave's series on an array of points, and
+``snapshot``, which writes the rows of a run snapshot.
 
 The library is compiled on first use, never at import, by the C compiler
 Python was built with, and cached under
@@ -12,8 +13,8 @@ SHA-256 of the source and the compile command, the platform and the
 interpreter's cache tag, so an edited source, other flags or another
 interpreter get a build of their own.  No compiler, a failed compile or
 an unwritable cache gives ``None``, and the caller keeps to the Python
-path.  One load serves all five entry points; :mod:`ctburgers.scheme`
-checks all five before it uses any.  :func:`compile_command` is the one
+path.  One load serves all six entry points; :mod:`ctburgers.scheme`
+checks all six before it uses any.  :func:`compile_command` is the one
 place the command is spelled out.
 """
 

@@ -101,6 +101,12 @@ def _fmt12(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _write_rows(path: Path, header: str, rows) -> None:
+    with path.open("wb") as f:
+        f.write(header.encode("ascii") + b"\n")
+        f.write(rows)
+
+
 def _write_csv(path: Path, header: str, t: float, columns) -> None:
     """Write ``header`` and the rows ``c0,t,c1,...`` of the float ``columns``,
     one line per element, every number as ``"%.12g" % v``.
@@ -111,16 +117,20 @@ def _write_csv(path: Path, header: str, t: float, columns) -> None:
     ``f"{v:.12g}"`` format a float through the same routine, so the bytes
     are those of a per-row f-string writer.
     """
-    rows = scheme._csv_rows(scheme._compiled().rows, columns, _fmt12(t))
-    with path.open("wb") as f:
-        f.write(header.encode("ascii") + b"\n")
-        f.write(rows)
+    _write_rows(path, header, scheme._csv_rows(scheme._compiled().rows, columns, _fmt12(t)))
 
 
-def _write_snapshot(path: Path, x, t: float, u: np.ndarray, ue: np.ndarray):
-    """One ``run`` snapshot: the knots x, t, U, exact and |error|."""
-    err = np.abs(np.subtract(u, ue))
-    _write_csv(path, "x,t,numerical,exact,abs_error", t, [x, u, ue, err])
+def _write_snapshot(path: Path, knots, t: float, u: np.ndarray, ue: np.ndarray):
+    """One ``run`` snapshot: the knots, t, U, exact and |U - exact|, with
+    the bytes of :func:`_write_csv` of those columns.
+
+    ``knots`` is the knot column formatted once per run
+    (:func:`ctburgers.scheme._knot_text`); the rows come from the compiled
+    library's ``snapshot``, or its %-template
+    (:func:`ctburgers.scheme._snapshot_rows`).
+    """
+    rows = scheme._snapshot_rows(scheme._compiled().snapshot, knots, u, ue, _fmt12(t))
+    _write_rows(path, "x,t,numerical,exact,abs_error", rows)
 
 
 def run(config: RunConfig) -> int:
@@ -147,12 +157,15 @@ def run(config: RunConfig) -> int:
         sys.stdout.write(table_report(states, xs, problem.exact, part, decimals=decimals))
     if writes_files:
         knot_array = part.knot_array()
-        # every exact column is evaluated before the first file is written,
-        # so an oracle that fails at any snapshot leaves no CSV behind
-        exact = {t: problem.exact(knot_array, t) for t in sorted(states)}
-        for t, ue in exact.items():
+        times = sorted(states)
+        # every exact column is evaluated, in one pass, before the first file
+        # is written, so an oracle that fails at any snapshot leaves no CSV
+        # behind; the knot column is formatted once for every file
+        exact = problem.exact.columns(knot_array, times)
+        knots = scheme._knot_text(scheme._compiled().rows, knot_array)
+        for t, ue in zip(times, exact):
             name = f"{config.problem}_lam{_fmt12(config.lam)}_t{_fmt12(t)}.csv"
-            _write_snapshot(config.output_dir / name, knot_array, t, states[t].u, ue)
+            _write_snapshot(config.output_dir / name, knots, t, states[t].u, ue)
     return EXIT_OK
 
 
@@ -349,7 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--t-end", type=float)
     runp.add_argument("--sample-times", type=_floats, help="comma-separated times")
     runp.add_argument("--sample-xs", type=_sample_xs, help="comma-separated points or 'all-knots'")
-    runp.add_argument("--outputs", type=_outputs, help="comma-separated: table,csv,plotdata")
+    runp.add_argument(
+        "--outputs", type=_outputs,
+        help="comma-separated: table,csv,plotdata (plotdata is an alias of csv: the same files)",
+    )
     runp.add_argument("--output-dir", type=Path)
     runp.add_argument("--alpha", type=float, help="traveling-wave amplitude")
     runp.add_argument("--mu", type=float, help="traveling-wave speed")

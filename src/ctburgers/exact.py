@@ -5,10 +5,12 @@ Bessel coefficients for the decaying sine wave on [0, 1] (homogeneous
 boundaries), which starts from :func:`sine_pulse`, and the closed-form
 traveling wave front.  This module alone evaluates solution values: each
 solution is one function of a float or a 1-D array of points, and an
-array gives the bits of the point-by-point calls.  An array of points on
-the front, and the sum of the sine wave's series over an array, is one
-call into the compiled library of :mod:`ctburgers.scheme` when that
-passed its check.  The modified Bessel
+array gives the bits of the point-by-point calls.  Each also has a
+``*_columns`` form that evaluates an array of points at many times in one
+pass, row by row with the bits of the calls at each time.  An array of
+points on the front, and the sum of the sine wave's series over an
+array, is one call into the compiled library of :mod:`ctburgers.scheme`
+per time when that passed its check.  The modified Bessel
 functions are computed in-module; for small viscosity the series is
 evaluated entirely through the ratios I_j(z)/I_0(z), which stay O(1)
 even when the raw function values overflow.
@@ -28,7 +30,9 @@ __all__ = [
     "bessel_i",
     "bessel_i_ratio",
     "sine_pulse",
+    "sine_wave_columns",
     "sine_wave_exact",
+    "traveling_wave_columns",
     "traveling_wave_exact",
 ]
 
@@ -256,8 +260,9 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
     points build it once.  The sum over the table is one call of the
     compiled ``sine`` when :mod:`ctburgers.scheme`'s library passed its
     check, and otherwise :func:`_sine_column`'s numpy rows, in the same
-    order.  At t = 0 the series does not decay and the value is
-    :func:`sine_pulse`, the initial condition itself.
+    order; an array is the one row of :func:`sine_wave_columns` at t.  At
+    t = 0 the series does not decay and the value is :func:`sine_pulse`,
+    the initial condition itself.
 
     Raises
     ------
@@ -269,28 +274,78 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
         Points outside [0, 1] follow the odd periodic extension and are
         not checked.
     """
+    u = sine_wave_columns(x, (t,), lam, ctl)[0]
+    return float(u[0]) if np.ndim(x) == 0 else u
+
+
+def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -> np.ndarray:
+    """:func:`sine_wave_exact` at the points ``x`` at every time of ``ts``,
+    in one pass: row k of the (len(ts), len(x)) result has the bits of
+    ``sine_wave_exact(x, ts[k], lam, ctl)``.
+
+    The factors of every time are found first, then one sin/cos table is
+    taken for the largest J, and a time with fewer terms sums its first
+    rows: each entry of the table is computed alone, so they have the bits
+    of a smaller table's.  The compiled ``sine`` is called once per time,
+    into its row, with the pointers of the points, the table, the factors
+    and the result fetched once.  Raises what the calls at ``ts`` in their
+    order would raise first: a time whose factors fail raises after the
+    sums of the times before it.
+    """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    if not t >= 0.0:  # a NaN t fails too
-        raise ValueError("t must be >= 0")
     # a float gives a 1-element array
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("x must be a float or a 1-D array")
-    if t == 0.0:
-        return sine_pulse(x)
-    factors = np.array(_series_factors(t, lam, ctl))
-    s, c = _trig_table(xs.tobytes(), factors.shape[1])
+    # the factors j r_j, 2 r_j and e_j of each time, end to end, and J, 0 at t = 0
+    flat, terms, failure = [], [], None
+    for t in ts:
+        try:
+            if not t >= 0.0:  # a NaN t fails too
+                raise ValueError("t must be >= 0")
+            if t == 0.0:
+                terms.append(0)
+                continue
+            jr, r2, es = _series_factors(t, lam, ctl)
+        except (ValueError, SeriesConvergenceError) as err:
+            failure = err
+            break
+        flat += jr + r2 + es
+        terms.append(len(jr))
+    factors = np.array(flat)
+    n = len(xs)
+    out = np.empty((len(terms), n))
+    if flat:
+        s, c = _trig_table(xs.tobytes(), max(terms))
+    scale = 4.0 * math.pi * lam
     # scheme imports this module, so its library gate is looked up per call
     from .scheme import _compiled
 
-    u, k = _sine_column(_compiled().sine, xs, s, c, factors, 4.0 * math.pi * lam)
-    if k >= 0:
-        raise SeriesConvergenceError(
-            f"series value {u[k]:.6g} at x={xs[k]:.6g} lies outside [0, 1]"
-            f" (lam={lam}, t={t}): the sum has lost its accuracy"
-        )
-    return float(u[0]) if np.ndim(x) == 0 else u
+    sine = _compiled().sine
+    if sine is not None and flat:
+        x_at, s_at, c_at, f_at, out_at = (a.ctypes.data for a in (xs, s, c, factors, out))
+    start = 0
+    for k, j in enumerate(terms):
+        if j == 0:
+            # at t = 0 the series does not decay: the initial condition itself
+            out[k] = sine_pulse(xs)
+            continue
+        if sine is None:
+            row = factors[start:start + 3 * j].reshape(3, j)
+            out[k], bad = _sine_column(None, xs, s[:j], c[:j], row, scale)
+        else:
+            bad = sine(x_at, n, s_at, c_at, f_at + 8 * start, j, scale, RANGE_TOL,
+                       out_at + 8 * k * n)
+        start += 3 * j
+        if bad >= 0:
+            raise SeriesConvergenceError(
+                f"series value {out[k, bad]:.6g} at x={xs[bad]:.6g} lies outside [0, 1]"
+                f" (lam={lam}, t={ts[k]}): the sum has lost its accuracy"
+            )
+    if failure is not None:
+        raise failure
+    return out
 
 
 def _sine_column(native, xs: np.ndarray, s: np.ndarray, c: np.ndarray, factors: np.ndarray,
@@ -357,6 +412,37 @@ def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam
     from .scheme import _compiled
 
     return _front_column(_compiled().front, xs, t, alpha, mu, gamma, lam)
+
+
+def traveling_wave_columns(x, ts, alpha: float, mu: float, gamma: float,
+                           lam: float) -> np.ndarray:
+    """:func:`traveling_wave_exact` at the points ``x`` at every time of
+    ``ts``: row k of the (len(ts), len(x)) result has the bits of
+    ``traveling_wave_exact(x, ts[k], alpha, mu, gamma, lam)``.
+
+    The compiled ``front`` is called once per time, into its row, with the
+    pointers of the points and the result fetched once; without it, each
+    row is :func:`_front_column`'s numpy column.
+    """
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    xs = np.ascontiguousarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError("x must be a float or a 1-D array")
+    n = len(xs)
+    out = np.empty((len(ts), n))
+    # scheme imports this module, so its library gate is looked up per call
+    from .scheme import _compiled
+
+    front = _compiled().front
+    if front is None:
+        for k, t in enumerate(ts):
+            out[k] = _front_column(None, xs, t, alpha, mu, gamma, lam)
+        return out
+    x_at, out_at = xs.ctypes.data, out.ctypes.data
+    for k, t in enumerate(ts):
+        front(x_at, n, alpha, mu, t, gamma, lam, out_at + 8 * k * n)
+    return out
 
 
 def _front_column(native, xs: np.ndarray, t: float, alpha: float, mu: float, gamma: float,

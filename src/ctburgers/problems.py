@@ -4,6 +4,9 @@ A factory only binds parameters: each problem's ``initial_condition``
 and ``exact`` are :mod:`ctburgers.exact` functions of a float or a 1-D
 array of points, with the problem's constants, λ included, held in a
 frozen dataclass, so problems built from equal arguments compare equal.
+Each ``exact`` also has ``columns(xs, ts)``, the solution at the points
+``xs`` at every time of ``ts`` in one pass, row k with the bits of
+``exact(xs, ts[k])``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import sine_pulse, sine_wave_exact, traveling_wave_exact, traveling_wave_slope
+from .exact import (
+    sine_pulse,
+    sine_wave_columns,
+    sine_wave_exact,
+    traveling_wave_columns,
+    traveling_wave_exact,
+    traveling_wave_slope,
+)
 from .scheme import ProblemSpec
 
 __all__ = ["sine_problem", "traveling_problem"]
@@ -37,22 +47,32 @@ class _SineWave:
     def __call__(self, x, t: float):
         return sine_wave_exact(x, t, self.lam)
 
+    def columns(self, xs, ts):
+        return sine_wave_columns(xs, ts, self.lam)
+
 
 @dataclass(frozen=True)
-class _Front:
-    """:func:`traveling_wave_exact` with its constants bound; at the
-    default ``t = 0.0`` it is the initial condition."""
+class _FrontConstants:
+    """The constants of one traveling front."""
 
     alpha: float
     mu: float
     gamma: float
     lam: float
 
+
+class _Front(_FrontConstants):
+    """:func:`traveling_wave_exact` with its constants bound; at the
+    default ``t = 0.0`` it is the initial condition."""
+
     def __call__(self, x, t: float = 0.0):
         return traveling_wave_exact(x, t, self.alpha, self.mu, self.gamma, self.lam)
 
+    def columns(self, xs, ts):
+        return traveling_wave_columns(xs, ts, self.alpha, self.mu, self.gamma, self.lam)
 
-class _FrontSlope(_Front):
+
+class _FrontSlope(_FrontConstants):
     """:func:`traveling_wave_slope` of the front at t = 0."""
 
     def __call__(self, x: float) -> float:

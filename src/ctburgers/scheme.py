@@ -14,25 +14,26 @@ rows, solves the tridiagonal system and writes the new parameters,
 phantoms restored, back into the state buffer.
 
 A small C library (``_finish.c``, built on the first fit, kernel, exact
-column or CSV file of a process and loaded with ctypes) has five entry
+column or CSV file of a process and loaded with ctypes) has six entry
 points: ``march`` takes every step between two sample times in one call,
 ``fit`` solves the bandwidth-2 system of the initial spline fit, ``rows``
-writes the rows of a CSV snapshot with the bytes of ``'%.12g' % v``,
+writes the rows of a CSV file with the bytes of ``'%.12g' % v``,
 ``front`` evaluates :func:`~ctburgers.exact.traveling_wave_exact` on an
-array of points and ``sine`` sums the series of
-:func:`~ctburgers.exact.sine_wave_exact` on one.  The library is used,
-all five entry points or none, when it gives the bits and bytes of the
-Python path on a fixed set of known-answer marches, fits, rows, front
-columns and sine columns.  Otherwise, and on machines without a C
-compiler, each step runs on Python floats, one loop over the rows and
-then :func:`~ctburgers.linalg.thomas_sweep`, the fit in
-:func:`~ctburgers.linalg.banded_solve`, the rows in one %-template, the
-front in numpy with ``math.exp`` point by point and the sine series in
-numpy one row of terms at a time.  Every value of the step and the fit
-has the same expression on both paths, and the template and the numpy
-columns are the references for the rows and the exact columns, so the
-results do not depend on which path runs; :func:`step_finisher` says
-which does.
+array of points, ``sine`` sums the series of
+:func:`~ctburgers.exact.sine_wave_exact` on one and ``snapshot`` writes
+the rows of a run snapshot around its knot texts, formatted once per run.
+The library is used, all six entry points or none, when it gives the
+bits and bytes of the Python path on a fixed set of known-answer marches,
+fits, rows, front columns, sine columns and snapshot rows.  Otherwise,
+and on machines without a C compiler, each step runs on Python floats,
+one loop over the rows and then :func:`~ctburgers.linalg.thomas_sweep`,
+the fit in :func:`~ctburgers.linalg.banded_solve`, the rows and the
+snapshot rows in one %-template each, the front in numpy with
+``math.exp`` point by point and the sine series in numpy one row of
+terms at a time.  Every value of the step and the fit has the same
+expression on both paths, and the templates and the numpy columns are
+the references for the rows and the exact columns, so the results do not
+depend on which path runs; :func:`step_finisher` says which does.
 :func:`solve_to_time` marches on one kernel and copies the state out
 only at sample times; :func:`advance` is a one-step wrapper over the
 same kernel.
@@ -161,13 +162,31 @@ class NodalState:
     uxx: np.ndarray
 
 
+class _SplineState(NodalState):
+    """The :class:`NodalState` of spline parameters: U at once, U_x and
+    U_xx on their first read, from a copy of the parameters the state
+    keeps, since a kernel steps its own in place."""
+
+    def __init__(self, delta: np.ndarray, sc: SchemeCoefficients):
+        d = self._delta = np.array(delta, dtype=float)
+        self._sc = sc
+        self.u = sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1] + sc.alpha1 * d[2:]
+
+    @functools.cached_property
+    def ux(self) -> np.ndarray:
+        d, sc = self._delta, self._sc
+        return sc.beta1 * d[:-2] + sc.beta2 * d[2:]
+
+    @functools.cached_property
+    def uxx(self) -> np.ndarray:
+        d, sc = self._delta, self._sc
+        return sc.gamma1 * d[:-2] + sc.gamma2 * d[1:-1] + sc.gamma1 * d[2:]
+
+
 def nodal_values(c: CoefficientVector, sc: SchemeCoefficients) -> NodalState:
-    """Evaluate U, U_x, U_xx at every knot from the spline parameters."""
-    d = c.delta
-    u = sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1] + sc.alpha1 * d[2:]
-    ux = sc.beta1 * d[:-2] + sc.beta2 * d[2:]
-    uxx = sc.gamma1 * d[:-2] + sc.gamma2 * d[1:-1] + sc.gamma1 * d[2:]
-    return NodalState(u=u, ux=ux, uxx=uxx)
+    """Evaluate U, U_x, U_xx at every knot from the spline parameters;
+    U_x and U_xx are computed when first read, as most callers read U alone."""
+    return _SplineState(c.delta, sc)
 
 
 def initialize_coefficients(
@@ -243,6 +262,58 @@ def _csv_rows(native: Callable | None, columns, t_text: str):
     # a value takes at most 19 bytes and one separator
     out = np.empty(n * (20 * width + len(t) + 1), dtype=np.uint8)
     size = native(values.ctypes.data, width, n, t, out.ctypes.data)
+    return out[:size]
+
+
+def _knot_text(native: Callable | None, xs) -> tuple[bytes, np.ndarray]:
+    """The ``'%.12g' % x`` text of every point of ``xs``, each followed by a
+    comma, end to end, and the offset where each comma ends: a run formats
+    its knot column once for all its snapshots.
+
+    The texts are the one-column rows of :func:`_csv_rows` with an empty t
+    text, ``x,`` and a newline each, by the compiled ``rows`` when
+    ``native`` is given; the newlines are dropped.
+    """
+    rows = np.frombuffer(_csv_rows(native, [xs], ""), dtype=np.uint8)
+    text = rows[rows != ord("\n")]
+    return text.tobytes(), np.flatnonzero(text == ord(",")).astype(np.int64) + 1
+
+
+def _snapshot_rows(native: Callable | None, knots: tuple[bytes, np.ndarray], u, ue,
+                   t_text: str):
+    """The CSV rows ``x,<t_text>,U,exact,|U - exact|`` of one snapshot,
+    each value written as ``'%.12g' % v``, by the compiled ``snapshot``
+    when ``native`` is given.
+
+    ``knots`` is :func:`_knot_text` of the points, and ``u`` and ``ue``
+    hold one value per point.  |U - exact| is numpy's abs of the
+    difference, or C's ``fabs``: the same operation, where an overflow to
+    inf or inf - inf passes silently.  Without ``native``, one %-template
+    is filled once for all rows around the knot texts: the reference the
+    compiled rows are checked against.  Returns the ASCII bytes, or a
+    uint8 array holding them.
+    """
+    text, ends = knots
+    u = np.ascontiguousarray(u, dtype=float)
+    ue = np.ascontiguousarray(ue, dtype=float)
+    n = len(ends)
+    if not len(u) == len(ue) == n:
+        raise ValueError(f"{n} knots, but {len(u)} numerical and {len(ue)} exact values")
+    if native is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.abs(np.subtract(u, ue))
+        cells = [None] * (4 * n)
+        cells[0::4] = text.decode("ascii").split(",")[:-1]
+        cells[1::4] = u.tolist()
+        cells[2::4] = ue.tolist()
+        cells[3::4] = err.tolist()
+        row = "%s," + t_text + ",%.12g,%.12g,%.12g\n"
+        return ((row * n) % tuple(cells)).encode("ascii")
+    t = t_text.encode("ascii")
+    # each of the three values takes at most 19 bytes and one separator
+    out = np.empty(len(text) + n * (len(t) + 61), dtype=np.uint8)
+    # every array stays bound to a name here, so alive, for the whole call
+    size = native(text, ends.ctypes.data, u.ctypes.data, ue.ctypes.data, n, t, out.ctypes.data)
     return out[:size]
 
 
@@ -479,6 +550,27 @@ def _known_answer_rows():
     return np.array(values).reshape(3, -1), "%.12g" % 0.7
 
 
+def _known_answer_snapshot():
+    """Fixed knots, values and t text for the snapshot check: (knots, u,
+    ue, t_text).
+
+    The knots are distinct, so a row takes no other row's knot text.  The
+    values hold +-0.0 and subnormals on both sides, differences of both
+    signs, one that cancels to -0.0, a NaN in u and one in ue, inf - inf
+    and a difference that overflows to inf.
+    """
+    smallest, subnormal = 5e-324, -2.2250738585072014e-309
+    inf, nan, big = math.inf, math.nan, 1.7976931348623157e308
+    pairs = [
+        (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (smallest, subnormal), (subnormal, 3.0e-310),
+        (0.25, 0.75), (0.75, 0.25), (1.0 / 3.0, 0.1), (nan, 0.5), (0.5, nan),
+        (inf, inf), (-inf, -inf), (inf, -1.0), (big, -big), (-big, big), (1e-17, 1.0),
+    ]
+    knots = [0.0625 * j - 0.25 for j in range(len(pairs) - 2)] + [1e-05, 12345.678901234]
+    u, ue = zip(*pairs)
+    return np.array(knots), np.array(u), np.array(ue), "%.12g" % 0.7
+
+
 def _known_answer_fronts():
     """Fixed columns for the front check: (points, t, alpha, mu, gamma, lam).
 
@@ -557,9 +649,9 @@ def _known_answer_sines():
 
 
 class _Compiled(NamedTuple):
-    """The five entry points of ``_finish.c``, typed for ctypes, or five
-    Nones when the march, the fit, the CSV rows, the front and the sine
-    series run in Python."""
+    """The six entry points of ``_finish.c``, typed for ctypes, or six
+    Nones when the march, the fit, the CSV rows, the front, the sine
+    series and the snapshot rows run in Python."""
 
     march: Callable | None
     fit: Callable | None
@@ -568,15 +660,17 @@ class _Compiled(NamedTuple):
     # the rest in Python
     front: Callable | None = None
     sine: Callable | None = None
+    snapshot: Callable | None = None
 
 
-_PYTHON = _Compiled(None, None, None, None, None)
+_PYTHON = _Compiled(None, None, None, None, None, None)
 
 
 def _bind(lib: ctypes.CDLL) -> _Compiled:
-    """``lib.march``, ``lib.fit``, ``lib.rows``, ``lib.front`` and
-    ``lib.sine`` with the argument and result types of ``_finish.c``."""
-    march, fit, rows, front, sine = lib.march, lib.fit, lib.rows, lib.front, lib.sine
+    """``lib.march``, ``lib.fit``, ``lib.rows``, ``lib.front``,
+    ``lib.sine`` and ``lib.snapshot`` with the argument and result types
+    of ``_finish.c``."""
+    march, fit, rows, front, sine, snapshot = (getattr(lib, name) for name in _Compiled._fields)
     march.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_longlong,
     )
@@ -598,14 +692,20 @@ def _bind(lib: ctypes.CDLL) -> _Compiled:
         ctypes.c_long, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
     )
     sine.restype = ctypes.c_long
-    return _Compiled(march, fit, rows, front, sine)
+    snapshot.argtypes = (
+        ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+        ctypes.c_char_p, ctypes.c_void_p,
+    )
+    snapshot.restype = ctypes.c_long
+    return _Compiled(march, fit, rows, front, sine, snapshot)
 
 
 def _known_answer_outcomes(compiled: _Compiled):
     """The zero-pivot row, or None, and the result bits of every
     known-answer march and fit run by ``compiled``, then the bytes of its
-    known-answer rows, the bits of its known-answer front columns and the
-    out-of-range point, or -1, and the bits of its known-answer sine columns.
+    known-answer rows, the bits of its known-answer front columns, the
+    out-of-range point, or -1, and the bits of its known-answer sine
+    columns, and the bytes of its known-answer snapshot rows.
 
     Each march is one multi-step call, and its result is the state after
     the last completed step; a fit that meets a zero pivot has no result.
@@ -631,6 +731,9 @@ def _known_answer_outcomes(compiled: _Compiled):
     for case in _known_answer_sines():
         u, k = _sine_column(compiled.sine, *case)
         yield k, u.view(np.int64).tolist()
+    knots, u, ue, t_text = _known_answer_snapshot()
+    knot_text = _knot_text(compiled.rows, knots)
+    yield bytes(_snapshot_rows(compiled.snapshot, knot_text, u, ue, t_text))
 
 
 def _matches_python(compiled: _Compiled) -> bool:
@@ -638,13 +741,15 @@ def _matches_python(compiled: _Compiled) -> bool:
     Python path does, on the same zero-pivot row, or none, with the same
     bits, writes the known-answer rows with the same bytes, gives the
     known-answer front columns the same bits and the known-answer sine
-    columns the same bits and the same first out-of-range point."""
+    columns the same bits and the same first out-of-range point, and
+    writes the known-answer snapshot rows with the same bytes."""
     return list(_known_answer_outcomes(_PYTHON)) == list(_known_answer_outcomes(compiled))
 
 
 @functools.cache
 def _compiled() -> _Compiled:
-    """The compiled march, fit, rows, front and sine, or ``_PYTHON`` when all five run in Python.
+    """The compiled march, fit, rows, front, sine and snapshot, or ``_PYTHON`` when all six
+    run in Python.
 
     Built on the first call in a process and trusted only when it passes
     :func:`_matches_python`: one library, used whole or not at all.
@@ -659,8 +764,8 @@ def _compiled() -> _Compiled:
 
 def step_finisher() -> str:
     """``"native"`` when the march, the initial fit, the CSV rows, the
-    traveling front's columns and the sine series run in the compiled
-    library, ``"python"`` when all five fall back.
+    traveling front's columns, the sine series and the snapshot rows run
+    in the compiled library, ``"python"`` when all six fall back.
 
     Builds and checks the library if this process has not tried yet.
     """

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import cli, problems, scheme
+from ctburgers import cli, exact, problems, scheme
 from ctburgers.exact import SeriesConvergenceError
 from ctburgers.linalg import ZeroPivotError
 from ctburgers.scheme import NodalState
@@ -21,6 +21,51 @@ from ctburgers.scheme import NodalState
 
 def run_main(args):
     return cli.main(args)
+
+
+# SHA-256 of each CSV of the exact_snapshots benchmark configuration at seed 1
+EXACT_SNAPSHOTS_DIGESTS = {
+    "sine_lam0.01_t0.7.csv":
+        "08489aa10d7b5e85fcaa12de3dcffaf0db717f2b3cdab63e2c55f043c00f0db8",
+    "sine_lam0.01_t0.72.csv":
+        "6baa1850a54adf861fd98cb001ad4f5598e8b8af794a6d1d7afc93061f972b14",
+    "sine_lam0.01_t0.73.csv":
+        "148ed83bb95bd8721d22b28ac24e5c54e817eca19996c50bf82290e367817c71",
+    "sine_lam0.01_t0.74.csv":
+        "d6b86d73f87d1718f6f6e19514da100744d0b6bf2443a3e38fd7b024dc8db1bd",
+    "sine_lam0.01_t0.76.csv":
+        "51d828dc1ec45bb27f7aacfd92442dd53a99f9033ed1b86283e2c92361258f71",
+    "sine_lam0.01_t0.78.csv":
+        "4a05bb3ec8633970d88277b87b468d5fccc5987c0b6b74cfa3604de0a954bdcd",
+    "sine_lam0.01_t0.82.csv":
+        "6cb7ec036f67643e01f04f00db3265b135616c4bc52200ed4f182c2ca70edf65",
+    "sine_lam0.01_t0.83.csv":
+        "62921a45841bcde5a46c7f80abf400b4ab7a0e914fbb655890e30032b130057e",
+    "sine_lam0.01_t0.84.csv":
+        "11b2232bc2ad50e569277ea80c9bdff5d453934028420179b5b6c307376401ec",
+    "sine_lam0.01_t0.85.csv":
+        "fbb472237641c63e1c582bb83e68ee9041df613617accf42b973dc1aaa04eaa5",
+    "sine_lam0.01_t0.87.csv":
+        "b9d797e5e267af8cf29945e319320a4ef2664e70e0881568bdd1883ca2f21921",
+    "sine_lam0.01_t0.88.csv":
+        "e6c5515b839b86313e4b77f35da9ae69030a463d2c8c956dd48cbadf4df59ad9",
+    "sine_lam0.01_t0.89.csv":
+        "5df4f6361ce7514547464d05782ed2fe26e7d58a2617a046c07e5f93f67b44bb",
+    "sine_lam0.01_t0.91.csv":
+        "722d913f2cfb57d58877065e2279a210bf58b5ee7471adf5d4641f9caed721bb",
+    "sine_lam0.01_t0.92.csv":
+        "e5fbce0f3fb7c6501514dd2d4466c1169deb7d4ef3c2d684d9dc816483bef436",
+    "sine_lam0.01_t0.94.csv":
+        "b4ac09bb94a267e4a579dfcfd890485b2c2198f287c59ce08a16f8b13045c188",
+    "sine_lam0.01_t0.95.csv":
+        "e9bc8cb8d9b41b59dc12edcc297ef3ee5687f41177117be51c54c4227fcd3568",
+    "sine_lam0.01_t0.97.csv":
+        "5b5cd4e2bdc3177d87e82d81ac20b3399f8356a9bd737ebe9a3b4beec6fbf545",
+    "sine_lam0.01_t0.98.csv":
+        "1fc85874d7f8bce2cb96e9c4a01b7d0eff22ba944ab59037b87fd693b8a6dd44",
+    "sine_lam0.01_t1.csv":
+        "c0ff7875f3c48a512be524a8691e2b09e2c9f8bd07f9b83c331c8c49b8e4f9e8",
+}
 
 
 class TestRunCommand:
@@ -85,6 +130,19 @@ class TestRunCommand:
         assert len(lines) == 12  # header + 11 knots
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
+    def test_plotdata_is_an_alias_of_csv(self, tmp_path, capsys):
+        args = ["run", "--problem", "sine", "--n-cells", "10", "--dt", "0.01",
+                "--t-end", "0.02", "--sample-times", "0.01,0.02"]
+        for kind in ("csv", "plotdata"):
+            assert run_main([*args, "--outputs", kind, "--output-dir", str(tmp_path / kind)]) == 0
+        files = {kind: {f.name: f.read_bytes() for f in (tmp_path / kind).iterdir()}
+                 for kind in ("csv", "plotdata")}
+        assert len(files["csv"]) == 2 and files["csv"] == files["plotdata"]
+        with pytest.raises(SystemExit):
+            run_main(["run", "--help"])
+        # argparse wraps the help text at the terminal width
+        assert "plotdata is an alias of csv" in " ".join(capsys.readouterr().out.split())
+
     def test_sine_csv_is_byte_identical(self, tmp_path):
         # the exact column of these CSVs is the Fourier-Bessel series at
         # lam = 0.01: any change in the series arithmetic or its truncation
@@ -102,6 +160,22 @@ class TestRunCommand:
             "sine_lam0.01_t1.csv":
                 "c0ff7875f3c48a512be524a8691e2b09e2c9f8bd07f9b83c331c8c49b8e4f9e8",
         }
+
+    def test_exact_snapshots_csvs_are_byte_identical(self, tmp_path):
+        # the 20 snapshots of the exact_snapshots benchmark at seed 1: one
+        # pass of exact columns over 18 to 24 terms, one knot column
+        times = (
+            "0.7,0.72,0.73,0.74,0.76,0.78,0.82,0.83,0.84,0.85,"
+            "0.87,0.88,0.89,0.91,0.92,0.94,0.95,0.97,0.98,1"
+        )
+        args = [
+            "run", "--problem", "sine", "--lambda", "0.01", "--n-cells", "400",
+            "--dt", "0.01", "--t-end", "1", "--sample-times", times,
+            "--outputs", "csv", "--output-dir", str(tmp_path),
+        ]
+        assert run_main(args) == cli.EXIT_OK
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert digests == EXACT_SNAPSHOTS_DIGESTS
 
     def test_traveling_csv_is_byte_identical(self, tmp_path):
         args = [
@@ -295,11 +369,12 @@ class TestRunCommand:
     def test_series_failure_while_writing_exits_numerical_failure(
         self, tmp_path, monkeypatch, capsys
     ):
-        # the exact column is evaluated only when the snapshots are written
+        # the exact columns are evaluated only when the snapshots are
+        # written; every sine evaluation finds its terms' factors here
         def stalled(*a, **k):
             raise SeriesConvergenceError("ascending Bessel series stalled")
 
-        monkeypatch.setattr(problems, "sine_wave_exact", stalled)
+        monkeypatch.setattr(exact, "_series_factors", stalled)
         code = run_main(
             ["run", "--problem", "sine", "--n-cells", "10", "--dt", "0.01", "--t-end", "0.01",
              "--outputs", "csv", "--output-dir", str(tmp_path)]
@@ -329,6 +404,24 @@ class TestRunCommand:
         assert "outside [0, 1]" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_failing_middle_time_raises_its_own_message_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # t = 0.005 and t = 0.03 are in range, t = 0.02 is not: the run
+        # reports what a call at t = 0.02 alone raises, and writes no file
+        xs = problems.sine_problem(0.01, 400, 0.001).partition().knot_array()
+        with pytest.raises(SeriesConvergenceError) as alone:
+            problems.sine_problem(0.01, 400, 0.001).exact(xs, 0.02)
+        code = run_main(
+            ["run", "--problem", "sine", "--lambda", "0.01", "--n-cells", "400",
+             "--dt", "0.001", "--t-end", "0.03", "--sample-times", "0.005,0.02,0.03",
+             "--outputs", "csv", "--output-dir", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL
+        assert err == f"error: numerical failure: {alone.value}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 def reference_snapshot_text(t, xs, nums, exacts):
     """A snapshot CSV written row by row with f-strings."""
@@ -354,14 +447,18 @@ class TestCsvWriter:
         t=csv_floats,
         rows=st.lists(st.tuples(csv_floats, csv_floats, csv_floats), min_size=1, max_size=40),
     )
-    def test_snapshot_matches_per_row_fstrings(self, t, rows, tmp_path):
+    def test_snapshot_matches_per_row_fstrings(self, t, rows, tmp_path, monkeypatch):
         xs, nums, exacts = (list(col) for col in zip(*rows))
         path = tmp_path / "snapshot.csv"
-        # the difference of two huge finite floats is inf in both writers;
-        # numpy would also warn about it
-        with np.errstate(over="ignore"):
-            cli._write_snapshot(path, xs, t, np.array(nums), np.array(exacts))
-        assert path.read_text() == reference_snapshot_text(t, xs, nums, exacts)
+        want = reference_snapshot_text(t, xs, nums, exacts)
+        # the compiled snapshot, if this machine has one, and the template;
+        # the difference of two huge finite floats is inf in both
+        for compiled in (scheme._compiled(), scheme._PYTHON):
+            with monkeypatch.context() as m:
+                m.setattr(scheme, "_compiled", lambda: compiled)
+                knots = scheme._knot_text(compiled.rows, np.array(xs))
+                cli._write_snapshot(path, knots, t, np.array(nums), np.array(exacts))
+            assert path.read_text() == want
 
 
 def compiled_rows():

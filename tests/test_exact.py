@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ctburgers import scheme
@@ -24,7 +24,9 @@ from ctburgers.exact import (
     _trig_table,
     bessel_i,
     bessel_i_ratio,
+    sine_wave_columns,
     sine_wave_exact,
+    traveling_wave_columns,
     traveling_wave_exact,
     traveling_wave_slope,
 )
@@ -588,3 +590,110 @@ class TestCompiledSine:
             messages.append(str(native.value))
         # the points outside [0, 1] are not checked, so the column fails at x
         assert messages[0] == messages[1]
+
+
+def per_time_calls(evaluate, ts):
+    """The bytes of ``evaluate(t)`` at each t of ``ts`` in order, up to the
+    first that raises, and that error's text, or None."""
+    rows = []
+    for t in ts:
+        try:
+            rows.append(evaluate(t).tobytes())
+        except (ValueError, SeriesConvergenceError) as err:
+            return rows, f"{type(err).__name__}: {err}"
+    return rows, None
+
+
+def assert_rows_or_first_error(columns, rows, error):
+    """``columns()`` gives ``rows`` in order, or raises ``error`` first."""
+    if error is None:
+        got = columns()
+        assert got.shape[0] == len(rows)
+        assert [row.tobytes() for row in got] == rows
+    else:
+        with pytest.raises((ValueError, SeriesConvergenceError)) as raised:
+            columns()
+        assert f"{type(raised.value).__name__}: {raised.value}" == error
+
+
+FINISHERS = [pytest.param(False, id="native"), pytest.param(True, id="python")]
+
+
+class TestOnePassColumns:
+    """Row k of a one-pass column set has the bits of the call at ts[k],
+    and the pass raises what the calls in order would raise first."""
+
+    @pytest.mark.parametrize("python", FINISHERS)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        xs=series_points,
+        lam=st.floats(min_value=1e-3, max_value=1.0),
+        ts=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=3.0)),
+                    min_size=1, max_size=6),
+        warm=st.booleans(),
+    )
+    # J = 18, 0, 35, 24 and 34 at a repeated point and -0.0; x = 0.9875
+    # leaves [0, 1] at t = 0.02
+    @example(xs=np.array([0.0, -0.0, 0.5, 0.5, 0.9875, 1.0, -0.25]), lam=0.01,
+             ts=[0.7, 0.0, 0.005, 0.3], warm=True)
+    @example(xs=np.array([0.0, -0.0, 0.5, 0.5, 0.9875, 1.0, -0.25]), lam=0.01,
+             ts=[0.7, 0.0, 0.005, 0.02, 0.3], warm=False)
+    # the 401 knots of the exact_snapshots benchmark at some of its times
+    @example(xs=UniformPartition(0.0, 1.0, 400).knot_array(), lam=0.01,
+             ts=[0.7, 0.72, 0.85, 1.0], warm=False)
+    def test_sine_rows_are_the_calls_at_each_time(self, python, xs, lam, ts, warm, monkeypatch):
+        if python:
+            monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+        # each call sums the table of its own J; the pass, that of the largest
+        rows, error = per_time_calls(lambda t: sine_wave_exact(xs, t, lam), ts)
+        if not warm:
+            _trig_table.cache_clear()
+        assert_rows_or_first_error(lambda: sine_wave_columns(xs, ts, lam), rows, error)
+
+    @pytest.mark.parametrize("python", FINISHERS)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        xs=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=40),
+        ts=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=6),
+        lam=st.floats(min_value=1e-6, max_value=1.0),
+    )
+    def test_front_rows_are_the_calls_at_each_time(self, python, xs, ts, lam, monkeypatch):
+        if python:
+            monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+        got = traveling_wave_columns(np.array(xs), ts, ALPHA, MU, GAMMA, lam)
+        assert got.shape == (len(ts), len(xs))
+        for row, t in zip(got, ts):
+            points = np.array([traveling_wave_exact(x, t, ALPHA, MU, GAMMA, lam) for x in xs])
+            assert row.tobytes() == points.tobytes()
+            assert row.tobytes() == traveling_wave_exact(xs, t, ALPHA, MU, GAMMA, lam).tobytes()
+
+    @pytest.mark.parametrize(
+        "ts, message",
+        [
+            # the range check at t = 0.02 comes before the 35 terms t = 0.005 needs
+            ([0.7, 0.02, 0.005], r"series value -0.00360641 at x=0.9875 .*t=0.02\)"),
+            ([0.7, 0.005, 0.02], r"not converged within 34 terms \(lam=0.01, t=0.005\)"),
+        ],
+        ids=["range-first", "terms-first"],
+    )
+    @pytest.mark.parametrize("python", FINISHERS)
+    def test_first_failing_time_raises(self, ts, message, python, monkeypatch):
+        if python:
+            monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+        xs = UniformPartition(0.0, 1.0, 400).knot_array()
+        ctl = SeriesControl(max_terms=34)
+        rows, error = per_time_calls(lambda t: sine_wave_exact(xs, t, 0.01, ctl), ts)
+        assert len(rows) == 1
+        with pytest.raises(SeriesConvergenceError, match=message):
+            sine_wave_columns(xs, ts, 0.01, ctl)
+        assert_rows_or_first_error(lambda: sine_wave_columns(xs, ts, 0.01, ctl), rows, error)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.01])
+    def test_invalid_time_after_a_failing_one_is_not_reached(self, bad):
+        xs = np.array([0.5, 0.9875])
+        with pytest.raises(SeriesConvergenceError, match="t=0.02"):
+            sine_wave_columns(xs, [0.7, 0.02, bad], 0.01)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            sine_wave_columns(xs, [0.7, bad, 0.02], 0.01)

@@ -22,6 +22,7 @@ from ctburgers.linalg import ZeroPivotError
 from ctburgers.problems import sine_problem, traveling_problem
 from ctburgers.scheme import (
     CoefficientVector,
+    NodalState,
     ProblemSpec,
     _StepKernel,
     advance,
@@ -84,6 +85,21 @@ class TestNodalValues:
         # the discrete curvature of a constant state vanishes by the
         # gamma2 = -2*gamma1 construction
         npt.assert_allclose(s.uxx, 0.0, atol=1e-11)
+
+    def test_derivatives_read_late_are_those_of_the_parameters_at_the_call(self):
+        # U_x and U_xx are computed on their first read, from the state's own
+        # copy of the parameters, with the expressions of U, U_x, U_xx
+        sc = knot_coefficients(0.1)
+        delta = np.sin(0.7 * np.arange(13.0)) - 0.25
+        d = delta.copy()
+        s = nodal_values(CoefficientVector(delta=delta, time=0.0), sc)
+        delta[:] = np.nan
+        assert s.u.tobytes() == (sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1]
+                                 + sc.alpha1 * d[2:]).tobytes()
+        assert s.ux.tobytes() == (sc.beta1 * d[:-2] + sc.beta2 * d[2:]).tobytes()
+        assert s.uxx.tobytes() == (sc.gamma1 * d[:-2] + sc.gamma2 * d[1:-1]
+                                   + sc.gamma1 * d[2:]).tobytes()
+        assert s.ux is s.ux and isinstance(s, NodalState)
 
 
 class TestInitializeCoefficients:
@@ -739,8 +755,9 @@ class TestNativeFinisher:
         if scheme._compiled().rows is None:
             pytest.skip("no compiled library on this machine")
         mutant = compile_mutant(tmp_path, [(statement, mutant)])
-        # the mutant's march and fit alone pass: the rows are what fail the check
-        assert scheme._matches_python(mutant._replace(rows=None))
+        # the mutant's march, fit, front and sine alone pass: the formatter,
+        # which the rows and the snapshot share, is what fails the check
+        assert scheme._matches_python(mutant._replace(rows=None, snapshot=None))
         assert not scheme._matches_python(mutant)
 
     @pytest.mark.parametrize(
@@ -798,6 +815,40 @@ class TestNativeFinisher:
         mutant = compile_mutant(tmp_path, replacements)
         # the mutant's other entry points alone pass: the sine is what fails the check
         assert scheme._matches_python(mutant._replace(sine=None))
+        assert not scheme._matches_python(mutant)
+
+
+    @pytest.mark.parametrize(
+        "replacements",
+        [
+            # |U - exact| without its fabs
+            [("p = format(p, fabs(u[i] - ue[i]));", "p = format(p, u[i] - ue[i]);")],
+            # U and the exact value swapped
+            [
+                (
+                    "p = format(p, u[i]);\n        *p++ = ',';\n        p = format(p, ue[i]);",
+                    "p = format(p, ue[i]);\n        *p++ = ',';\n        p = format(p, u[i]);",
+                ),
+            ],
+            # the knot text of row i + 1, and of row 0 in the last row
+            [
+                (
+                    "start = i > 0 ? knot_ends[i - 1] : 0;\n        len = knot_ends[i] - start;",
+                    "start = i + 1 < n ? knot_ends[i] : 0;\n"
+                    "        len = (i + 1 < n ? knot_ends[i + 1] : knot_ends[0]) - start;",
+                ),
+            ],
+            # the t field dropped
+            [("memcpy(p, t_text, t_len);\n        p += t_len;\n", "")],
+        ],
+        ids=["no-fabs", "swapped-values", "next-knot", "no-t"],
+    )
+    def test_known_answer_check_rejects_a_mutant_snapshot(self, replacements, tmp_path):
+        if scheme._compiled().snapshot is None:
+            pytest.skip("no compiled library on this machine")
+        mutant = compile_mutant(tmp_path, replacements)
+        # the mutant's other entry points alone pass: the snapshot is what fails the check
+        assert scheme._matches_python(mutant._replace(snapshot=None))
         assert not scheme._matches_python(mutant)
 
 
