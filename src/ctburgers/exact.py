@@ -389,7 +389,8 @@ def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam
     array of the same length.  The value falls from ``alpha + mu`` far
     left of the front to ``mu - alpha`` far right; ``lam`` controls the
     front width.  The positive-exponent side is rearranged so the
-    exponential never overflows.  An array is one call of the compiled
+    exponential never overflows.  An array is the one row of
+    :func:`traveling_wave_columns` at t: one call of the compiled
     ``front`` when :mod:`ctburgers.scheme`'s library passed its check, and
     otherwise :func:`_front_column`'s numpy operations; both take the
     operations of a float in the same order, with the exponential of libm,
@@ -405,13 +406,7 @@ def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam
             return ((alpha + mu) * em + (mu - alpha)) / (em + 1.0)
         e = math.exp(eta)
         return (alpha + mu + (mu - alpha) * e) / (1.0 + e)
-    xs = np.ascontiguousarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError("x must be a float or a 1-D array")
-    # scheme imports this module, so its library gate is looked up per call
-    from .scheme import _compiled
-
-    return _front_column(_compiled().front, xs, t, alpha, mu, gamma, lam)
+    return traveling_wave_columns(x, (t,), alpha, mu, gamma, lam)[0]
 
 
 def traveling_wave_columns(x, ts, alpha: float, mu: float, gamma: float,

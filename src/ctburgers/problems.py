@@ -52,18 +52,14 @@ class _SineWave:
 
 
 @dataclass(frozen=True)
-class _FrontConstants:
-    """The constants of one traveling front."""
+class _Front:
+    """:func:`traveling_wave_exact` with its constants bound; at the
+    default ``t = 0.0`` it is the initial condition."""
 
     alpha: float
     mu: float
     gamma: float
     lam: float
-
-
-class _Front(_FrontConstants):
-    """:func:`traveling_wave_exact` with its constants bound; at the
-    default ``t = 0.0`` it is the initial condition."""
 
     def __call__(self, x, t: float = 0.0):
         return traveling_wave_exact(x, t, self.alpha, self.mu, self.gamma, self.lam)
@@ -72,7 +68,7 @@ class _Front(_FrontConstants):
         return traveling_wave_columns(xs, ts, self.alpha, self.mu, self.gamma, self.lam)
 
 
-class _FrontSlope(_FrontConstants):
+class _FrontSlope(_Front):
     """:func:`traveling_wave_slope` of the front at t = 0."""
 
     def __call__(self, x: float) -> float:

@@ -155,38 +155,41 @@ class CoefficientVector:
 
 @dataclass
 class NodalState:
-    """Solution value and first two space derivatives at the knots."""
+    """Solution value and first two space derivatives at the knots.
+
+    A state from :func:`nodal_values` holds U and a copy of the spline
+    parameters, and computes U_x and U_xx on their first read; it is a
+    plain :class:`NodalState` in every other respect.
+    """
 
     u: np.ndarray
     ux: np.ndarray
     uxx: np.ndarray
 
-
-class _SplineState(NodalState):
-    """The :class:`NodalState` of spline parameters: U at once, U_x and
-    U_xx on their first read, from a copy of the parameters the state
-    keeps, since a kernel steps its own in place."""
-
-    def __init__(self, delta: np.ndarray, sc: SchemeCoefficients):
-        d = self._delta = np.array(delta, dtype=float)
-        self._sc = sc
-        self.u = sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1] + sc.alpha1 * d[2:]
-
-    @functools.cached_property
-    def ux(self) -> np.ndarray:
-        d, sc = self._delta, self._sc
-        return sc.beta1 * d[:-2] + sc.beta2 * d[2:]
-
-    @functools.cached_property
-    def uxx(self) -> np.ndarray:
-        d, sc = self._delta, self._sc
-        return sc.gamma1 * d[:-2] + sc.gamma2 * d[1:-1] + sc.gamma1 * d[2:]
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: U_x or U_xx not
+        # read yet from the parameters nodal_values left in the state
+        lazy = self.__dict__.get("_spline")
+        if lazy is None or name not in ("ux", "uxx"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d, sc = lazy
+        if name == "ux":
+            value = sc.beta1 * d[:-2] + sc.beta2 * d[2:]
+        else:
+            value = sc.gamma1 * d[:-2] + sc.gamma2 * d[1:-1] + sc.gamma1 * d[2:]
+        setattr(self, name, value)
+        return value
 
 
 def nodal_values(c: CoefficientVector, sc: SchemeCoefficients) -> NodalState:
     """Evaluate U, U_x, U_xx at every knot from the spline parameters;
     U_x and U_xx are computed when first read, as most callers read U alone."""
-    return _SplineState(c.delta, sc)
+    # a copy of the parameters, since a kernel steps its own in place
+    d = np.array(c.delta, dtype=float)
+    state = NodalState.__new__(NodalState)
+    state.u = sc.alpha1 * d[:-2] + sc.alpha2 * d[1:-1] + sc.alpha1 * d[2:]
+    state._spline = (d, sc)
+    return state
 
 
 def initialize_coefficients(

@@ -1,8 +1,10 @@
 """Scheme tests: initialization, stepping, boundaries, convergence."""
 
+import copy
 import ctypes
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -100,6 +102,25 @@ class TestNodalValues:
         assert s.uxx.tobytes() == (sc.gamma1 * d[:-2] + sc.gamma2 * d[1:-1]
                                    + sc.gamma1 * d[2:]).tobytes()
         assert s.ux is s.ux and isinstance(s, NodalState)
+
+    def test_a_state_of_nodal_values_is_a_plain_nodal_state(self):
+        # the derivatives read late leave the dataclass as it is: its type,
+        # replace, ==, repr, copies and pickles see the three fields
+        sc = knot_coefficients(0.1)
+        delta = np.sin(0.7 * np.arange(13.0)) - 0.25
+        s = nodal_values(CoefficientVector(delta=delta, time=0.0), sc)
+        kept = pickle.loads(pickle.dumps(s))
+        copied = copy.deepcopy(s)
+        assert type(s) is NodalState
+        moved = replace(s, u=-s.u)
+        assert type(moved) is NodalState and moved.ux is s.ux and moved.uxx is s.uxx
+        assert s == NodalState(u=s.u, ux=s.ux, uxx=s.uxx)
+        assert repr(s) == repr(NodalState(s.u, s.ux, s.uxx))
+        for other in (kept, copied):
+            assert [a.tobytes() for a in (other.u, other.ux, other.uxx)] == [
+                a.tobytes() for a in (s.u, s.ux, s.uxx)]
+        with pytest.raises(AttributeError, match="'NodalState' object has no attribute 'uxxx'"):
+            getattr(s, "uxxx")
 
 
 class TestInitializeCoefficients:
