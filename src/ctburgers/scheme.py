@@ -21,8 +21,11 @@ writes the rows of a CSV file with the bytes of ``'%.12g' % v``,
 ``front`` evaluates :func:`~ctburgers.exact.traveling_wave_exact` on an
 array of points, ``sine`` sums the series of
 :func:`~ctburgers.exact.sine_wave_exact` on one and ``snapshot`` writes
-the rows of a run snapshot around its knot texts, formatted once per run.
-The library is used, all six entry points or none, when it gives the
+the rows of a run snapshot around its knot texts, formatted once per run,
+each file into one buffer the run's snapshots share.  ``rows`` and
+``snapshot`` may write up to 24 bytes past the start of a value, so
+every buffer they fill ends in ``_SPARE`` bytes more than its text can
+take.  The library is used, all six entry points or none, when it gives the
 bits and bytes of the Python path on a fixed set of known-answer marches,
 fits, rows, front columns, sine columns and snapshot rows.  Otherwise,
 and on machines without a C compiler, each step runs on Python floats,
@@ -72,6 +75,11 @@ TIME_ALIGN_TOL = 1e-9
 # cell-step, half an hour of marching; it also keeps every step count far
 # inside the 64-bit count of the compiled march
 MAX_CELL_STEPS = 10**11
+
+# spare bytes at the end of every buffer the compiled rows and snapshot
+# fill: the formatter writes up to 24 bytes past the start of a value, beyond
+# its text (_finish.c, layout)
+_SPARE = 32
 
 
 @dataclass(frozen=True)
@@ -263,7 +271,7 @@ def _csv_rows(native: Callable | None, columns, t_text: str):
         return ((row * n) % tuple(values.T.ravel().tolist())).encode("ascii")
     t = t_text.encode("ascii")
     # a value takes at most 19 bytes and one separator
-    out = np.empty(n * (20 * width + len(t) + 1), dtype=np.uint8)
+    out = np.empty(n * (20 * width + len(t) + 1) + _SPARE, dtype=np.uint8)
     size = native(values.ctypes.data, width, n, t, out.ctypes.data)
     return out[:size]
 
@@ -282,42 +290,60 @@ def _knot_text(native: Callable | None, xs) -> tuple[bytes, np.ndarray]:
     return text.tobytes(), np.flatnonzero(text == ord(",")).astype(np.int64) + 1
 
 
-def _snapshot_rows(native: Callable | None, knots: tuple[bytes, np.ndarray], u, ue,
-                   t_text: str):
-    """The CSV rows ``x,<t_text>,U,exact,|U - exact|`` of one snapshot,
-    each value written as ``'%.12g' % v``, by the compiled ``snapshot``
-    when ``native`` is given.
+def _snapshot_files(native: Callable | None, knots: tuple[bytes, np.ndarray], us, exact,
+                    t_texts):
+    """The CSV rows ``x,<t_text>,U,exact,|U - exact|`` of each snapshot of a
+    run, one file's at a time, each value written as ``'%.12g' % v``, by
+    the compiled ``snapshot`` when ``native`` is given.
 
-    ``knots`` is :func:`_knot_text` of the points, and ``u`` and ``ue``
-    hold one value per point.  |U - exact| is numpy's abs of the
-    difference, or C's ``fabs``: the same operation, where an overflow to
-    inf or inf - inf passes silently.  Without ``native``, one %-template
-    is filled once for all rows around the knot texts: the reference the
-    compiled rows are checked against.  Returns the ASCII bytes, or a
-    uint8 array holding them.
+    ``knots`` is :func:`_knot_text` of the points; ``us``, the rows of
+    ``exact`` and ``t_texts`` hold each file's U, exact values and t text.
+    |U - exact| is numpy's abs of the difference, or C's ``fabs``: the same
+    operation, where an overflow to inf or inf - inf passes silently.
+    Without ``native``, one %-template is filled once for each file around
+    the knot texts: the reference the compiled rows are checked against,
+    yielded as ASCII bytes.
+
+    The compiled path fetches the pointers of the knot ends, the exact
+    block and one output buffer, sized for the longest t text, once per
+    run, and yields a view of that buffer, which the next file overwrites;
+    each U is used in place when it is a C-contiguous float array.
     """
     text, ends = knots
-    u = np.ascontiguousarray(u, dtype=float)
-    ue = np.ascontiguousarray(ue, dtype=float)
     n = len(ends)
-    if not len(u) == len(ue) == n:
-        raise ValueError(f"{n} knots, but {len(u)} numerical and {len(ue)} exact values")
+    exact = np.ascontiguousarray(exact, dtype=float)
     if native is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = np.abs(np.subtract(u, ue))
         cells = [None] * (4 * n)
         cells[0::4] = text.decode("ascii").split(",")[:-1]
-        cells[1::4] = u.tolist()
-        cells[2::4] = ue.tolist()
-        cells[3::4] = err.tolist()
-        row = "%s," + t_text + ",%.12g,%.12g,%.12g\n"
-        return ((row * n) % tuple(cells)).encode("ascii")
-    t = t_text.encode("ascii")
-    # each of the three values takes at most 19 bytes and one separator
-    out = np.empty(len(text) + n * (len(t) + 61), dtype=np.uint8)
-    # every array stays bound to a name here, so alive, for the whole call
-    size = native(text, ends.ctypes.data, u.ctypes.data, ue.ctypes.data, n, t, out.ctypes.data)
-    return out[:size]
+    else:
+        t_bytes = [t.encode("ascii") for t in t_texts]
+        # each of the three values takes at most 19 bytes and one separator
+        out = np.empty(len(text) + n * (max(map(len, t_bytes), default=0) + 61) + _SPARE,
+                       dtype=np.uint8)
+        view = memoryview(out)
+        # ends, exact and out stay bound to names here, so alive, for every call
+        ends_at, exact_at, out_at = ends.ctypes.data, exact.ctypes.data, out.ctypes.data
+    for k, (u, ue, t_text) in enumerate(zip(us, exact, t_texts)):
+        u = np.ascontiguousarray(u, dtype=float)
+        if not len(u) == len(ue) == n:
+            raise ValueError(f"{n} knots, but {len(u)} numerical and {len(ue)} exact values")
+        if native is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = np.abs(np.subtract(u, ue))
+            cells[1::4] = u.tolist()
+            cells[2::4] = ue.tolist()
+            cells[3::4] = err.tolist()
+            row = "%s," + t_text + ",%.12g,%.12g,%.12g\n"
+            yield ((row * n) % tuple(cells)).encode("ascii")
+        else:
+            ue_at = exact_at + k * exact.strides[0]
+            yield view[:native(text, ends_at, u.ctypes.data, ue_at, n, t_bytes[k], out_at)]
+
+
+def _snapshot_rows(native: Callable | None, knots: tuple[bytes, np.ndarray], u, ue,
+                   t_text: str):
+    """The rows of one snapshot: :func:`_snapshot_files` of one file."""
+    return next(_snapshot_files(native, knots, [u], [ue], [t_text]))
 
 
 class _StepKernel:
@@ -522,28 +548,45 @@ def _known_answer_fits():
 
 
 def _known_answer_rows():
-    """Fixed (3, 19) columns and the t text for the rows check.
+    """Fixed (3, 33) columns and the t text for the rows check.
 
     They hold exact ties at the 13th digit (2^-18, 100000000000.5 and
     100000000001.5, which round to even), values on both sides of the %g
     switches at 10^-4 and 10^12, where the rounding moves the exponent,
     1e-05 and 1e12, +-0.0, the smallest subnormal and normal doubles, the
-    largest double, +-inf, a NaN with its sign bit set, values that,
-    scaled by factors of 10^22 to 12 integer digits, lie within 2^-51 of a
-    tie, and 21 values whose digit pairs take every pair from 00 to 99 in
-    the last five places.
+    largest double, +-inf, a NaN with its sign bit set, the widest text
+    (-1.23456789012e-308), values that, scaled by factors of 10^22 to 12
+    integer digits, lie within 2^-51 of a tie, and 21 values whose digit
+    pairs take every pair from 00 to 99 in the last five places.
+
+    1 and 12 significant digits of both signs sit at the decimal exponents
+    -5, -4, 11 and 12, where the layout switches, and at three-digit ones.
+    The doubles on both sides of 10^j for five j check the table of
+    rounded-up powers of ten.  Products a 10^22 and quotients a / 10^22
+    that round to n + 1/2, and their neighbours, take their side from the
+    exact remainder: one lies above n + 1/2, one below.
     """
     tie_4, tie_12 = 9.999999999995e-05, 999999999999.5
+    # a * 10^22 and a / 10^22 round to n + 1/2, a little below and above it
+    tie_up, tie_down = 1.234567890125e-11, 1.234567890125e+33
     values = [
         2.0**-18, 100000000000.5, 100000000001.5,
         tie_4, math.nextafter(tie_4, 0.0), math.nextafter(tie_4, 1.0), 1e-05, 1e-04,
         tie_12, math.nextafter(tie_12, 0.0), math.nextafter(tie_12, math.inf), 1e12,
         0.0, -0.0, 5e-324, -3e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
         math.inf, -math.inf, math.copysign(math.nan, -1.0), math.nan,
+        -1.23456789012e-308, 1e-320,
         0.1, -1.0 / 3.0, 123456.789, -7.0, 1e22, 1e23, 2.0**53, 1e-300,
         6.050602459065e-34, 1.616629688645e-19, 1.383957592355e-12,
         5.760931982955e+34, 1.565497303285e+56, 1.795097866425e+301,
     ]
+    for digits in (1.0, 1.23456789012):
+        for e in (-5, -4, 11, 12, -300, 250):
+            values += [digits * 10.0**e, -digits * 10.0**e]
+    for power in (1e-05, 1e1, 1e23, 1e-100, 1e308):
+        values += [math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+    for tie in (tie_up, tie_down):
+        values += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
     # 12 digits: a leading pair 10 .. 90, then the pairs 5j .. 5j + 4 (mod 100)
     values += [
         float("%d%s" % (10 + 4 * j, "".join("%02d" % ((5 * j + i) % 100) for i in range(5))))

@@ -1,11 +1,16 @@
 """Command-line interface tests: flags, config files, outputs, exit codes."""
 
+import errno
 import hashlib
+import math
 import os
+import re
+import struct
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import cli, exact, problems, scheme
+from ctburgers import _native, cli, exact, problems, scheme
 from ctburgers.exact import SeriesConvergenceError
 from ctburgers.linalg import ZeroPivotError
 from ctburgers.scheme import NodalState
@@ -457,8 +462,91 @@ class TestCsvWriter:
             with monkeypatch.context() as m:
                 m.setattr(scheme, "_compiled", lambda: compiled)
                 knots = scheme._knot_text(compiled.rows, np.array(xs))
-                cli._write_snapshot(path, knots, t, np.array(nums), np.array(exacts))
+                cli._write_snapshots([path], knots, [t], [np.array(nums)], [np.array(exacts)])
             assert path.read_text() == want
+
+
+SNAPSHOT_RUN = ["run", "--problem", "sine", "--lambda", "0.01", "--n-cells", "40", "--dt", "0.01",
+                "--t-end", "0.1", "--sample-times", "0.05,0.1", "--outputs", "csv"]
+
+
+class TestRawWriter:
+    """``_write_rows`` creates and writes a CSV file as ``open(path, "wb")`` would."""
+
+    def test_short_writes_still_write_every_byte(self, tmp_path, monkeypatch, capsys):
+        whole, short = tmp_path / "whole", tmp_path / "short"
+        for argv in (SNAPSHOT_RUN, ["reproduce", "fig7"]):
+            assert run_main([*argv, "--output-dir", str(whole)]) == cli.EXIT_OK
+        writev, calls = os.writev, []
+
+        def three_bytes(fd, buffers):
+            # at most three bytes of the first buffer per call
+            calls.append(len(buffers))
+            return writev(fd, [bytes(memoryview(buffers[0])[:3])])
+
+        monkeypatch.setattr(os, "writev", three_bytes)
+        for argv in (SNAPSHOT_RUN, ["reproduce", "fig7"]):
+            assert run_main([*argv, "--output-dir", str(short)]) == cli.EXIT_OK
+        names = sorted(f.name for f in whole.iterdir())
+        assert len(names) == 3 and names == sorted(f.name for f in short.iterdir())
+        for name in names:
+            assert (short / name).read_bytes() == (whole / name).read_bytes(), name
+        assert len(calls) > 1000
+
+    def test_new_file_has_the_mode_and_descriptor_of_open(self, tmp_path, monkeypatch):
+        inheritable = []
+        writev = os.writev
+        monkeypatch.setattr(
+            os, "writev", lambda fd, buffers: inheritable.append(os.get_inheritable(fd))
+            or writev(fd, buffers)
+        )
+        for mask in (0o022, 0o077, 0o002):
+            old = os.umask(mask)
+            try:
+                cli._write_rows(tmp_path / f"raw{mask}", b"x\n", b"1\n")
+                with open(tmp_path / f"open{mask}", "wb") as f:
+                    f.write(b"x\n1\n")
+            finally:
+                os.umask(old)
+            raw, opened = (os.stat(tmp_path / f"{k}{mask}").st_mode for k in ("raw", "open"))
+            assert raw == opened == 0o100666 & ~mask
+        assert inheritable == [False, False, False]
+
+    def test_existing_file_is_truncated(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"a much longer file than the one written over it\n")
+        cli._write_rows(path, b"x\n", np.frombuffer(b"1\n", dtype=np.uint8))
+        assert path.read_bytes() == b"x\n1\n"
+
+    def test_failing_open_exits_one_naming_the_path(self, tmp_path, capsys):
+        # a directory where the second snapshot file should be
+        blocked = tmp_path / "sine_lam0.01_t0.1.csv"
+        blocked.mkdir()
+        fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert run_main([*SNAPSHOT_RUN, "--output-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and str(blocked) in err
+        if fds is not None:
+            assert set(os.listdir("/proc/self/fd")) == fds
+
+    def test_failing_write_closes_the_file(self, tmp_path, monkeypatch, capsys):
+        opened, real_open = [], os.open
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        def full(fd, buffers):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "writev", full)
+        assert run_main([*SNAPSHOT_RUN, "--output-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(opened) == 1
+        with pytest.raises(OSError) as closed:
+            os.fstat(opened[0])
+        assert closed.value.errno == errno.EBADF
 
 
 def compiled_rows():
@@ -492,8 +580,53 @@ HARDEST_TIES = [
 ]
 
 
+def from_bits(sign, exponent, mantissa):
+    """The double of the given sign bit, biased exponent and mantissa bits."""
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | mantissa))[0]
+
+
+def near_tie(n, s, step, negative):
+    """The double nearest (n + 1/2) 10^-s, or ``step`` doubles on from it:
+    scaled by 10^s to 12 integer digits, it rounds to n + 1/2 or near it."""
+    v = float(Fraction(2 * n + 1, 2) / Fraction(10) ** s)
+    for _ in range(abs(step)):
+        v = math.nextafter(v, math.copysign(math.inf, step))
+    return -v if negative else v
+
+
+# every sign and biased exponent, the subnormals and zeros (0), inf and the
+# NaNs (2047) among them, and the doubles nearest a rounding tie at every
+# scaling by one exact power of ten, with both neighbours
+any_bits = st.builds(
+    from_bits, st.integers(0, 1), st.one_of(st.integers(0, 2047), st.sampled_from([0, 2047])),
+    st.one_of(st.integers(0, 2**52 - 1), st.sampled_from([0, 1, 2**51, 2**52 - 1])),
+)
+ties = st.builds(
+    near_tie, st.integers(10**11, 10**12 - 1), st.integers(-22, 22), st.integers(-1, 1),
+    st.booleans(),
+)
+
+
 class TestCompiledRows:
     """The compiled rows write every double with the bytes of ``"%.12g" % v``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.one_of(any_bits, ties), min_size=1, max_size=30))
+    def test_bit_patterns_and_ties_on_both_paths(self, values):
+        want = "".join("%.12g,0.5\n" % v for v in values).encode("ascii")
+        for native in (scheme._compiled().rows, None):
+            assert bytes(scheme._csv_rows(native, [values], "0.5")) == want
+
+    def test_exponent_table_holds_the_rounded_up_powers_of_ten(self):
+        # entry j + 307 is the least double >= 10^j, for j = -307 .. 308
+        source = _native.SOURCE.read_text()
+        body = re.search(r"UP10\[\] = \{(.*?)\};", source, re.S).group(1)
+        table = [float(v) for v in body.replace(",", " ").split()]
+        assert "#define UP10_FIRST (-307)" in source
+        assert len(table) == 616
+        for j, up in enumerate(table, -307):
+            power = Fraction(10) ** j
+            assert Fraction(up) >= power > Fraction(math.nextafter(up, 0.0)), j
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(20141)

@@ -763,14 +763,18 @@ class TestNativeFinisher:
             # glibc's -nan for a NaN with its sign bit set written as it is
             ("if (*c == 'n')\n        negative = 0;", ""),
             # trailing zeros kept: 1e-05 as 1.00000000000e-05
-            (
-                "for (k = DIGITS; k > 1 && d[k - 1] == '0'; k--)",
-                "for (k = DIGITS; 0; k--)",
-            ),
+            ("if (v % 10 != 0)\n        return k;", "return DIGITS;"),
             # the pair table off by one entry: 37 written as 38
             ('"30313233343536373839"', '"30313233343536383839"'),
+            # a product or quotient that rounds to n + 1/2 rounded up, whichever
+            # side of it the exact one lies
+            ("half = lo;", "half = 1.0;"),
+            # the table of powers of ten shifted by one entry: every value of
+            # the lower of its two possible decimal exponents given the higher
+            ("static const double UP10[] = {", "static const double UP10[] = {\n    0.0,"),
         ],
-        ids=["ties-half-up", "signed-nan", "trailing-zeros", "pair-table-off-by-one"],
+        ids=["ties-half-up", "signed-nan", "trailing-zeros", "pair-table-off-by-one",
+             "half-rounded-up", "shifted-exponent-table"],
     )
     def test_known_answer_check_rejects_a_mutant_rows(self, statement, mutant, tmp_path):
         if scheme._compiled().rows is None:
@@ -843,12 +847,12 @@ class TestNativeFinisher:
         "replacements",
         [
             # |U - exact| without its fabs
-            [("p = format(p, fabs(u[i] - ue[i]));", "p = format(p, u[i] - ue[i]);")],
+            [("err = fabs(u[i] - ue[i]);", "err = u[i] - ue[i];")],
             # U and the exact value swapped
             [
                 (
-                    "p = format(p, u[i]);\n        *p++ = ',';\n        p = format(p, ue[i]);",
-                    "p = format(p, ue[i]);\n        *p++ = ',';\n        p = format(p, u[i]);",
+                    "p = put(p, u[i], du);\n        *p++ = ',';\n        p = put(p, ue[i], de);",
+                    "p = put(p, ue[i], de);\n        *p++ = ',';\n        p = put(p, u[i], du);",
                 ),
             ],
             # the knot text of row i + 1, and of row 0 in the last row
@@ -860,7 +864,12 @@ class TestNativeFinisher:
                 ),
             ],
             # the t field dropped
-            [("memcpy(p, t_text, t_len);\n        p += t_len;\n", "")],
+            [
+                (
+                    "p += len;\n        memcpy(p, t_text, t_len);\n        p += t_len;\n",
+                    "p += len;\n",
+                ),
+            ],
         ],
         ids=["no-fabs", "swapped-values", "next-knot", "no-t"],
     )
