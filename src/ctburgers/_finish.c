@@ -51,11 +51,12 @@
  * fabs(u - ue), the same operation as numpy's abs of the difference.  It
  * finds the digits of a row's three values before it writes the row.
  *
- * scheme.py uses the library only when all six entry points end every
- * one of a fixed set of known-answer marches, fits, rows, front columns,
- * sine columns and snapshot rows as the Python path does: on the same
- * zero-pivot row or out-of-range point, the same bits and the same bytes
- * (scheme._matches_python).
+ * ctburgers._native uses the library only when all six entry points end
+ * every one of a fixed set of known-answer marches, fits, rows, front and
+ * sine rows and snapshot files as the Python path does, each called from
+ * the Python function that calls it in production: on the same zero-pivot
+ * row or out-of-range point, the same bits and the same bytes
+ * (_native._matches_python).
  *
  * Build (ctburgers._native.compile_command): cc -O2 -std=c99
  *     -ffp-contract=off -fno-fast-math -shared -fPIC -o LIB _finish.c -lm

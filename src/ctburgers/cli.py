@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import reference as ref
-from . import scheme
+from .csvtext import _fmt12, _write_csv, _write_snapshots
 from .exact import SeriesConvergenceError
 from .linalg import ZeroPivotError
 from .metrics import _knot_index, table_report
@@ -98,79 +97,6 @@ class RunConfig:
         return p
 
 
-def _fmt12(v: float) -> str:
-    return f"{v:.12g}"
-
-
-# flags and mode of a new CSV file as open(path, "wb") makes it: the mode
-# less the umask, and, as every os.open descriptor, not inherited by child
-# processes
-_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-_MODE = 0o666
-
-_SNAPSHOT_HEADER = b"x,t,numerical,exact,abs_error\n"
-
-
-def _unwritten(parts, written: int) -> list[memoryview]:
-    """The bytes of ``parts`` after the first ``written``."""
-    rest = []
-    for part in map(memoryview, parts):
-        if written >= len(part):
-            written -= len(part)
-        else:
-            rest.append(part[written:])
-            written = 0
-    return rest
-
-
-def _write_rows(path: Path, header: bytes, rows) -> None:
-    """Write ``header`` and then ``rows``, bytes or a uint8 buffer, to a new
-    file at ``path``: one ``os.open``, one ``os.writev`` (more only if the
-    system writes part of the bytes) and one ``os.close``, which also runs
-    when a write fails."""
-    fd = os.open(path, _CREATE, _MODE)
-    try:
-        parts = [header, rows]
-        left = len(header) + len(rows)
-        while (written := os.writev(fd, parts)) < left:
-            left -= written
-            parts = _unwritten(parts, written)
-    finally:
-        os.close(fd)
-
-
-def _write_csv(path: Path, header: str, t: float, columns) -> None:
-    """Write ``header`` and the rows ``c0,t,c1,...`` of the float ``columns``,
-    one line per element, every number as ``"%.12g" % v``.
-
-    The rows come from the compiled library's ``rows`` when it passed its
-    check, and from one %-template filled once for the whole file
-    otherwise (:func:`ctburgers.scheme._csv_rows`).  ``"%.12g" % v`` and
-    ``f"{v:.12g}"`` format a float through the same routine, so the bytes
-    are those of a per-row f-string writer.
-    """
-    rows = scheme._csv_rows(scheme._compiled().rows, columns, _fmt12(t))
-    _write_rows(path, header.encode("ascii") + b"\n", rows)
-
-
-def _write_snapshots(paths, knots, times, us, exact) -> None:
-    """The snapshots of one ``run``: at each of ``paths`` the knots, t, U,
-    exact and |U - exact| of one time, with the bytes of :func:`_write_csv`
-    of those columns.
-
-    ``knots`` is the knot column formatted once per run
-    (:func:`ctburgers.scheme._knot_text`), and ``us`` and the rows of
-    ``exact`` hold U and the exact values at ``times``.  The rows come from
-    the compiled library's ``snapshot``, one call and one reused buffer
-    per file, or its %-template (:func:`ctburgers.scheme._snapshot_files`).
-    """
-    files = scheme._snapshot_files(
-        scheme._compiled().snapshot, knots, us, exact, [_fmt12(t) for t in times]
-    )
-    for path, rows in zip(paths, files):
-        _write_rows(path, _SNAPSHOT_HEADER, rows)
-
-
 def run(config: RunConfig) -> int:
     """Solve one configuration and write the requested outputs to stdout and files.
 
@@ -198,12 +124,11 @@ def run(config: RunConfig) -> int:
         times = sorted(states)
         # every exact column is evaluated, in one pass, before the first file
         # is written, so an oracle that fails at any snapshot leaves no CSV
-        # behind; the knot column is formatted once for every file
+        # behind
         exact = problem.exact.columns(knot_array, times)
-        knots = scheme._knot_text(scheme._compiled().rows, knot_array)
         stem = f"{config.problem}_lam{_fmt12(config.lam)}_t"
         paths = [config.output_dir / f"{stem}{_fmt12(t)}.csv" for t in times]
-        _write_snapshots(paths, knots, times, [states[t].u for t in times], exact)
+        _write_snapshots(paths, knot_array, times, [states[t].u for t in times], exact)
     return EXIT_OK
 
 

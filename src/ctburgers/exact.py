@@ -9,8 +9,9 @@ array gives the bits of the point-by-point calls.  Each also has a
 ``*_columns`` form that evaluates an array of points at many times in one
 pass, row by row with the bits of the calls at each time.  An array of
 points on the front, and the sum of the sine wave's series over an
-array, is one call into the compiled library of :mod:`ctburgers.scheme`
-per time when that passed its check.  The modified Bessel
+array, is one call into the compiled library of
+:mod:`ctburgers._native` per time when that passed its check.  The
+modified Bessel
 functions are computed in-module; for small viscosity the series is
 evaluated entirely through the ratios I_j(z)/I_0(z), which stay O(1)
 even when the raw function values overflow.
@@ -23,6 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _native
 
 __all__ = [
     "SeriesControl",
@@ -257,10 +260,8 @@ def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl(
     same J terms, in ascending j; each value is bit-identical to a call
     with that point alone.  The t-independent table of sin(pi j x) and
     cos(pi j x) is cached per (points, J), so calls at many t on the same
-    points build it once.  The sum over the table is one call of the
-    compiled ``sine`` when :mod:`ctburgers.scheme`'s library passed its
-    check, and otherwise :func:`_sine_column`'s numpy rows, in the same
-    order; an array is the one row of :func:`sine_wave_columns` at t.  At
+    points build it once.  An array is the one row of
+    :func:`sine_wave_columns` at t, summed by :func:`_sine_rows`.  At
     t = 0 the series does not decay and the value is :func:`sine_pulse`,
     the initial condition itself.
 
@@ -286,11 +287,9 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
     The factors of every time are found first, then one sin/cos table is
     taken for the largest J, and a time with fewer terms sums its first
     rows: each entry of the table is computed alone, so they have the bits
-    of a smaller table's.  The compiled ``sine`` is called once per time,
-    into its row, with the pointers of the points, the table, the factors
-    and the result fetched once.  Raises what the calls at ``ts`` in their
-    order would raise first: a time whose factors fail raises after the
-    sums of the times before it.
+    of a smaller table's.  The rows are :func:`_sine_rows`.  Raises what
+    the calls at ``ts`` in their order would raise first: a time whose
+    factors fail raises after the sums of the times before it.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -314,16 +313,42 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
         flat += jr + r2 + es
         terms.append(len(jr))
     factors = np.array(flat)
-    n = len(xs)
-    out = np.empty((len(terms), n))
+    s = c = None
     if flat:
         s, c = _trig_table(xs.tobytes(), max(terms))
-    scale = 4.0 * math.pi * lam
-    # scheme imports this module, so its library gate is looked up per call
-    from .scheme import _compiled
+    out, bad = _sine_rows(_native.compiled().sine, xs, s, c, factors, terms, 4.0 * math.pi * lam)
+    if bad is not None:
+        k, i = bad
+        raise SeriesConvergenceError(
+            f"series value {out[k, i]:.6g} at x={xs[i]:.6g} lies outside [0, 1]"
+            f" (lam={lam}, t={ts[k]}): the sum has lost its accuracy"
+        )
+    if failure is not None:
+        raise failure
+    return out
 
-    sine = _compiled().sine
-    if sine is not None and flat:
+
+def _sine_rows(native, xs: np.ndarray, s, c, factors: np.ndarray, terms,
+               scale: float) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The sine-wave series at the points ``xs``, one row for each J of
+    ``terms``, and the first (row, point) whose value lies outside [0, 1]
+    by more than ``RANGE_TOL`` at a point in [0, 1], or None; no row after
+    it is written.  A NaN value counts as outside; a NaN point is not in
+    [0, 1], so it is not checked.
+
+    ``s`` and ``c`` are the tables of sin(pi j x) and cos(pi j x) with at
+    least max(terms) rows, ``factors`` the rows ``j*r_j``, ``2*r_j`` and
+    ``e_j`` of :func:`_series_factors` of each J > 0, end to end, and
+    ``scale`` is 4 pi lam; every array is C-contiguous.  A row with J = 0
+    is :func:`sine_pulse`, the value at t = 0.  The compiled ``sine``, when
+    ``native`` is given, is called once per row, into it, with the pointers
+    fetched once.  Without it, numpy adds one row of terms at a time in
+    ascending j, like the scalar sum: the reference the compiled sum is
+    checked against.
+    """
+    n = len(xs)
+    out = np.empty((len(terms), n))
+    if native is not None and factors.size:
         x_at, s_at, c_at, f_at, out_at = (a.ctypes.data for a in (xs, s, c, factors, out))
     start = 0
     for k, j in enumerate(terms):
@@ -331,55 +356,26 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
             # at t = 0 the series does not decay: the initial condition itself
             out[k] = sine_pulse(xs)
             continue
-        if sine is None:
-            row = factors[start:start + 3 * j].reshape(3, j)
-            out[k], bad = _sine_column(None, xs, s[:j], c[:j], row, scale)
-        else:
-            bad = sine(x_at, n, s_at, c_at, f_at + 8 * start, j, scale, RANGE_TOL,
+        if native is not None:
+            i = native(x_at, n, s_at, c_at, f_at + 8 * start, j, scale, RANGE_TOL,
                        out_at + 8 * k * n)
+        else:
+            jr, r2, e = factors[start:start + 3 * j].reshape(3, j, 1)
+            num = np.zeros_like(xs)
+            den = np.ones_like(xs)
+            # an overflowing term or a zero denominator gives an inf or NaN
+            # value, which the range check below flags; in C it passes silently too
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                for num_j, den_j in zip(jr * s[:j] * e, r2 * c[:j] * e):
+                    num += num_j
+                    den += den_j
+                out[k] = u = scale * num / den
+            wrong = ~((u >= -RANGE_TOL) & (u <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
+            i = int(np.argmax(wrong)) if wrong.any() else -1
         start += 3 * j
-        if bad >= 0:
-            raise SeriesConvergenceError(
-                f"series value {out[k, bad]:.6g} at x={xs[bad]:.6g} lies outside [0, 1]"
-                f" (lam={lam}, t={ts[k]}): the sum has lost its accuracy"
-            )
-    if failure is not None:
-        raise failure
-    return out
-
-
-def _sine_column(native, xs: np.ndarray, s: np.ndarray, c: np.ndarray, factors: np.ndarray,
-                 scale: float) -> tuple[np.ndarray, int]:
-    """The sine-wave series at the points ``xs``, by the compiled ``sine``
-    when ``native`` is given, and the first point in [0, 1] whose value
-    lies outside [0, 1] by more than ``RANGE_TOL``, or -1.
-
-    ``s`` and ``c`` are the (J, M) tables of sin(pi j x) and cos(pi j x),
-    ``factors`` the (3, J) rows ``j*r_j``, ``2*r_j`` and ``e_j`` of
-    :func:`_series_factors` and ``scale`` is 4 pi lam; every array is
-    C-contiguous.  Without ``native``, numpy adds one row per term in
-    ascending j, like the scalar sum: the reference the compiled sum is
-    checked against.  A NaN value counts as outside; a NaN point is not
-    in [0, 1], so it is not checked.
-    """
-    if native is not None:
-        u = np.empty(len(xs))
-        # every array stays bound to a name here, so alive, for the whole call
-        k = native(xs.ctypes.data, len(xs), s.ctypes.data, c.ctypes.data, factors.ctypes.data,
-                   factors.shape[1], scale, RANGE_TOL, u.ctypes.data)
-        return u, k
-    jr, r2, e = factors[:, :, None]
-    num = np.zeros_like(xs)
-    den = np.ones_like(xs)
-    # an overflowing term or a zero denominator gives an inf or NaN value,
-    # which the range check below flags; in C it passes silently too
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for num_j, den_j in zip(jr * s * e, r2 * c * e):
-            num += num_j
-            den += den_j
-        u = scale * num / den
-    wrong = ~((u >= -RANGE_TOL) & (u <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
-    return u, int(np.argmax(wrong)) if wrong.any() else -1
+        if i >= 0:
+            return out, (k, i)
+    return out, None
 
 
 def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam: float):
@@ -390,12 +386,10 @@ def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam
     left of the front to ``mu - alpha`` far right; ``lam`` controls the
     front width.  The positive-exponent side is rearranged so the
     exponential never overflows.  An array is the one row of
-    :func:`traveling_wave_columns` at t: one call of the compiled
-    ``front`` when :mod:`ctburgers.scheme`'s library passed its check, and
-    otherwise :func:`_front_column`'s numpy operations; both take the
-    operations of a float in the same order, with the exponential of libm,
-    which ``math.exp`` calls, so each value is bit-identical to a call with
-    that point alone.
+    :func:`traveling_wave_columns` at t, by :func:`_front_rows`, whose
+    compiled and numpy paths both take the operations of a float in the
+    same order, with the exponential of libm, which ``math.exp`` calls, so
+    each value is bit-identical to a call with that point alone.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -413,57 +407,47 @@ def traveling_wave_columns(x, ts, alpha: float, mu: float, gamma: float,
                            lam: float) -> np.ndarray:
     """:func:`traveling_wave_exact` at the points ``x`` at every time of
     ``ts``: row k of the (len(ts), len(x)) result has the bits of
-    ``traveling_wave_exact(x, ts[k], alpha, mu, gamma, lam)``.
-
-    The compiled ``front`` is called once per time, into its row, with the
-    pointers of the points and the result fetched once; without it, each
-    row is :func:`_front_column`'s numpy column.
+    ``traveling_wave_exact(x, ts[k], alpha, mu, gamma, lam)``: the rows
+    of :func:`_front_rows`.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("x must be a float or a 1-D array")
+    return _front_rows(_native.compiled().front, xs, ts, alpha, mu, gamma, lam)
+
+
+def _front_rows(native, xs: np.ndarray, ts, alpha: float, mu: float, gamma: float,
+                lam: float) -> np.ndarray:
+    """:func:`traveling_wave_exact` at the points ``xs``, a C-contiguous
+    1-D float array, one row for each time of ``ts``.
+
+    The compiled ``front``, when ``native`` is given, is called once per
+    time, into its row, with the pointers fetched once.  Without it, numpy
+    operations with the exponential on ``math.exp`` point by point,
+    because ``np.exp`` differs from it in the last bit for some arguments:
+    the reference the compiled front is checked against.
+    """
     n = len(xs)
     out = np.empty((len(ts), n))
-    # scheme imports this module, so its library gate is looked up per call
-    from .scheme import _compiled
-
-    front = _compiled().front
-    if front is None:
-        for k, t in enumerate(ts):
-            out[k] = _front_column(None, xs, t, alpha, mu, gamma, lam)
-        return out
-    x_at, out_at = xs.ctypes.data, out.ctypes.data
-    for k, t in enumerate(ts):
-        front(x_at, n, alpha, mu, t, gamma, lam, out_at + 8 * k * n)
-    return out
-
-
-def _front_column(native, xs: np.ndarray, t: float, alpha: float, mu: float, gamma: float,
-                  lam: float) -> np.ndarray:
-    """:func:`traveling_wave_exact` at the points ``xs``, a C-contiguous
-    1-D float array, by the compiled ``front`` when ``native`` is given.
-
-    Without it, numpy operations with the exponential on ``math.exp``
-    point by point, because ``np.exp`` differs from it in the last bit for
-    some arguments: the reference the compiled front is checked against.
-    """
     if native is not None:
-        out = np.empty(len(xs))
-        # xs and out stay bound to names here, so alive, for the whole call
-        native(xs.ctypes.data, len(xs), alpha, mu, t, gamma, lam, out.ctypes.data)
+        x_at, out_at = xs.ctypes.data, out.ctypes.data
+        for k, t in enumerate(ts):
+            native(x_at, n, alpha, mu, t, gamma, lam, out_at + 8 * k * n)
         return out
-    # an eta beyond the double range is the far field: its exponential is
-    # 0, as in C, where the overflow passes silently too
-    with np.errstate(over="ignore"):
-        eta = alpha * (xs - mu * t - gamma) / lam
-    right = eta > 0.0
-    e = np.fromiter(map(math.exp, np.where(right, -eta, eta).tolist()), float, len(eta))
     far_left, far_right = alpha + mu, mu - alpha
-    return np.where(
-        right, (far_left * e + far_right) / (e + 1.0), (far_left + far_right * e) / (1.0 + e)
-    )
+    for k, t in enumerate(ts):
+        # an eta beyond the double range is the far field: its exponential
+        # is 0, as in C, where the overflow passes silently too
+        with np.errstate(over="ignore"):
+            eta = alpha * (xs - mu * t - gamma) / lam
+        right = eta > 0.0
+        e = np.fromiter(map(math.exp, np.where(right, -eta, eta).tolist()), float, n)
+        out[k] = np.where(
+            right, (far_left * e + far_right) / (e + 1.0), (far_left + far_right * e) / (1.0 + e)
+        )
+    return out
 
 
 def traveling_wave_slope(

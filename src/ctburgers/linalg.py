@@ -8,7 +8,7 @@ raises :class:`ZeroPivotError` instead of being repaired.
 :func:`thomas_sweep` is the tridiagonal solve of the Python step, after
 the row loop of ``_StepKernel.assemble``, and :func:`banded_solve` the
 solver of the initial spline fit.  The compiled library (``_finish.c``,
-see :mod:`ctburgers.scheme`) has the same statements in the same order
+see :mod:`ctburgers._native`) has the same statements in the same order
 and the same ``PIVOT_TOL``, ``march`` for the whole step and ``fit`` for
 the band elimination, and is used only where it gives the same bits.
 Both functions stay the fallback and the reference.

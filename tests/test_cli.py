@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import _native, cli, exact, problems, scheme
+from ctburgers import _native, cli, csvtext, exact, problems, scheme
 from ctburgers.exact import SeriesConvergenceError
 from ctburgers.linalg import ZeroPivotError
 from ctburgers.scheme import NodalState
@@ -196,6 +196,19 @@ class TestRunCommand:
             "traveling_lam0.005_t0.03.csv":
                 "461637536334491510185b84870f9524a1aff8e0ff3e27f248c8409d6e38007e",
         }
+
+    def test_negative_zero_sample_time_is_zero(self, tmp_path, capsys):
+        outputs = []
+        for times in ("-0.0,0.01", "0,0.01"):
+            out_dir = tmp_path / times
+            args = ["run", "--n-cells", "4", "--dt", "0.01", "--t-end", "0.01",
+                    f"--sample-times={times}", "--outputs", "csv,table",
+                    "--output-dir", str(out_dir)]
+            assert run_main(args) == cli.EXIT_OK
+            files = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+            outputs.append((capsys.readouterr().out, files))
+        assert "sine_lam1_t0.csv" in outputs[1][1]
+        assert outputs[0] == outputs[1]
 
     def test_invalid_viscosity_exits_config_error(self, capsys):
         code = run_main(["run", "--problem", "sine", "--lambda", "-2", "--t-end", "0.1"])
@@ -452,17 +465,19 @@ class TestCsvWriter:
         t=csv_floats,
         rows=st.lists(st.tuples(csv_floats, csv_floats, csv_floats), min_size=1, max_size=40),
     )
-    def test_snapshot_matches_per_row_fstrings(self, t, rows, tmp_path, monkeypatch):
+    def test_snapshot_matches_per_row_fstrings(self, t, rows, tmp_path, library):
         xs, nums, exacts = (list(col) for col in zip(*rows))
         path = tmp_path / "snapshot.csv"
         want = reference_snapshot_text(t, xs, nums, exacts)
-        # the compiled snapshot, if this machine has one, and the template;
+        # the template and the compiled snapshot, if this machine has one,
+        # in that order, so every example ends on the library it began with;
         # the difference of two huge finite floats is inf in both
-        for compiled in (scheme._compiled(), scheme._PYTHON):
-            with monkeypatch.context() as m:
-                m.setattr(scheme, "_compiled", lambda: compiled)
-                knots = scheme._knot_text(compiled.rows, np.array(xs))
-                cli._write_snapshots([path], knots, [t], [np.array(nums)], [np.array(exacts)])
+        native = _native.compiled()
+        for compiled in (_native._PYTHON, native):
+            library(compiled)
+            csvtext._write_snapshots(
+                [path], np.array(xs), [t], [np.array(nums)], [np.array(exacts)]
+            )
             assert path.read_text() == want
 
 
@@ -471,7 +486,7 @@ SNAPSHOT_RUN = ["run", "--problem", "sine", "--lambda", "0.01", "--n-cells", "40
 
 
 class TestRawWriter:
-    """``_write_rows`` creates and writes a CSV file as ``open(path, "wb")`` would."""
+    """``csvtext._write_rows`` creates and writes a CSV file as ``open(path, "wb")`` would."""
 
     def test_short_writes_still_write_every_byte(self, tmp_path, monkeypatch, capsys):
         whole, short = tmp_path / "whole", tmp_path / "short"
@@ -503,7 +518,7 @@ class TestRawWriter:
         for mask in (0o022, 0o077, 0o002):
             old = os.umask(mask)
             try:
-                cli._write_rows(tmp_path / f"raw{mask}", b"x\n", b"1\n")
+                csvtext._write_rows(tmp_path / f"raw{mask}", b"x\n", b"1\n")
                 with open(tmp_path / f"open{mask}", "wb") as f:
                     f.write(b"x\n1\n")
             finally:
@@ -515,7 +530,7 @@ class TestRawWriter:
     def test_existing_file_is_truncated(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_bytes(b"a much longer file than the one written over it\n")
-        cli._write_rows(path, b"x\n", np.frombuffer(b"1\n", dtype=np.uint8))
+        csvtext._write_rows(path, b"x\n", np.frombuffer(b"1\n", dtype=np.uint8))
         assert path.read_bytes() == b"x\n1\n"
 
     def test_failing_open_exits_one_naming_the_path(self, tmp_path, capsys):
@@ -550,7 +565,7 @@ class TestRawWriter:
 
 
 def compiled_rows():
-    rows = scheme._compiled().rows
+    rows = _native.compiled().rows
     if rows is None:
         pytest.skip("no compiled library on this machine")
     return rows
@@ -559,8 +574,8 @@ def compiled_rows():
 def assert_rows_match(values):
     """The compiled rows of ``values`` have the bytes of ``"%.12g" % v``."""
     columns = np.asarray(values, dtype=float).reshape(1, -1)
-    got = bytes(scheme._csv_rows(compiled_rows(), columns, "0.5"))
-    want = bytes(scheme._csv_rows(None, columns, "0.5"))
+    got = bytes(csvtext._csv_rows(compiled_rows(), columns, "0.5"))
+    want = bytes(csvtext._csv_rows(None, columns, "0.5"))
     if got != want:
         pairs = zip(columns[0].tolist(), got.splitlines(), want.splitlines())
         wrong = [(v, g, w) for v, g, w in pairs if g != w]
@@ -614,8 +629,8 @@ class TestCompiledRows:
     @given(values=st.lists(st.one_of(any_bits, ties), min_size=1, max_size=30))
     def test_bit_patterns_and_ties_on_both_paths(self, values):
         want = "".join("%.12g,0.5\n" % v for v in values).encode("ascii")
-        for native in (scheme._compiled().rows, None):
-            assert bytes(scheme._csv_rows(native, [values], "0.5")) == want
+        for native in (_native.compiled().rows, None):
+            assert bytes(csvtext._csv_rows(native, [values], "0.5")) == want
 
     def test_exponent_table_holds_the_rounded_up_powers_of_ten(self):
         # entry j + 307 is the least double >= 10^j, for j = -307 .. 308
@@ -667,16 +682,60 @@ class TestCompiledRows:
         ],
         ids=["sine", "traveling", "fig7", "fig8"],
     )
-    def test_files_match_the_python_writer(self, argv, tmp_path, monkeypatch, capsys):
+    def test_files_match_the_python_writer(self, argv, tmp_path, library, capsys):
         compiled_rows()
         native, python = tmp_path / "native", tmp_path / "python"
         assert run_main([*argv, "--output-dir", str(native)]) == cli.EXIT_OK
-        monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+        library(_native._PYTHON)
         assert run_main([*argv, "--output-dir", str(python)]) == cli.EXIT_OK
         names = sorted(f.name for f in native.iterdir())
         assert names and names == sorted(f.name for f in python.iterdir())
         for name in names:
             assert (native / name).read_bytes() == (python / name).read_bytes(), name
+
+
+class EntryPointCalled(Exception):
+    pass
+
+
+LOOKUP_RUNS = {
+    "sine": ["run", "--n-cells", "4", "--dt", "0.01", "--t-end", "0.01",
+             "--outputs", "csv,table"],
+    "traveling": ["run", "--problem", "traveling", "--lambda", "0.01", "--n-cells", "8",
+                  "--dt", "0.01", "--t-end", "0.01", "--outputs", "csv"],
+    "fig7": ["reproduce", "fig7"],
+}
+
+
+@pytest.mark.parametrize(
+    "entries, runs",
+    [
+        (_native._Compiled._fields, tuple(LOOKUP_RUNS)),
+        (("march",), tuple(LOOKUP_RUNS)),
+        (("fit",), tuple(LOOKUP_RUNS)),
+        (("rows",), tuple(LOOKUP_RUNS)),
+        (("front",), ("traveling", "fig7")),
+        (("sine",), ("sine",)),
+        (("snapshot",), ("sine", "traveling")),
+    ],
+    ids=["all", "march", "fit", "rows", "front", "sine", "snapshot"],
+)
+def test_one_lookup_reaches_every_entry_point(entries, runs, library, tmp_path):
+    """With the library lookup patched to a stub whose ``entries`` raise,
+    and whose other entry points run in Python, each run raises from the
+    stub: no module keeps a reference of its own to the library."""
+
+    def stub(entry):
+        def raises(*args):
+            raise EntryPointCalled(entry)
+
+        return raises
+
+    library(_native._PYTHON._replace(**{entry: stub(entry) for entry in entries}))
+    for run in runs:
+        with pytest.raises(EntryPointCalled) as called:
+            run_main([*LOOKUP_RUNS[run], "--output-dir", str(tmp_path)])
+        assert called.value.args[0] in entries, run
 
 
 class TestConfigFile:

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import scheme
+from ctburgers import _native, scheme
 from ctburgers.basis import UniformPartition, knot_coefficients
 from ctburgers.exact import (
     SeriesControl,
     SeriesConvergenceError,
     _bessel_ratios,
-    _front_column,
+    _front_rows,
     _series_factors,
-    _sine_column,
+    _sine_rows,
     _trig_table,
     bessel_i,
     bessel_i_ratio,
@@ -475,7 +475,7 @@ class TestTravelingWaveColumns:
 
 
 def compiled_front():
-    front = scheme._compiled().front
+    front = _native.compiled().front
     if front is None:
         pytest.skip("no compiled library on this machine")
     return front
@@ -505,25 +505,32 @@ class TestCompiledFront:
         # an infinite x against an overflowing mu t is inf - inf, a NaN in
         # both columns alike
         with np.errstate(invalid="ignore"):
-            python = _front_column(None, points, t, alpha, mu, gamma, lam)
-        compiled = _front_column(front, points, t, alpha, mu, gamma, lam)
+            python = _front_rows(None, points, [t], alpha, mu, gamma, lam)[0]
+        compiled = _front_rows(front, points, [t], alpha, mu, gamma, lam)[0]
         single = np.array([traveling_wave_exact(x, t, alpha, mu, gamma, lam) for x in xs])
         assert compiled.tobytes() == python.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("n_cells", [3, 36, 4000])
-    def test_traveling_fit_is_bit_identical_on_both_paths(self, n_cells, monkeypatch):
+    def test_traveling_fit_is_bit_identical_on_both_paths(self, n_cells, library):
         compiled_front()
         p = traveling_problem(0.005, n_cells, 1e-3)
         part = p.partition()
         sc = knot_coefficients(part.h)
         native = scheme.initialize_coefficients(p, part, sc).delta
-        monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+        library(_native._PYTHON)
         python = scheme.initialize_coefficients(p, part, sc).delta
         assert native.tobytes() == python.tobytes()
 
 
+def sine_column(native, xs, s, c, factors, scale):
+    """The one row of :func:`_sine_rows` at the (3, J) ``factors`` and its
+    first out-of-range point, or -1."""
+    rows, bad = _sine_rows(native, xs, s, c, factors.ravel(), [factors.shape[1]], scale)
+    return rows[0], -1 if bad is None else bad[1]
+
+
 def compiled_sine():
-    sine = scheme._compiled().sine
+    sine = _native.compiled().sine
     if sine is None:
         pytest.skip("no compiled library on this machine")
     return sine
@@ -565,8 +572,8 @@ class TestCompiledSine:
             if not warm:
                 _trig_table.cache_clear()
             s, c = _trig_table(xs.tobytes(), factors.shape[1])
-            compiled, k = _sine_column(sine, xs, s, c, factors, scale)
-            python, k_python = _sine_column(None, xs, s, c, factors, scale)
+            compiled, k = sine_column(sine, xs, s, c, factors, scale)
+            python, k_python = sine_column(None, xs, s, c, factors, scale)
             assert k == k_python
             assert compiled.tobytes() == python.tobytes() == reference.tobytes()
         if k < 0:
@@ -576,18 +583,18 @@ class TestCompiledSine:
                 sine_wave_exact(xs, t, lam)
 
     @pytest.mark.parametrize("x,t,lam", RANGE_CASES)
-    def test_range_check_raises_alike_on_both_paths(self, x, t, lam, monkeypatch):
+    def test_range_check_raises_alike_on_both_paths(self, x, t, lam, library):
         compiled_sine()
-        messages = []
-        for points in (x, np.array([-0.25, 1.5, x])):
-            with pytest.raises(SeriesConvergenceError, match=r"outside \[0, 1\]") as native:
+
+        def message(points):
+            with pytest.raises(SeriesConvergenceError, match=r"outside \[0, 1\]") as raised:
                 sine_wave_exact(points, t, lam)
-            with monkeypatch.context() as m:
-                m.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
-                with pytest.raises(SeriesConvergenceError) as python:
-                    sine_wave_exact(points, t, lam)
-            assert str(native.value) == str(python.value)
-            messages.append(str(native.value))
+            return str(raised.value)
+
+        columns = (x, np.array([-0.25, 1.5, x]))
+        messages = [message(points) for points in columns]
+        library(_native._PYTHON)
+        assert [message(points) for points in columns] == messages
         # the points outside [0, 1] are not checked, so the column fails at x
         assert messages[0] == messages[1]
 
@@ -642,9 +649,9 @@ class TestOnePassColumns:
     # the 401 knots of the exact_snapshots benchmark at some of its times
     @example(xs=UniformPartition(0.0, 1.0, 400).knot_array(), lam=0.01,
              ts=[0.7, 0.72, 0.85, 1.0], warm=False)
-    def test_sine_rows_are_the_calls_at_each_time(self, python, xs, lam, ts, warm, monkeypatch):
+    def test_sine_rows_are_the_calls_at_each_time(self, python, xs, lam, ts, warm, library):
         if python:
-            monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+            library(_native._PYTHON)
         # each call sums the table of its own J; the pass, that of the largest
         rows, error = per_time_calls(lambda t: sine_wave_exact(xs, t, lam), ts)
         if not warm:
@@ -659,9 +666,9 @@ class TestOnePassColumns:
         ts=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=6),
         lam=st.floats(min_value=1e-6, max_value=1.0),
     )
-    def test_front_rows_are_the_calls_at_each_time(self, python, xs, ts, lam, monkeypatch):
+    def test_front_rows_are_the_calls_at_each_time(self, python, xs, ts, lam, library):
         if python:
-            monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+            library(_native._PYTHON)
         got = traveling_wave_columns(np.array(xs), ts, ALPHA, MU, GAMMA, lam)
         assert got.shape == (len(ts), len(xs))
         for row, t in zip(got, ts):
@@ -679,9 +686,9 @@ class TestOnePassColumns:
         ids=["range-first", "terms-first"],
     )
     @pytest.mark.parametrize("python", FINISHERS)
-    def test_first_failing_time_raises(self, ts, message, python, monkeypatch):
+    def test_first_failing_time_raises(self, ts, message, python, library):
         if python:
-            monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+            library(_native._PYTHON)
         xs = UniformPartition(0.0, 1.0, 400).knot_array()
         ctl = SeriesControl(max_terms=34)
         rows, error = per_time_calls(lambda t: sine_wave_exact(xs, t, 0.01, ctl), ts)

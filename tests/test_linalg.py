@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctburgers import scheme
+from ctburgers import _native, scheme
 from ctburgers.linalg import ZeroPivotError, banded_solve, thomas_sweep
 
 RESIDUAL_TOL = 1e-10
@@ -208,7 +208,7 @@ class TestBanded:
         tiny_share=st.sampled_from([0.0, 0.05, 0.3]),
     )
     def test_compiled_fit_bit_identical_to_both_loops(self, n, seed, zero_share, tiny_share):
-        compiled = scheme._compiled()
+        compiled = _native.compiled()
         if compiled.fit is None:
             pytest.skip("no compiled library on this machine")
         rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import _native, scheme
+from ctburgers import _native, csvtext, exact, scheme
 from ctburgers.basis import SchemeCoefficients, UniformPartition, knot_coefficients
 from ctburgers.exact import sine_wave_exact, traveling_wave_exact
 from ctburgers.linalg import ZeroPivotError
@@ -67,7 +67,7 @@ def compile_mutant(tmp_path, replacements):
     subprocess.run(
         _native.compile_command(library, path), check=True, capture_output=True, timeout=120,
     )
-    return scheme._bind(ctypes.CDLL(str(library)))
+    return _native._bind(ctypes.CDLL(str(library)))
 
 
 class TestNodalValues:
@@ -495,7 +495,7 @@ class TestStepKernelBitIdentity:
             return d
 
         def kernel():
-            k = _StepKernel(delta, p, sc, scheme._compiled().march)
+            k = _StepKernel(delta, p, sc, _native.compiled().march)
             for _ in range(50):
                 k.march(1)
             return k.delta
@@ -523,7 +523,7 @@ class TestStepKernelBitIdentity:
             except ZeroPivotError as err:
                 row = err.row
                 break
-        k = _StepKernel(delta, p, sc, scheme._compiled().march)
+        k = _StepKernel(delta, p, sc, _native.compiled().march)
         try:
             k.march(steps)
             got = None
@@ -537,7 +537,7 @@ class TestStepKernelBitIdentity:
         first = reference_advance(delta, p, sc)
         with pytest.raises(ZeroPivotError):
             reference_advance(first, p, sc)
-        k = _StepKernel(delta, p, sc, scheme._compiled().march)
+        k = _StepKernel(delta, p, sc, _native.compiled().march)
         with pytest.raises(ZeroPivotError, match="row 0") as err:
             k.march(5)
         assert err.value.row == 0
@@ -569,7 +569,7 @@ class TestStepKernelBitIdentity:
         )
         p = constant_problem(0.0, n_cells=5, lam=1.0, dt=2.0)
         delta = np.linspace(-1.0, 1.0, 8)
-        k = _StepKernel(delta, p, sc, scheme._compiled().march)
+        k = _StepKernel(delta, p, sc, _native.compiled().march)
         with pytest.raises(ZeroPivotError, match="row 2") as err:
             k.march(1)
         assert err.value.row == 2
@@ -581,8 +581,8 @@ class TestStepKernelBitIdentityPythonFinisher(TestStepKernelBitIdentity):
     Python floats, as on a machine without a C compiler."""
 
     @pytest.fixture(autouse=True)
-    def python_finisher(self, monkeypatch):
-        monkeypatch.setattr(scheme, "_compiled", lambda: scheme._PYTHON)
+    def python_finisher(self, library):
+        library(_native._PYTHON)
 
 
 class TestNativeFinisher:
@@ -622,13 +622,13 @@ class TestNativeFinisher:
                 "missing-compiler": ["ctburgers-no-such-compiler"],
             }[breakage]
             monkeypatch.setattr(_native, "compiler", lambda: command)
-        scheme._compiled.cache_clear()
+        _native.compiled.cache_clear()
         try:
             assert scheme.step_finisher() == "python"
             got = solve_to_time(problem, part, 0.05, [0.02, 0.05])
             got_fit = initialize_coefficients(problem, part, sc).delta
         finally:
-            scheme._compiled.cache_clear()
+            _native.compiled.cache_clear()
         if breakage != "unwritable-cache":
             assert list((cache / "ctburgers").iterdir()) == []  # no partial build left
         assert bits(got_fit) == bits(expected_fit)
@@ -639,7 +639,7 @@ class TestNativeFinisher:
     def test_step_count_reaches_the_library_unchanged(self):
         # the largest step count the cell-step cap lets through (4 knots, the
         # fewest a partition has) reaches the march in one call, unwrapped
-        march = scheme._compiled().march
+        march = _native.compiled().march
         if march is None:
             pytest.skip("no compiled library on this machine")
         calls = []
@@ -652,12 +652,12 @@ class TestNativeFinisher:
         assert calls == [scheme.MAX_CELL_STEPS // 4]
 
     def test_known_answer_check_rejects_a_wrong_finisher(self):
-        native = scheme._compiled().march
+        native = _native.compiled().march
         if native is None:
             pytest.skip("no compiled step finisher on this machine")
 
         def matches(march):
-            return scheme._matches_python(scheme._Compiled(march, None, None))
+            return _native._matches_python(_native._PYTHON._replace(march=march))
 
         assert matches(native)
         # a march that skips every step, or blames the wrong row
@@ -700,20 +700,20 @@ class TestNativeFinisher:
              "regrouped-left-restore"],
     )
     def test_known_answer_check_rejects_a_mutant_finisher(self, statement, mutant, tmp_path):
-        if scheme._compiled().march is None:
+        if _native.compiled().march is None:
             pytest.skip("no compiled library on this machine")
         mutant = compile_mutant(tmp_path, [(statement, mutant)])
         # the mutant's fit alone passes: the march is what fails the check
-        assert scheme._matches_python(mutant._replace(march=None))
-        assert not scheme._matches_python(mutant)
+        assert _native._matches_python(mutant._replace(march=None))
+        assert not _native._matches_python(mutant)
 
     def test_known_answer_check_rejects_a_wrong_fit(self):
-        fit = scheme._compiled().fit
+        fit = _native.compiled().fit
         if fit is None:
             pytest.skip("no compiled library on this machine")
 
         def matches(fit):
-            return scheme._matches_python(scheme._Compiled(None, fit, None))
+            return _native._matches_python(_native._PYTHON._replace(fit=fit))
 
         assert matches(fit)
         # a fit that never reports a zero pivot, or blames the row after it
@@ -745,12 +745,12 @@ class TestNativeFinisher:
         ids=["regrouped-back-substitution", "unskipped-first", "unskipped-second"],
     )
     def test_known_answer_check_rejects_a_mutant_fit(self, statement, mutant, tmp_path):
-        if scheme._compiled().march is None:
+        if _native.compiled().march is None:
             pytest.skip("no compiled library on this machine")
         mutant = compile_mutant(tmp_path, [(statement, mutant)])
         # the mutant's march alone passes: the fit is what fails the check
-        assert scheme._matches_python(mutant._replace(fit=None))
-        assert not scheme._matches_python(mutant)
+        assert _native._matches_python(mutant._replace(fit=None))
+        assert not _native._matches_python(mutant)
 
     @pytest.mark.parametrize(
         "statement, mutant",
@@ -777,13 +777,13 @@ class TestNativeFinisher:
              "half-rounded-up", "shifted-exponent-table"],
     )
     def test_known_answer_check_rejects_a_mutant_rows(self, statement, mutant, tmp_path):
-        if scheme._compiled().rows is None:
+        if _native.compiled().rows is None:
             pytest.skip("no compiled library on this machine")
         mutant = compile_mutant(tmp_path, [(statement, mutant)])
         # the mutant's march, fit, front and sine alone pass: the formatter,
         # which the rows and the snapshot share, is what fails the check
-        assert scheme._matches_python(mutant._replace(rows=None, snapshot=None))
-        assert not scheme._matches_python(mutant)
+        assert _native._matches_python(mutant._replace(rows=None, snapshot=None))
+        assert not _native._matches_python(mutant)
 
     @pytest.mark.parametrize(
         "statement, mutant",
@@ -799,12 +799,12 @@ class TestNativeFinisher:
         ids=["reciprocal-exp", "regrouped-eta"],
     )
     def test_known_answer_check_rejects_a_mutant_front(self, statement, mutant, tmp_path):
-        if scheme._compiled().front is None:
+        if _native.compiled().front is None:
             pytest.skip("no compiled library on this machine")
         mutant = compile_mutant(tmp_path, [(statement, mutant)])
         # the mutant's march, fit and rows alone pass: the front is what fails the check
-        assert scheme._matches_python(mutant._replace(front=None))
-        assert not scheme._matches_python(mutant)
+        assert _native._matches_python(mutant._replace(front=None))
+        assert not _native._matches_python(mutant)
 
     @pytest.mark.parametrize(
         "replacements",
@@ -835,12 +835,12 @@ class TestNativeFinisher:
              "checks-outside"],
     )
     def test_known_answer_check_rejects_a_mutant_sine(self, replacements, tmp_path):
-        if scheme._compiled().sine is None:
+        if _native.compiled().sine is None:
             pytest.skip("no compiled library on this machine")
         mutant = compile_mutant(tmp_path, replacements)
         # the mutant's other entry points alone pass: the sine is what fails the check
-        assert scheme._matches_python(mutant._replace(sine=None))
-        assert not scheme._matches_python(mutant)
+        assert _native._matches_python(mutant._replace(sine=None))
+        assert not _native._matches_python(mutant)
 
 
     @pytest.mark.parametrize(
@@ -874,12 +874,54 @@ class TestNativeFinisher:
         ids=["no-fabs", "swapped-values", "next-knot", "no-t"],
     )
     def test_known_answer_check_rejects_a_mutant_snapshot(self, replacements, tmp_path):
-        if scheme._compiled().snapshot is None:
+        if _native.compiled().snapshot is None:
             pytest.skip("no compiled library on this machine")
         mutant = compile_mutant(tmp_path, replacements)
         # the mutant's other entry points alone pass: the snapshot is what fails the check
-        assert scheme._matches_python(mutant._replace(snapshot=None))
-        assert not scheme._matches_python(mutant)
+        assert _native._matches_python(mutant._replace(snapshot=None))
+        assert not _native._matches_python(mutant)
+
+    @pytest.mark.parametrize(
+        "entry, caller, arg",
+        [
+            # every time's row written into the first
+            ("front", (exact, "_front_rows"), -1),
+            # every time's factors read from the first time's
+            ("sine", (exact, "_sine_rows"), 4),
+            # every time's row written into the first
+            ("sine", (exact, "_sine_rows"), -1),
+            # every file's exact values read from the first file's
+            ("snapshot", (csvtext, "_snapshot_files"), 3),
+        ],
+        ids=["front-rows", "sine-factors", "sine-rows", "snapshot-exact"],
+    )
+    def test_known_answer_check_rejects_an_entry_point_that_ignores_the_time(
+        self, entry, caller, arg, monkeypatch
+    ):
+        compiled = _native.compiled()
+        if compiled.march is None:
+            pytest.skip("no compiled library on this machine")
+        # the pointer the first call of each caller's pass got; the caller is
+        # wrapped so that every pass starts afresh and no pointer outlives
+        # its buffer
+        first = {}
+        module, name = caller
+        pass_of = getattr(module, name)
+
+        def fresh(*args):
+            first.clear()
+            return pass_of(*args)
+
+        monkeypatch.setattr(module, name, fresh)
+        native = getattr(compiled, entry)
+
+        def ignores_the_time(*args):
+            args = list(args)
+            args[arg] = first.setdefault(arg, args[arg])
+            return native(*args)
+
+        assert _native._matches_python(compiled)
+        assert not _native._matches_python(compiled._replace(**{entry: ignores_the_time}))
 
 
 class TestBruteForceEquivalence:
