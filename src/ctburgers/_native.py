@@ -28,6 +28,9 @@ and the exact solutions in numpy, the references the compiled ones are
 checked against; :func:`ctburgers.scheme.step_finisher` says which path
 runs.  Those modules import this one and this one imports them, and each
 reads the other's names only at call time.
+
+Every array an entry point reads or writes is passed by the address that
+:func:`address` gives, a third of the cost of ``ndarray.ctypes.data``.
 """
 
 from __future__ import annotations
@@ -63,6 +66,29 @@ LIBS = ("-lm",)
 
 # seconds a compile may take before the Python path is kept
 COMPILE_TIMEOUT = 120
+
+_addressof = ctypes.addressof
+_char_over = ctypes.c_char.from_buffer
+
+
+def address(a: np.ndarray) -> int:
+    """The address of the first byte of the C-contiguous array ``a``, as
+    ``a.ctypes.data`` gives it.
+
+    It is the address of a ``c_char`` laid over ``a``'s buffer, which
+    takes about a third of the time of ``a.ctypes.data``.  A read-only
+    or empty array has no writable first byte to lay it over, and takes
+    ``a.ctypes.data``.  An array that is not C-contiguous raises
+    ``ValueError``, where ``a.ctypes.data`` would give the address of
+    its first element as if the rest followed it.
+    """
+    try:
+        return _addressof(_char_over(a))
+    except (TypeError, ValueError):
+        # not writable, not contiguous, or no byte at all
+        if not a.flags.c_contiguous:
+            raise ValueError("the array is not C-contiguous") from None
+        return a.ctypes.data
 
 
 def compiler() -> list[str]:

@@ -305,9 +305,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args keeps nothing between calls, each
-    # one starts from a fresh namespace of the defaults
+def _build_parser() -> _Parser:
+    """The top-level parser, built once per process: ``parse_args`` keeps
+    nothing between calls, each one starts from a fresh namespace of the
+    defaults.  Its ``commands`` maps each command name to that command's
+    own parser."""
     parser = _Parser(
         prog="ctburgers",
         description="Trigonometric-spline collocation solver for the 1D "
@@ -337,28 +339,46 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="check a benchmark table or figure")
     rep.add_argument("target", choices=REPRODUCE_TARGETS)
     rep.add_argument("--output-dir", type=Path, default=Path("."))
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command of ``argv``, by default ``sys.argv[1:]``, and return
+    its exit code; an argv that starts with a flag other than ``-h`` or
+    ``--help`` is a ``run``.
+
+    An argv that starts with ``run`` or ``reproduce`` is parsed by that
+    command's own parser alone, which gives every message, abbreviation
+    and help text the top-level parser would give for it at less than
+    half the cost.  The top-level parser parses only an argv with no
+    command, where it prints its help and 1 is returned, ``-h`` and an
+    unknown command.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
         argv.insert(0, "run")  # bare flags imply the run command
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_help()
-            return EXIT_CONFIG
-        if args.command == "reproduce":
+        if argv and argv[0] in parser.commands:
+            command = argv[0]
+            args = parser.commands[command].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
+            command = args.command
+            if command is None:
+                parser.print_help()
+                return EXIT_CONFIG
+        if command == "reproduce":
             return reproduce(args.target, output_dir=args.output_dir)
         if args.config is not None:
             # the file's lines are flags that the command line follows, so
             # the command line wins
+            run_parser = parser.commands["run"]
             tokens = _read_config_file(args.config)
-            if parser.parse_args(["run", *tokens]).config is not None:
+            if run_parser.parse_args(tokens).config is not None:
                 raise ConfigError("config file: a config file cannot name another")
-            args = parser.parse_args(["run", *tokens, *argv[1:]])
+            args = run_parser.parse_args([*tokens, *argv[1:]])
         given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         return run(RunConfig(**{k: v for k, v in given.items() if v is not None}))
     # ConfigError is a ValueError, and every ValueError the package raises

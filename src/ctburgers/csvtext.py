@@ -53,7 +53,7 @@ def _csv_rows(native: Callable | None, columns, t_text: str):
     t = t_text.encode("ascii")
     # a value takes at most 19 bytes and one separator
     out = np.empty(n * (20 * width + len(t) + 1) + _SPARE, dtype=np.uint8)
-    size = native(values.ctypes.data, width, n, t, out.ctypes.data)
+    size = native(_native.address(values), width, n, t, _native.address(out))
     return out[:size]
 
 
@@ -103,7 +103,8 @@ def _snapshot_files(native: Callable | None, knots: tuple[bytes, np.ndarray], us
                        dtype=np.uint8)
         view = memoryview(out)
         # ends, exact and out stay bound to names here, so alive, for every call
-        ends_at, exact_at, out_at = ends.ctypes.data, exact.ctypes.data, out.ctypes.data
+        at = _native.address
+        ends_at, exact_at, out_at = at(ends), at(exact), at(out)
     for k, (u, ue, t_text) in enumerate(zip(us, exact, t_texts)):
         u = np.ascontiguousarray(u, dtype=float)
         if not len(u) == len(ue) == n:
@@ -118,7 +119,7 @@ def _snapshot_files(native: Callable | None, knots: tuple[bytes, np.ndarray], us
             yield ((row * n) % tuple(cells)).encode("ascii")
         else:
             ue_at = exact_at + k * exact.strides[0]
-            yield view[:native(text, ends_at, u.ctypes.data, ue_at, n, t_bytes[k], out_at)]
+            yield view[:native(text, ends_at, at(u), ue_at, n, t_bytes[k], out_at)]
 
 
 def _unwritten(parts, written: int) -> list[memoryview]:

@@ -349,7 +349,8 @@ def _sine_rows(native, xs: np.ndarray, s, c, factors: np.ndarray, terms,
     n = len(xs)
     out = np.empty((len(terms), n))
     if native is not None and factors.size:
-        x_at, s_at, c_at, f_at, out_at = (a.ctypes.data for a in (xs, s, c, factors, out))
+        # the cached tables are read-only, so they take ndarray.ctypes.data
+        x_at, s_at, c_at, f_at, out_at = map(_native.address, (xs, s, c, factors, out))
     start = 0
     for k, j in enumerate(terms):
         if j == 0:
@@ -432,7 +433,7 @@ def _front_rows(native, xs: np.ndarray, ts, alpha: float, mu: float, gamma: floa
     n = len(xs)
     out = np.empty((len(ts), n))
     if native is not None:
-        x_at, out_at = xs.ctypes.data, out.ctypes.data
+        x_at, out_at = _native.address(xs), _native.address(out)
         for k, t in enumerate(ts):
             native(x_at, n, alpha, mu, t, gamma, lam, out_at + 8 * k * n)
         return out

@@ -71,8 +71,12 @@ def table_report(
 
     Rows are grouped by x (ascending) with times ascending inside each
     group, matching the layout of the published benchmark tables.  Sample
-    points must coincide with knots.  ``exact_fn(xs, t)`` is called once
-    per time with the array of sorted sample points.
+    points must coincide with knots.  The exact values of every time come
+    from one call ``exact_fn.columns(xs, times)`` when ``exact_fn`` has
+    it, as the exact solution of each problem factory does, whose row k
+    has the bits of ``exact_fn(xs, times[k])``; any other callable is
+    called once per time.  Either gets the array of sorted sample points.
+    Each state's U at the sample knots is read in one ``tolist``.
     """
     width = max(decimals + 4, 9)
     header = (
@@ -83,12 +87,18 @@ def table_report(
     xs = sorted(sample_xs)
     indices = [_knot_index(x, part) for x in xs]
     times = sorted(states)
+    numerical = [np.asarray(states[t].u)[indices].tolist() for t in times]
     if exact_fn is not None:
-        exact = {t: np.broadcast_to(exact_fn(np.array(xs), t), len(xs)).tolist() for t in times}
-    for k, (x, i) in enumerate(zip(xs, indices)):
-        for t in times:
-            row = f"{x:8.3f} {t:8.3f} {states[t].u[i]:{width}.{decimals}f}"
+        points = np.array(xs)
+        columns = getattr(exact_fn, "columns", None)
+        if columns is not None:
+            exact = columns(points, times).tolist()
+        else:
+            exact = [np.broadcast_to(exact_fn(points, t), len(xs)).tolist() for t in times]
+    for k, x in enumerate(xs):
+        for j, t in enumerate(times):
+            row = f"{x:8.3f} {t:8.3f} {numerical[j][k]:{width}.{decimals}f}"
             if exact_fn is not None:
-                row += f" {exact[t][k]:{width}.{decimals}f}"
+                row += f" {exact[j][k]:{width}.{decimals}f}"
             lines.append(row)
     return "\n".join(lines) + "\n"

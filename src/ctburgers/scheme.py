@@ -219,8 +219,9 @@ def _fit(native: Callable | None, bands: np.ndarray, rhs: np.ndarray) -> np.ndar
     if native is None:
         return banded_solve(bands, rhs)
     x = np.empty(len(rhs))
+    at = _native.address
     # bands, rhs and x stay bound to names here, so alive, for the whole call
-    row = native(bands.ctypes.data, rhs.ctypes.data, x.ctypes.data, len(rhs), PIVOT_TOL)
+    row = native(at(bands), at(rhs), at(x), len(rhs), PIVOT_TOL)
     if row >= 0:
         raise ZeroPivotError(row)
     return x
@@ -265,9 +266,9 @@ class _StepKernel:
             # the compiled march reads these; the kernel keeps every buffer alive
             self._bands = np.empty((3, rows))  # upper, diag, rhs after elimination
             self._native_constants = np.array([*self._constants, PIVOT_TOL])
+            at = _native.address
             self._native_args = (
-                self._bands.ctypes.data, self.delta.ctypes.data,
-                self._native_constants.ctypes.data, rows,
+                at(self._bands), at(self.delta), at(self._native_constants), rows,
             )
 
     def assemble(self) -> tuple[list[float], list[float], list[float], list[float]]:
@@ -414,9 +415,13 @@ def solve_to_time(
     out: dict[float, NodalState] = {}
     kernel = _StepKernel(c.delta, p, sc, _native.compiled().march)
     done = 0
+    # a march of no steps, to a sample time at step 0 or from the last
+    # sample time to t_end, is not called
     for k, t in wanted.items():
-        kernel.march(k - done)
-        done = k
+        if k > done:
+            kernel.march(k - done)
+            done = k
         out[t] = nodal_values(CoefficientVector(delta=kernel.delta, time=t), sc)
-    kernel.march(n_steps - done)
+    if n_steps > done:
+        kernel.march(n_steps - done)
     return out

@@ -967,6 +967,97 @@ def test_no_arguments_prints_help(capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
+class TestParseDispatch:
+    """A ``run`` or ``reproduce`` argv is parsed by its command's parser
+    alone; every other argv, and every message, is the top-level parser's."""
+
+    @pytest.fixture
+    def top_level(self, monkeypatch):
+        """The argvs the top-level parser is asked to parse."""
+        parser = cli._build_parser()
+        seen = []
+        parse = parser.parse_known_args
+
+        def spy(args=None, namespace=None):
+            seen.append(list(args))
+            return parse(args, namespace)
+
+        monkeypatch.setattr(parser, "parse_known_args", spy)
+        return seen
+
+    @staticmethod
+    def top_level_outcome(argv, capsys):
+        """What the top-level parser alone gives for ``argv``: its error
+        message, or its exit code and printed text."""
+        parser = cli._build_parser()
+        try:
+            parser.parse_args(argv)
+        except cli.ConfigError as e:
+            return f"error: invalid config: {e}\n"
+        except SystemExit as e:
+            return e.code, capsys.readouterr().out
+        pytest.fail(f"{argv} parsed")
+
+    def test_commands_skip_the_top_level_parser(self, top_level, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = sine\nlam = 0.5\nt-end = 0\nsample-xs = 0.5\n")
+        argvs = [
+            ["run", "--problem", "sine", "--t-end", "0", "--sample-xs", "0.5"],
+            ["--problem", "sine", "--t-end", "0", "--sample-xs", "0.5"],
+            ["run", "--config", str(cfg)],
+            ["reproduce", "fig7", "--output-dir", str(tmp_path)],
+        ]
+        for argv in argvs:
+            assert run_main(argv) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("   0.500    0.000   1.00000   1.00000\n") == 3
+        assert "fig7: PASS" in out
+        assert top_level == []
+
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [
+            (["bogus"], ["bogus"]),
+            (["run", "--nope", "1"], ["run", "--nope", "1"]),
+            (["--nope"], ["run", "--nope"]),
+            (["reproduce"], ["reproduce"]),
+            (["reproduce", "fig9"], ["reproduce", "fig9"]),
+            (["run", "--n-cells", "2.5"], ["run", "--n-cells", "2.5"]),
+            (["run", "--lam", "x"], ["run", "--lam", "x"]),
+        ],
+        ids=["unknown-command", "unknown-flag", "bare-unknown-flag", "no-target",
+             "unknown-target", "bad-value", "abbreviated-bad-value"],
+    )
+    def test_errors_keep_the_top_level_message(self, argv, parsed, top_level, capsys):
+        # the top-level parser's message for the argv it used to parse
+        expected = self.top_level_outcome(parsed, capsys)
+        top_level.clear()
+        assert run_main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == expected
+        # only an unknown command reaches the top-level parser
+        assert top_level == ([argv] if argv == ["bogus"] else [])
+
+    @pytest.mark.parametrize(
+        "argv, prog",
+        [(["-h"], "ctburgers"), (["--help"], "ctburgers"), (["run", "--help"], "ctburgers run"),
+         (["reproduce", "-h"], "ctburgers reproduce")],
+        ids=["-h", "--help", "run-help", "reproduce-help"],
+    )
+    def test_help_keeps_the_top_level_text(self, argv, prog, top_level, capsys):
+        code, text = self.top_level_outcome(argv, capsys)
+        assert code == 0 and text.startswith(f"usage: {prog} [-h]")
+        top_level.clear()
+        with pytest.raises(SystemExit) as e:
+            run_main(argv)
+        assert (e.value.code, capsys.readouterr().out) == (code, text)
+        assert top_level == ([argv] if prog == "ctburgers" else [])
+
+    def test_no_command_prints_the_top_level_help(self, top_level, capsys):
+        assert run_main([]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().out == cli._build_parser().format_help()
+        assert top_level == [[]]
+
+
 class TestProcessExitCodes:
     """The module run as a program: the exit status is what ``main`` returns."""
 

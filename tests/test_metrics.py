@@ -79,7 +79,31 @@ class TestExactColumns:
         assert p.exact(0.4, 0.2) == traveling_wave_exact(0.4, 0.2, 0.3, 0.5, 0.2, 0.01)
         assert p.exact(0.4, 0.2) != traveling_problem(0.01, 36, 1e-3).exact(0.4, 0.2)
 
+    @pytest.mark.parametrize("factory, lam", [(sine_problem, 0.1), (traveling_problem, 0.01)])
+    def test_one_exact_pass_for_a_factory(self, factory, lam, monkeypatch):
+        # a factory's exact gives every time in one columns pass, with the
+        # bytes of one call per time and of one call per cell
+        p = factory(lam, 40, 1e-3)
+        part = p.partition()
+        states = solve_to_time(p, part, 0.003, [0.001, 0.002, 0.003])
+        fn = p.exact
+        per_cell = per_cell_table(states, [0.25, 0.5, 0.75], fn, part)
+        per_time = table_report(states, [0.75, 0.25, 0.5], lambda x, t: fn(x, t), part)
+        passes = []
+        columns = type(fn).columns
+
+        def counted_columns(self, xs, ts):
+            passes.append((xs.tolist(), list(ts)))
+            return columns(self, xs, ts)
+
+        monkeypatch.setattr(type(fn), "columns", counted_columns)
+        monkeypatch.setattr(type(fn), "__call__", lambda *args: pytest.fail("called per time"))
+        one_pass = table_report(states, [0.75, 0.25, 0.5], fn, part)
+        assert passes == [([0.25, 0.5, 0.75], [0.001, 0.002, 0.003])]
+        assert one_pass == per_time == per_cell
+
     def test_one_exact_call_per_time(self):
+        # a plain callable, which has no columns pass
         p = sine_problem(0.1, 40, 1e-3)
         states = solve_to_time(p, p.partition(), 0.003, [0.001, 0.002, 0.003])
         fn = p.exact
@@ -94,6 +118,21 @@ class TestExactColumns:
         calls.clear()
         error_norms(states[0.003], counted, 0.003, p.partition())
         assert calls == [(41, 0.003)]
+
+
+def per_cell_table(states, xs, exact_fn, part, decimals=5):
+    """The table of :func:`table_report` formatted one cell at a time from
+    each state's numpy U and one exact call per cell."""
+    width = max(decimals + 4, 9)
+    lines = [f"{'x':>8} {'t':>8} {'numerical':>{width}} {'exact':>{width}}"]
+    for x in xs:
+        i = round((x - part.a) / part.h)
+        for t in sorted(states):
+            lines.append(
+                f"{x:8.3f} {t:8.3f} {states[t].u[i]:{width}.{decimals}f}"
+                f" {exact_fn(x, t):{width}.{decimals}f}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 class TestCustomExact:

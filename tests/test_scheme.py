@@ -924,6 +924,61 @@ class TestNativeFinisher:
         assert not _native._matches_python(compiled._replace(**{entry: ignores_the_time}))
 
 
+class TestAddress:
+    """``_native.address`` is ``ndarray.ctypes.data`` of a C-contiguous
+    array, and raises for any other."""
+
+    block = np.arange(24.0).reshape(4, 6)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.arange(40.0),
+            np.arange(40.0)[3:],
+            block[2],
+            block[1:3],
+            np.zeros(5, dtype=np.uint8)[1:],
+            np.arange(3, dtype=np.int64),
+            np.array(2.5),
+        ],
+        ids=["array", "offset-view", "row", "rows", "bytes", "int64", "0-d"],
+    )
+    def test_writable_array_is_its_data_pointer(self, a):
+        assert a.flags.writeable and a.flags.c_contiguous
+        assert _native.address(a) == a.ctypes.data
+
+    def test_offset_view_points_past_the_skipped_elements(self):
+        a = np.arange(40.0)
+        assert _native.address(a[3:]) == _native.address(a) + 3 * 8
+        assert _native.address(self.block[2]) == _native.address(self.block) + 2 * 6 * 8
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.arange(40.0)[::2], block[:, 1], block[:, 1:3], np.asfortranarray(block)],
+        ids=["strided", "column", "columns", "fortran"],
+    )
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_non_contiguous_array_raises(self, a, writeable):
+        a = a.view()
+        a.flags.writeable = writeable
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            _native.address(a)
+
+    def test_read_only_array_takes_ctypes_data(self):
+        a = np.arange(40.0)[3:]
+        a.flags.writeable = False
+        assert _native.address(a) == a.ctypes.data
+        s, c = exact._trig_table(np.linspace(0.0, 1.0, 11).tobytes(), 5)
+        assert (_native.address(s), _native.address(c)) == (s.ctypes.data, c.ctypes.data)
+
+    @pytest.mark.parametrize(
+        "a", [np.empty(0), np.arange(40.0)[5:5], np.empty((3, 0)), np.empty((0, 4))],
+        ids=["empty", "empty-view", "no-columns", "no-rows"],
+    )
+    def test_empty_array_takes_ctypes_data(self, a):
+        assert _native.address(a) == a.ctypes.data
+
+
 class TestBruteForceEquivalence:
     @pytest.mark.parametrize("n_cells", [8, 12, 16])
     def test_single_step_matches_dense_solve(self, n_cells):
@@ -1053,6 +1108,47 @@ class TestSolveToTime:
         assert list(states) == [0.0005, 0.001]
         for t in states:
             npt.assert_array_equal(states[t].u, expected[t].u)
+
+    @pytest.mark.parametrize("finisher", ["native", "python"])
+    @pytest.mark.parametrize(
+        "t_end, sample_times, marches",
+        [
+            (0.1, [0.05, 0.1], [50, 50]),
+            (0.1, [0.0, 0.05, 0.1], [50, 50]),
+            (0.1, [0.05], [50, 50]),
+            (0.0, [0.0], []),
+        ],
+        ids=["ends-on-t_end", "starts-at-zero", "t_end-after-last", "no-steps"],
+    )
+    def test_every_march_takes_a_step(
+        self, finisher, t_end, sample_times, marches, library, monkeypatch
+    ):
+        # a spy on each finisher's march: the compiled entry point, or the
+        # kernel's march on the Python path
+        steps = []
+        if finisher == "native":
+            compiled = _native.compiled()
+            if compiled.march is None:
+                pytest.skip("no compiled library on this machine")
+
+            def spy(*args):
+                steps.append(args[-1])
+                return compiled.march(*args)
+
+            library(compiled._replace(march=spy))
+        else:
+            library(_native._PYTHON)
+            march = _StepKernel.march
+
+            def spy(kernel, n):
+                steps.append(n)
+                return march(kernel, n)
+
+            monkeypatch.setattr(_StepKernel, "march", spy)
+        p = sine_problem(0.1, 40, 1e-3)
+        states = solve_to_time(p, p.partition(), t_end, sample_times)
+        assert steps == marches
+        assert list(states) == sample_times
 
 
 class TestProblemSpecValidation:
