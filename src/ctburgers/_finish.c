@@ -46,10 +46,11 @@
  * buffer of rows and snapshot ends in 32 spare bytes.
  *
  * snapshot writes the rows x,t,U,exact,|U - exact| of one run snapshot
- * with the digits of rows: it copies the knot texts a run formats once
- * for all its snapshots, writes t once per row and takes |U - exact| as
- * fabs(u - ue), the same operation as numpy's abs of the difference.  It
- * finds the digits of a row's three values before it writes the row.
+ * with the digits of rows: it copies each knot's "x," from the knot rows
+ * rows writes once for all of a run's snapshots, writes t once per row
+ * and takes |U - exact| as fabs(u - ue), the same operation as numpy's
+ * abs of the difference.  It finds the digits of a row's three values
+ * before it writes the row.
  *
  * ctburgers._native uses the library only when all six entry points end
  * every one of a fixed set of known-answer marches, fits, rows, front and
@@ -752,26 +753,26 @@ long rows(const double *cols, long width, long n, const char *t_text, char *out)
     return (long) (p - out);
 }
 
-/* knot_text:  the n knot texts, each followed by its comma, end to end.
- * knot_ends:  the n offsets in knot_text where each text and comma ends.
+/* knot_rows:  the n rows x, and a newline each, end to end, as rows writes
+ *             the knot column with an empty t_text.
  * u, ue:      the n numerical and exact values.
  * n:          number of rows.
  * t_text:     NUL-terminated text written as the second field of every row.
- * out:        room for at least knot_ends[n - 1] + n (strlen(t_text) + 61)
+ * out:        room for the length of knot_rows + n (strlen(t_text) + 60)
  *             + 32 bytes: each of the three values takes at most 19 and a
- *             separator, and the last 32 take the bytes format writes past
- *             the end of a value.
+ *             separator, a knot row's newline makes room for the row's, and
+ *             the last 32 take the bytes format writes past a value's end.
  *
  * Writes the rows <knot text>,<t_text>,u,ue,|u - ue| and a newline, each
  * value with the bytes of Python's '%.12g' % v; returns the number of
  * bytes.
  */
-long snapshot(const char *knot_text, const long long *knot_ends, const double *u,
-              const double *ue, long n, const char *t_text, char *out)
+long snapshot(const char *knot_rows, const double *u, const double *ue, long n,
+              const char *t_text, char *out)
 {
     const size_t t_len = strlen(t_text);
+    const char *k = knot_rows;
     char *p = out;
-    long long start, len;
     double err;
     Decimal du, de, derr;
     long i;
@@ -784,10 +785,9 @@ long snapshot(const char *knot_text, const long long *knot_ends, const double *u
         du = decimal_of(u[i]);
         de = decimal_of(ue[i]);
         derr = decimal_of(err);
-        start = i > 0 ? knot_ends[i - 1] : 0;
-        len = knot_ends[i] - start;
-        memcpy(p, knot_text + start, (size_t) len);
-        p += len;
+        while (*k != '\n')
+            *p++ = *k++;
+        k++;
         memcpy(p, t_text, t_len);
         p += t_len;
         *p++ = ',';

@@ -205,8 +205,8 @@ def _bind(lib: ctypes.CDLL) -> _Compiled:
     )
     sine.restype = ctypes.c_long
     snapshot.argtypes = (
-        ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
-        ctypes.c_char_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_char_p,
+        ctypes.c_void_p,
     )
     snapshot.restype = ctypes.c_long
     return _Compiled(march, fit, rows, front, sine, snapshot)
@@ -500,8 +500,7 @@ def _known_answer_outcomes(compiled: _Compiled):
         # a row after the first that strays is never written
         yield bad, out[:len(out) if bad is None else bad[0] + 1].view(np.int64).tolist()
     knots, us, ue, t_texts = _known_answer_snapshots()
-    knot_text = csvtext._knot_text(compiled.rows, knots)
-    files = csvtext._snapshot_files(compiled.snapshot, knot_text, us, ue, t_texts)
+    files = csvtext._snapshot_files(compiled, knots, us, ue, t_texts)
     # each file's bytes are copied before the next overwrites its buffer
     yield [bytes(rows) for rows in files]
 

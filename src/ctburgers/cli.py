@@ -168,14 +168,13 @@ def _sine_table(lam, present, printed, name, out, output_dir, misprint=None) -> 
     ]
     all_ok = _report_cells(rows, out)
     out.write("  exact column check (series oracle vs printed):\n")
-    # one series call per t; each value has the bits of a call at that point alone
-    oracle_at = {}
-    for t in {t for _, t in printed}:
-        xs = sorted(x for x, s in printed if s == t)
-        oracle_at.update(zip([(x, t) for x in xs], problem.exact(np.array(xs), t).tolist()))
+    # one series pass over the printed grid, every point at every time; each
+    # value has the bits of a call at that point alone
+    xs = sorted({x for x, _ in printed})
+    oracles = problem.exact.columns(np.array(xs), ref.SINE_TIMES).tolist()
     rows = []
     for (x, t), value in sorted(printed.items()):
-        oracle = oracle_at[x, t]
+        oracle = oracles[ref.SINE_TIMES.index(t)][xs.index(x)]
         if (x, t) == misprint:
             note = f"printed {value} excluded-by-config (misprint); oracle {oracle:.5f}"
             rows.append((x, t, oracle, oracle, abs(ours(x, t) - oracle), note))

@@ -4,8 +4,8 @@ Every number is written as ``'%.12g' % v``: the bytes of a per-row
 f-string writer, since ``"%.12g" % v`` and ``f"{v:.12g}"`` format a float
 through the same routine.  The rows come from the compiled ``rows`` and
 ``snapshot`` of :mod:`ctburgers._native` when its library passed its
-check, and from %-templates otherwise, the references the compiled rows
-are checked against.
+check, and from the one %-template of :func:`_csv_rows` otherwise, the
+reference the compiled rows are checked against.
 """
 
 from __future__ import annotations
@@ -57,54 +57,40 @@ def _csv_rows(native: Callable | None, columns, t_text: str):
     return out[:size]
 
 
-def _knot_text(native: Callable | None, xs) -> tuple[bytes, np.ndarray]:
-    """The ``'%.12g' % x`` text of every point of ``xs``, each followed by a
-    comma, end to end, and the offset where each comma ends: a run formats
-    its knot column once for all its snapshots.
-
-    The texts are the one-column rows of :func:`_csv_rows` with an empty t
-    text, ``x,`` and a newline each, by the compiled ``rows`` when
-    ``native`` is given; the newlines are dropped.
-    """
-    rows = np.frombuffer(_csv_rows(native, [xs], ""), dtype=np.uint8)
-    text = rows[rows != ord("\n")]
-    return text.tobytes(), np.flatnonzero(text == ord(",")).astype(np.int64) + 1
-
-
-def _snapshot_files(native: Callable | None, knots: tuple[bytes, np.ndarray], us, exact,
-                    t_texts):
+def _snapshot_files(compiled: _native._Compiled, xs, us, exact, t_texts):
     """The CSV rows ``x,<t_text>,U,exact,|U - exact|`` of each snapshot of a
     run, one file's at a time, each value written as ``'%.12g' % v``, by
-    the compiled ``snapshot`` when ``native`` is given.
+    the compiled ``snapshot`` when ``compiled`` has one.
 
-    ``knots`` is :func:`_knot_text` of the points; ``us``, the rows of
-    ``exact`` and ``t_texts`` hold each file's U, exact values and t text.
-    |U - exact| is numpy's abs of the difference, or C's ``fabs``: the same
-    operation, where an overflow to inf or inf - inf passes silently.
-    Without ``native``, one %-template is filled once for each file around
-    the knot texts: the reference the compiled rows are checked against,
-    yielded as ASCII bytes.
+    ``xs`` holds the knots; ``us``, the rows of ``exact`` and ``t_texts``
+    hold each file's U, exact values and t text.  |U - exact| is numpy's
+    abs of the difference, or C's ``fabs``: the same operation, where an
+    overflow to inf or inf - inf passes silently.  Without the compiled
+    ``snapshot``, each file is :func:`_csv_rows` of the four columns, the
+    reference the compiled rows are checked against, yielded as ASCII
+    bytes.
 
-    The compiled path fetches the pointers of the knot ends, the exact
-    block and one output buffer, sized for the longest t text, once per
-    run, and yields a view of that buffer, which the next file overwrites;
-    each U is used in place when it is a C-contiguous float array.
+    The compiled path formats the knot column once per run, as the rows
+    ``x,`` of :func:`_csv_rows` with an empty t text, and fetches the
+    pointers of those rows, the exact block and one output buffer, sized
+    for the longest t text, once; it yields a view of that buffer, which
+    the next file overwrites.  Each U is used in place when it is a
+    C-contiguous float array.
     """
-    text, ends = knots
-    n = len(ends)
+    n = len(xs)
     exact = np.ascontiguousarray(exact, dtype=float)
-    if native is None:
-        cells = [None] * (4 * n)
-        cells[0::4] = text.decode("ascii").split(",")[:-1]
-    else:
+    native = compiled.snapshot
+    if native is not None:
+        knots = _csv_rows(compiled.rows, [xs], "")
         t_bytes = [t.encode("ascii") for t in t_texts]
-        # each of the three values takes at most 19 bytes and one separator
-        out = np.empty(len(text) + n * (max(map(len, t_bytes), default=0) + 61) + _SPARE,
+        # each of the three values takes at most 19 bytes and one separator;
+        # each knot row's newline makes room for the row's own
+        out = np.empty(len(knots) + n * (max(map(len, t_bytes), default=0) + 60) + _SPARE,
                        dtype=np.uint8)
         view = memoryview(out)
-        # ends, exact and out stay bound to names here, so alive, for every call
+        # knots, exact and out stay bound to names here, so alive, for every call
         at = _native.address
-        ends_at, exact_at, out_at = at(ends), at(exact), at(out)
+        knots_at, exact_at, out_at = at(knots), at(exact), at(out)
     for k, (u, ue, t_text) in enumerate(zip(us, exact, t_texts)):
         u = np.ascontiguousarray(u, dtype=float)
         if not len(u) == len(ue) == n:
@@ -112,14 +98,10 @@ def _snapshot_files(native: Callable | None, knots: tuple[bytes, np.ndarray], us
         if native is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 err = np.abs(np.subtract(u, ue))
-            cells[1::4] = u.tolist()
-            cells[2::4] = ue.tolist()
-            cells[3::4] = err.tolist()
-            row = "%s," + t_text + ",%.12g,%.12g,%.12g\n"
-            yield ((row * n) % tuple(cells)).encode("ascii")
+            yield _csv_rows(None, [xs, u, ue, err], t_text)
         else:
             ue_at = exact_at + k * exact.strides[0]
-            yield view[:native(text, ends_at, at(u), ue_at, n, t_bytes[k], out_at)]
+            yield view[:native(knots_at, at(u), ue_at, n, t_bytes[k], out_at)]
 
 
 def _unwritten(parts, written: int) -> list[memoryview]:
@@ -163,12 +145,8 @@ def _write_snapshots(paths, xs, times, us, exact) -> None:
     :func:`_write_csv` of those columns.
 
     ``us`` and the rows of ``exact`` hold U and the exact values at
-    ``times``.  The knot column is formatted once for every file
-    (:func:`_knot_text`), and each file's rows come from
-    :func:`_snapshot_files`.
+    ``times``.  Each file's rows come from :func:`_snapshot_files`.
     """
-    compiled = _native.compiled()
-    knots = _knot_text(compiled.rows, xs)
-    files = _snapshot_files(compiled.snapshot, knots, us, exact, [_fmt12(t) for t in times])
+    files = _snapshot_files(_native.compiled(), xs, us, exact, [_fmt12(t) for t in times])
     for path, rows in zip(paths, files):
         _write_rows(path, _SNAPSHOT_HEADER, rows)

@@ -855,23 +855,30 @@ class TestNativeFinisher:
                     "p = put(p, ue[i], de);\n        *p++ = ',';\n        p = put(p, u[i], du);",
                 ),
             ],
-            # the knot text of row i + 1, and of row 0 in the last row
+            # the knot line of row i + 1, and of row 0 in the last row: the
+            # walk skips row 0 first and goes back to it at the end
             [
                 (
-                    "start = i > 0 ? knot_ends[i - 1] : 0;\n        len = knot_ends[i] - start;",
-                    "start = i + 1 < n ? knot_ends[i] : 0;\n"
-                    "        len = (i + 1 < n ? knot_ends[i + 1] : knot_ends[0]) - start;",
+                    "while (*k != '\\n')\n",
+                    "if (i == 0)\n"
+                    "            while (*k++ != '\\n')\n"
+                    "                ;\n"
+                    "        if (i + 1 == n)\n"
+                    "            k = knot_rows;\n"
+                    "        while (*k != '\\n')\n",
                 ),
             ],
             # the t field dropped
             [
                 (
-                    "p += len;\n        memcpy(p, t_text, t_len);\n        p += t_len;\n",
-                    "p += len;\n",
+                    "k++;\n        memcpy(p, t_text, t_len);\n        p += t_len;\n",
+                    "k++;\n",
                 ),
             ],
+            # the knot row's newline copied into the row
+            [("*p++ = *k++;\n        k++;", "*p++ = *k++;\n        *p++ = *k++;")],
         ],
-        ids=["no-fabs", "swapped-values", "next-knot", "no-t"],
+        ids=["no-fabs", "swapped-values", "next-knot", "no-t", "keeps-newline"],
     )
     def test_known_answer_check_rejects_a_mutant_snapshot(self, replacements, tmp_path):
         if _native.compiled().snapshot is None:
@@ -891,7 +898,7 @@ class TestNativeFinisher:
             # every time's row written into the first
             ("sine", (exact, "_sine_rows"), -1),
             # every file's exact values read from the first file's
-            ("snapshot", (csvtext, "_snapshot_files"), 3),
+            ("snapshot", (csvtext, "_snapshot_files"), 2),
         ],
         ids=["front-rows", "sine-factors", "sine-rows", "snapshot-exact"],
     )
