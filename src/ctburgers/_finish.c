@@ -19,8 +19,9 @@
  *
  * sine sums the series of ctburgers.exact.sine_wave_exact on an array of
  * points from the factors and the sin/cos table Python computes, each
- * point's terms added in ascending j as the numpy column adds its rows,
- * and finds the first point whose value leaves [0, 1].
+ * point's terms added in ascending j as the numpy column adds its rows.
+ * It only sums: ctburgers.exact.sine_wave_columns checks the values
+ * against [0, 1], once for all of a run's times, on both paths.
  *
  * Every expression has the operands of the Python code in its
  * left-to-right order, and the build turns off contraction and fast-math,
@@ -56,8 +57,7 @@
  * every one of a fixed set of known-answer marches, fits, rows, front and
  * sine rows and snapshot files as the Python path does, each called from
  * the Python function that calls it in production: on the same zero-pivot
- * row or out-of-range point, the same bits and the same bytes
- * (_native._matches_python).
+ * row, the same bits and the same bytes (_native._matches_python).
  *
  * Build (ctburgers._native.compile_command): cc -O2 -std=c99
  *     -ffp-contract=off -fno-fast-math -shared -fPIC -o LIB _finish.c -lm
@@ -281,48 +281,33 @@ static inline void sine_sums(const double *s, const double *c, const double *jr,
         out[i] = scale * num[i] / den[i];
 }
 
-/* x:       the n points of the column.
- * n:       number of points.
+/* n:       number of points.
  * s, c:    (terms, n) row-major: sin(pi j x_i) and cos(pi j x_i) in row j - 1.
  * factors: (3, terms) row-major: j r_j, 2 r_j and e_j in column j - 1.
  * terms:   number of terms J, at least 1.
  * scale:   4 pi lam.
- * tol:     how far a value at a point in [0, 1] may stray outside [0, 1].
  * out:     the n values, written.
  *
  * Writes the sine wave of ctburgers.exact.sine_wave_exact: the quotient
  * scale num / den of num = sum_j (j r_j s_j) e_j and den = 1 +
  * sum_j (2 r_j c_j) e_j, each added in ascending j from 0.0 and 1.0.
- * Returns -1, or the first point in [0, 1] whose value lies outside
- * [-tol, 1 + tol] or is a NaN; every value is written either way.
  */
-long sine(const double *x, long n, const double *s, const double *c, const double *factors,
-          long terms, double scale, double tol, double *out)
+void sine(long n, const double *s, const double *c, const double *factors, long terms,
+          double scale, double *out)
 {
     const double *jr = factors, *r2 = factors + terms, *e = factors + 2 * terms;
-    double u;
     long i;
 
     for (i = 0; i + SINE_POINTS <= n; i += SINE_POINTS)
         sine_sums(s + i, c + i, jr, r2, e, terms, n, SINE_POINTS, scale, out + i);
     if (i < n)
         sine_sums(s + i, c + i, jr, r2, e, terms, n, n - i, scale, out + i);
-    for (i = 0; i < n; i++) {
-        u = out[i];
-        if (x[i] >= 0.0 && x[i] <= 1.0 && !(u >= -tol && u <= 1.0 + tol))
-            return i;
-    }
-    return -1;
 }
 
-/* 10^0 .. 10^22, the powers of ten a double holds exactly */
-static const double POW10[] = {
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-};
-
 /* UP10[j - UP10_FIRST] is 10^j rounded up to a double, for j from -307 to
- * 308: a double a is >= 10^j exactly when a >= UP10[j - UP10_FIRST] */
+ * 308: a double a is >= 10^j exactly when a >= UP10[j - UP10_FIRST].  A
+ * double holds 10^0 .. 10^22 exactly, so those entries are the powers
+ * themselves: the exact scalings read them */
 #define UP10_FIRST (-307)
 static const double UP10[] = {
     1.0000000000000001e-307, 1e-306, 1.0000000000000001e-305, 1.0000000000000002e-304,
@@ -495,9 +480,9 @@ static void scale(double a, int s, double *hi, double *lo)
     for (; s < -22; s += 22)
         divide(hi, lo, 1e22);
     if (s >= 0)
-        times(hi, lo, POW10[s]);
+        times(hi, lo, UP10[s - UP10_FIRST]);
     else
-        divide(hi, lo, POW10[-s]);
+        divide(hi, lo, UP10[-s - UP10_FIRST]);
 }
 
 /* Writes the integer nearest a 10^s, ties to even, to out, for a positive
@@ -514,7 +499,7 @@ static int nearest(double a, int s, long long *out)
          * lies on the side of n + 1/2 that a 10^s does, unless it is that
          * double below 2^44 itself (its fraction, a multiple of the ulp of
          * hi, is exact) */
-        hi = s >= 0 ? a * POW10[s] : a / POW10[-s];
+        hi = s >= 0 ? a * UP10[s - UP10_FIRST] : a / UP10[-s - UP10_FIRST];
         n = (long long) hi;
         half = (hi - (double) n) - 0.5;
         if (half == 0.0) {

@@ -200,10 +200,10 @@ def _bind(lib: ctypes.CDLL) -> _Compiled:
     )
     front.restype = None
     sine.argtypes = (
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_long, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+        ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+        ctypes.c_double, ctypes.c_void_p,
     )
-    sine.restype = ctypes.c_long
+    sine.restype = None
     snapshot.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_char_p,
         ctypes.c_void_p,
@@ -411,48 +411,33 @@ def _known_answer_sines():
     """Fixed columns for the sine check: (points, s, c, factors, terms,
     scale) as :func:`~ctburgers.exact._sine_rows` takes them.
 
-    One-term columns with factors 1, 0 and 1 and scale 1 give each point
-    the value in s: values on and just past both ends of [-RANGE_TOL,
-    1 + RANGE_TOL] and a NaN, at points 0 and 1, inside, outside [0, 1]
-    and NaN, so that the first point out of range is point 0 in one
-    column, a NaN value at x = 1 after values in range in another, and
-    none where only the points outside [0, 1] stray.  Another holds +-0.0
-    and subnormals in s, c and the factors and a denominator that reaches
-    +0.0, under a zero and a non-zero numerator.  The last sums 24 terms
-    of both signs at 22 points, five groups of the C loop's four and two
-    left over, so that a regrouped product or another order of the sums
-    moves last bits.  The last has four times: 3 terms, t = 0 (no terms),
-    2 terms and 3 terms again, whose values leave [0, 1], so each time
-    after the first reads its factors and writes its row at an offset,
-    and the first point out of range lies in the last row.
+    The first holds +-0.0 and subnormals in s, c and the factors, a
+    denominator that reaches +0.0, under a zero and a non-zero numerator,
+    and NaN and +-inf in s and c, whose sums are NaN, +-inf and -0.0.  The
+    next sums 24 terms of both signs at 22 points, five groups of the C
+    loop's four and two left over, so that a regrouped product or another
+    order of the sums moves last bits.  The last has four times: 3 terms,
+    t = 0 (no terms), 2 terms and 3 terms again, so each time after the
+    first reads its factors and writes its row at an offset.
     """
-    tol, inf, nan = exact.RANGE_TOL, math.inf, math.nan
-    low, high = -tol, 1.0 + tol
-    below, above = math.nextafter(low, -inf), math.nextafter(high, inf)
-
-    def values(xs, us):
-        us = np.array([us])
-        return np.array(xs), us, np.zeros_like(us), np.array([1.0, 0.0, 1.0]), (1,), 1.0
-
+    inf, nan = math.inf, math.nan
     smallest, subnormal = 5e-324, -2.2250738585072014e-309
     specials = [0.0, -0.0, smallest, subnormal, 0.5, -0.75]
-    special_s = [specials + [0.0, 0.25, -0.25],
-                 [3.0e-310, 0.25, -0.0, 0.0, -0.0, smallest, 0.0, 0.25, -0.0]]
-    special_c = [specials + [-1.0, -1.0, -1.0], [0.125, -0.0, smallest] + specials]
+    # the last five points sum to NaN (from s and from c), inf, -inf and -0.0
+    special_s = [specials + [0.0, 0.25, -0.25, nan, inf, -inf, 0.25, 0.5],
+                 [3.0e-310, 0.25, -0.0, 0.0, -0.0, smallest, 0.0, 0.25, -0.0,
+                  0.0, -0.0, 0.25, 0.5, 0.25]]
+    special_c = [specials + [-1.0, -1.0, -1.0, 0.25, 0.5, 0.5, -inf, nan],
+                 [0.125, -0.0, smallest] + specials + [0.5, 0.0, 0.5, 0.0, 0.5]]
     terms = np.arange(1.0, 25.0)[:, None]
     points = np.arange(22.0)
     knots = np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
     angles = np.pi * np.arange(1.0, 4.0)[:, None] * knots
     return [
-        # the first value out of range is the NaN at x = 1, then 3.0 and inf
-        values([-0.25, 1.5, nan, -0.0, 0.0, 0.5, 0.25, 1.0, 0.75, 0.5],
-               [-0.7, -1.0, 2.0, low, -0.0, high, 0.5, nan, 3.0, inf]),
-        values([0.0, 1.0], [below, above]),
-        # every stray value lies at a point outside [0, 1]
-        values([-0.25, 1.5, nan, inf, -inf, 1.0], [-0.7, -0.7, nan, 5.0, -5.0, high]),
-        # 1 + (2 * -1) * 0.5 = +0.0 at the last three points, the first of
-        # them under a zero numerator
-        (np.array([0.5, 0.0, 0.25, 1.0, 0.75, 0.125, 0.375, 0.625, 0.875]),
+        # 1 + (2 * -1) * 0.5 = +0.0 at points 6 to 8, the first of them
+        # under a zero numerator
+        (np.array([0.5, 0.0, 0.25, 1.0, 0.75, 0.125, 0.375, 0.625, 0.875,
+                   0.3, 0.4, 0.6, 0.7, 0.9]),
          np.array(special_s), np.array(special_c),
          np.array([0.75, 1e300, 2.0, subnormal, 0.5, 3.0e-310]), (2,), 0.125),
         (points / 21.0,
@@ -469,10 +454,8 @@ def _known_answer_sines():
 def _known_answer_outcomes(compiled: _Compiled):
     """The zero-pivot row, or None, and the result bits of every
     known-answer march and fit run by ``compiled``, then the bytes of its
-    known-answer rows, the bits of its known-answer front rows, the first
-    out-of-range (row, point), or None, and the bits of the rows up to it
-    of its known-answer sines, and the bytes of its known-answer snapshot
-    files.
+    known-answer rows, the bits of its known-answer front and sine rows,
+    and the bytes of its known-answer snapshot files.
 
     Each march is one multi-step call, and its result is the state after
     the last completed step; a fit that meets a zero pivot has no result.
@@ -496,9 +479,7 @@ def _known_answer_outcomes(compiled: _Compiled):
     for case in _known_answer_fronts():
         yield exact._front_rows(compiled.front, *case).view(np.int64).tolist()
     for case in _known_answer_sines():
-        out, bad = exact._sine_rows(compiled.sine, *case)
-        # a row after the first that strays is never written
-        yield bad, out[:len(out) if bad is None else bad[0] + 1].view(np.int64).tolist()
+        yield exact._sine_rows(compiled.sine, *case).view(np.int64).tolist()
     knots, us, ue, t_texts = _known_answer_snapshots()
     files = csvtext._snapshot_files(compiled, knots, us, ue, t_texts)
     # each file's bytes are copied before the next overwrites its buffer

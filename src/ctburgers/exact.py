@@ -10,8 +10,9 @@ array gives the bits of the point-by-point calls.  Each also has a
 pass, row by row with the bits of the calls at each time.  An array of
 points on the front, and the sum of the sine wave's series over an
 array, is one call into the compiled library of
-:mod:`ctburgers._native` per time when that passed its check.  The
-modified Bessel
+:mod:`ctburgers._native` per time when that passed its check.  Either
+path only sums the sine wave's series: :func:`sine_wave_columns` checks
+the values of all its times against [0, 1] at once.  The modified Bessel
 functions are computed in-module; for small viscosity the series is
 evaluated entirely through the ratios I_j(z)/I_0(z), which stay O(1)
 even when the raw function values overflow.
@@ -287,9 +288,12 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
     The factors of every time are found first, then one sin/cos table is
     taken for the largest J, and a time with fewer terms sums its first
     rows: each entry of the table is computed alone, so they have the bits
-    of a smaller table's.  The rows are :func:`_sine_rows`.  Raises what
-    the calls at ``ts`` in their order would raise first: a time whose
-    factors fail raises after the sums of the times before it.
+    of a smaller table's.  The rows are :func:`_sine_rows`, and the whole
+    block is checked against [0, 1] at once; the first stray value in
+    row-major order, that of the earliest time, is the one reported.
+    Raises what the calls at ``ts`` in their order would raise first: a
+    time whose factors fail raises after the values of the times before
+    it have been checked.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -316,9 +320,11 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
     s = c = None
     if flat:
         s, c = _trig_table(xs.tobytes(), max(terms))
-    out, bad = _sine_rows(_native.compiled().sine, xs, s, c, factors, terms, 4.0 * math.pi * lam)
-    if bad is not None:
-        k, i = bad
+    out = _sine_rows(_native.compiled().sine, xs, s, c, factors, terms, 4.0 * math.pi * lam)
+    # a NaN value is outside too; a NaN point is not in [0, 1]
+    stray = ~((out >= -RANGE_TOL) & (out <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
+    if stray.any():
+        k, i = divmod(int(np.argmax(stray)), len(xs))
         raise SeriesConvergenceError(
             f"series value {out[k, i]:.6g} at x={xs[i]:.6g} lies outside [0, 1]"
             f" (lam={lam}, t={ts[k]}): the sum has lost its accuracy"
@@ -329,12 +335,9 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
 
 
 def _sine_rows(native, xs: np.ndarray, s, c, factors: np.ndarray, terms,
-               scale: float) -> tuple[np.ndarray, tuple[int, int] | None]:
+               scale: float) -> np.ndarray:
     """The sine-wave series at the points ``xs``, one row for each J of
-    ``terms``, and the first (row, point) whose value lies outside [0, 1]
-    by more than ``RANGE_TOL`` at a point in [0, 1], or None; no row after
-    it is written.  A NaN value counts as outside; a NaN point is not in
-    [0, 1], so it is not checked.
+    ``terms``.
 
     ``s`` and ``c`` are the tables of sin(pi j x) and cos(pi j x) with at
     least max(terms) rows, ``factors`` the rows ``j*r_j``, ``2*r_j`` and
@@ -344,13 +347,15 @@ def _sine_rows(native, xs: np.ndarray, s, c, factors: np.ndarray, terms,
     ``native`` is given, is called once per row, into it, with the pointers
     fetched once.  Without it, numpy adds one row of terms at a time in
     ascending j, like the scalar sum: the reference the compiled sum is
-    checked against.
+    checked against.  Neither checks the values: an overflowing term or a
+    zero denominator gives an inf or NaN value, which
+    :func:`sine_wave_columns` flags.
     """
     n = len(xs)
     out = np.empty((len(terms), n))
     if native is not None and factors.size:
         # the cached tables are read-only, so they take ndarray.ctypes.data
-        x_at, s_at, c_at, f_at, out_at = map(_native.address, (xs, s, c, factors, out))
+        s_at, c_at, f_at, out_at = map(_native.address, (s, c, factors, out))
     start = 0
     for k, j in enumerate(terms):
         if j == 0:
@@ -358,25 +363,19 @@ def _sine_rows(native, xs: np.ndarray, s, c, factors: np.ndarray, terms,
             out[k] = sine_pulse(xs)
             continue
         if native is not None:
-            i = native(x_at, n, s_at, c_at, f_at + 8 * start, j, scale, RANGE_TOL,
-                       out_at + 8 * k * n)
+            native(n, s_at, c_at, f_at + 8 * start, j, scale, out_at + 8 * k * n)
         else:
             jr, r2, e = factors[start:start + 3 * j].reshape(3, j, 1)
             num = np.zeros_like(xs)
             den = np.ones_like(xs)
-            # an overflowing term or a zero denominator gives an inf or NaN
-            # value, which the range check below flags; in C it passes silently too
+            # in C the overflow and the division pass silently too
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 for num_j, den_j in zip(jr * s[:j] * e, r2 * c[:j] * e):
                     num += num_j
                     den += den_j
-                out[k] = u = scale * num / den
-            wrong = ~((u >= -RANGE_TOL) & (u <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
-            i = int(np.argmax(wrong)) if wrong.any() else -1
+                out[k] = scale * num / den
         start += 3 * j
-        if i >= 0:
-            return out, (k, i)
-    return out, None
+    return out
 
 
 def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam: float):

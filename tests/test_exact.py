@@ -12,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import _native, scheme
+from ctburgers import _native, exact, scheme
 from ctburgers.basis import UniformPartition, knot_coefficients
 from ctburgers.exact import (
+    RANGE_TOL,
     SeriesControl,
     SeriesConvergenceError,
     _bessel_ratios,
@@ -24,6 +25,7 @@ from ctburgers.exact import (
     _trig_table,
     bessel_i,
     bessel_i_ratio,
+    sine_pulse,
     sine_wave_columns,
     sine_wave_exact,
     traveling_wave_columns,
@@ -522,11 +524,20 @@ class TestCompiledFront:
         assert native.tobytes() == python.tobytes()
 
 
+def first_stray(xs, values):
+    """The first point in [0, 1] whose value lies outside [0, 1] by more
+    than ``RANGE_TOL`` or is a NaN, or -1: the range check, point by point."""
+    for i, (x, u) in enumerate(zip(xs.tolist(), values.tolist())):
+        if 0.0 <= x <= 1.0 and not -RANGE_TOL <= u <= 1.0 + RANGE_TOL:
+            return i
+    return -1
+
+
 def sine_column(native, xs, s, c, factors, scale):
     """The one row of :func:`_sine_rows` at the (3, J) ``factors`` and its
     first out-of-range point, or -1."""
-    rows, bad = _sine_rows(native, xs, s, c, factors.ravel(), [factors.shape[1]], scale)
-    return rows[0], -1 if bad is None else bad[1]
+    row = _sine_rows(native, xs, s, c, factors.ravel(), [factors.shape[1]], scale)[0]
+    return row, first_stray(xs, row)
 
 
 def compiled_sine():
@@ -537,8 +548,9 @@ def compiled_sine():
 
 
 class TestCompiledSine:
-    """The compiled sine series gives the bits and the first out-of-range
-    point of the numpy column, and the bits of the point-by-point sums."""
+    """The compiled sine series gives the bits of the numpy column and of
+    the point-by-point sums, and both raise at the first out-of-range
+    point of those sums."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -574,7 +586,7 @@ class TestCompiledSine:
             s, c = _trig_table(xs.tobytes(), factors.shape[1])
             compiled, k = sine_column(sine, xs, s, c, factors, scale)
             python, k_python = sine_column(None, xs, s, c, factors, scale)
-            assert k == k_python
+            assert k == k_python == first_stray(xs, reference)
             assert compiled.tobytes() == python.tobytes() == reference.tobytes()
         if k < 0:
             assert sine_wave_exact(xs, t, lam).tobytes() == reference.tobytes()
@@ -704,3 +716,76 @@ class TestOnePassColumns:
             sine_wave_columns(xs, [0.7, 0.02, bad], 0.01)
         with pytest.raises(ValueError, match="t must be >= 0"):
             sine_wave_columns(xs, [0.7, bad, 0.02], 0.01)
+
+
+class TestRangeCheckOfTheBlock:
+    """``sine_wave_columns`` checks the whole block of its rows against
+    [0, 1] once, at the points in [0, 1], and names the first stray value
+    in row-major order, whichever path summed the block."""
+
+    LOW, HIGH = -RANGE_TOL, 1.0 + RANGE_TOL
+
+    @staticmethod
+    def columns(monkeypatch, xs, block, ts=(0.1,)):
+        """``sine_wave_columns`` at lam = 0.1 with its rows replaced by ``block``."""
+        block = np.array(block, dtype=float)
+        monkeypatch.setattr(exact, "_sine_rows", lambda *args: block.copy())
+        got = sine_wave_columns(np.array(xs, dtype=float), ts, 0.1)
+        assert got.tobytes() == block.tobytes()
+
+    def test_nan_value_in_the_domain_raises(self, monkeypatch):
+        with pytest.raises(SeriesConvergenceError,
+                           match=r"^series value nan at x=0.5 lies outside \[0, 1\] \(lam=0.1"):
+            self.columns(monkeypatch, [0.25, 0.5, 0.75], [[0.5, math.nan, 0.5]])
+
+    def test_values_at_the_tolerance_pass(self, monkeypatch):
+        self.columns(monkeypatch, [0.0, 0.0, 1.0, 1.0],
+                     [[self.LOW, self.HIGH, self.LOW, self.HIGH]])
+
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    @pytest.mark.parametrize("bound, beyond", [(LOW, -math.inf), (HIGH, math.inf)],
+                             ids=["low", "high"])
+    def test_one_ulp_beyond_the_tolerance_raises(self, x, bound, beyond, monkeypatch):
+        value = math.nextafter(bound, beyond)
+        with pytest.raises(SeriesConvergenceError,
+                           match=rf"^series value {value:.6g} at x={x:.6g} lies outside"):
+            self.columns(monkeypatch, [0.5, x], [[0.5, value]])
+
+    def test_points_outside_the_domain_are_not_checked(self, monkeypatch):
+        self.columns(monkeypatch, [-0.25, 1.5, math.nan, 0.5],
+                     [[-0.7, 2.0, math.nan, 0.5], [math.nan, -math.inf, 3.0, 0.5]],
+                     ts=(0.1, 0.2))
+
+    def test_first_stray_in_row_major_order_is_named(self, monkeypatch):
+        # row 1 strays at its last point, row 3 at its first
+        block = np.full((4, 3), 0.5)
+        block[1, 2] = -0.25
+        block[3, 0] = 1.5
+        with pytest.raises(SeriesConvergenceError) as raised:
+            self.columns(monkeypatch, [0.25, 0.5, 0.75], block, ts=(0.1, 0.2, 0.3, 0.4))
+        assert str(raised.value) == (
+            "series value -0.25 at x=0.75 lies outside [0, 1] (lam=0.1, t=0.2):"
+            " the sum has lost its accuracy"
+        )
+
+
+class TestEmptyAndInitialRows:
+    """No points give empty rows, and a t = 0 row is the initial condition,
+    on both paths."""
+
+    @pytest.mark.parametrize("python", FINISHERS)
+    def test_no_points_give_empty_rows(self, python, library):
+        if python:
+            library(_native._PYTHON)
+        assert sine_wave_columns(np.array([]), [0.1, 0.0], 0.1).shape == (2, 0)
+        got = sine_wave_exact(np.array([]), 0.1, 0.1)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("python", FINISHERS)
+    def test_initial_row_is_the_sine_pulse(self, python, library):
+        if python:
+            library(_native._PYTHON)
+        knots = UniformPartition(0.0, 1.0, 40).knot_array()
+        rows = sine_wave_columns(knots, [0.1, 0.0], 0.1)
+        assert rows[1].tobytes() == sine_pulse(knots).tobytes()
+        assert sine_wave_exact(knots, 0.0, 0.1).tobytes() == sine_pulse(knots).tobytes()
