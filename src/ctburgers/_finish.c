@@ -28,23 +28,25 @@
  * so the results are the Python path's to the bit.
  *
  * rows writes the rows of a CSV file, each value with the bytes of
- * Python's '%.12g' % v.  The decimal exponent comes from a table of the
- * powers of ten rounded up to doubles, the 12 digits from scaling the
- * value by a power of ten.  When one exact power up to 10^22 does it, the
- * correctly rounded product or quotient gives the digits at once: rounding
- * is monotonic, so it lies on the side of n + 1/2 that the exact one does,
- * unless it is n + 1/2 itself, and only then is the exact remainder taken
- * (Dekker's product).  Larger scalings take factors of 10^22 first in
- * double-double arithmetic, to within 2^-50.  Zero, subnormals, inf, nan
- * and a value whose inexact scaling lies too close to a rounding tie take
- * their digits from glibc's correctly rounded %.11e instead.  The inexact
- * scaling earns its place: the |error| of a flat front, 1e-17 to 1e-11,
- * is 16 % of the values of the fine_mesh benchmark, and sending those to
- * %.11e doubles the time rows takes there (BENCH_csv_writer.json).  The
- * digits are written two at a time from a table of the pairs "00" to "99"
- * and placed, with the point, by copies of fixed size.  These write up to
- * 24 bytes past the start of a value, beyond its text, so every out
- * buffer of rows and snapshot ends in 32 spare bytes.
+ * Python's '%.12g' % v.  The 12 digits come from scaling the value by a
+ * power of ten.  floor(k log10 2) of its binary exponent k is its decimal
+ * exponent or one below it; when the scaling rounds to 13 digits, the
+ * exponent is one up and a second scaling gives the 12.  When one exact
+ * power up to 10^22 does it, the correctly rounded product or quotient
+ * gives the digits at once: rounding is monotonic, so it lies on the side
+ * of n + 1/2 that the exact one does, unless it is n + 1/2 itself, and
+ * only then is the exact remainder taken (Dekker's product).  Larger
+ * scalings take factors of 10^22 first in double-double arithmetic, to
+ * within 2^-50.  Zero, subnormals, inf, nan and a value whose inexact
+ * scaling lies too close to a rounding tie take their digits from glibc's
+ * correctly rounded %.11e instead.  The inexact scaling earns its place:
+ * the |error| of a flat front, 1e-17 to 1e-11, is 16 % of the values of
+ * the fine_mesh benchmark, and sending those to %.11e doubles the time
+ * rows takes there (BENCH_csv_writer.json).  The digits are written two at
+ * a time from a table of the pairs "00" to "99" and placed, with the
+ * point, by copies of fixed size.  These write up to 24 bytes past the
+ * start of a value, beyond its text, so every out buffer of rows and
+ * snapshot ends in 32 spare bytes.
  *
  * snapshot writes the rows x,t,U,exact,|U - exact| of one run snapshot
  * with the digits of rows: it copies each knot's "x," from the knot rows
@@ -304,126 +306,10 @@ void sine(long n, const double *s, const double *c, const double *factors, long 
         sine_sums(s + i, c + i, jr, r2, e, terms, n, n - i, scale, out + i);
 }
 
-/* UP10[j - UP10_FIRST] is 10^j rounded up to a double, for j from -307 to
- * 308: a double a is >= 10^j exactly when a >= UP10[j - UP10_FIRST].  A
- * double holds 10^0 .. 10^22 exactly, so those entries are the powers
- * themselves: the exact scalings read them */
-#define UP10_FIRST (-307)
-static const double UP10[] = {
-    1.0000000000000001e-307, 1e-306, 1.0000000000000001e-305, 1.0000000000000002e-304,
-    1.0000000000000001e-303, 1.0000000000000001e-302, 1e-301, 1e-300, 1.0000000000000001e-299,
-    1.0000000000000001e-298, 1e-297, 1e-296, 1e-295, 1e-294, 1e-293, 1e-292,
-    1.0000000000000001e-291, 1e-290, 1e-289, 1e-288, 1e-287, 1e-286, 1e-285, 1e-284,
-    1.0000000000000001e-283, 1e-282, 1e-281, 1.0000000000000001e-280, 1e-279,
-    1.0000000000000001e-278, 1.0000000000000001e-277, 1e-276, 1.0000000000000001e-275,
-    1.0000000000000001e-274, 1e-273, 1.0000000000000001e-272, 1.0000000000000001e-271, 1e-270,
-    1.0000000000000001e-269, 1.0000000000000001e-268, 1.0000000000000002e-267,
-    1.0000000000000002e-266, 1.0000000000000001e-265, 1e-264, 1e-263, 1e-262,
-    1.0000000000000001e-261, 1.0000000000000001e-260, 1e-259, 1.0000000000000001e-258,
-    1.0000000000000002e-257, 1.0000000000000001e-256, 1e-255, 1.0000000000000001e-254, 1e-253,
-    1.0000000000000001e-252, 1e-251, 1e-250, 1e-249, 1.0000000000000002e-248, 1e-247,
-    1.0000000000000001e-246, 1.0000000000000001e-245, 1.0000000000000001e-244,
-    1.0000000000000001e-243, 1.0000000000000002e-242, 1.0000000000000001e-241,
-    1.0000000000000001e-240, 1e-239, 1.0000000000000002e-238, 1.0000000000000001e-237, 1e-236,
-    1.0000000000000001e-235, 1.0000000000000001e-234, 1.0000000000000001e-233, 1e-232,
-    1.0000000000000001e-231, 1e-230, 1e-229, 1e-228, 1.0000000000000001e-227,
-    1.0000000000000001e-226, 1.0000000000000001e-225, 1e-224, 1.0000000000000002e-223, 1e-222,
-    1e-221, 1.0000000000000002e-220, 1e-219, 1e-218, 1e-217, 1e-216, 1e-215,
-    1.0000000000000001e-214, 1.0000000000000001e-213, 1.0000000000000001e-212, 1e-211, 1e-210,
-    1e-209, 1e-208, 1.0000000000000001e-207, 1e-206, 1e-205, 1e-204, 1e-203, 1e-202,
-    1.0000000000000001e-201, 1.0000000000000001e-200, 1.0000000000000001e-199,
-    1.0000000000000001e-198, 1.0000000000000001e-197, 1e-196, 1e-195, 1e-194, 1e-193, 1e-192,
-    1e-191, 1e-190, 1e-189, 1.0000000000000001e-188, 1e-187, 1.0000000000000001e-186,
-    1.0000000000000002e-185, 1e-184, 1e-183, 1e-182, 1e-181, 1e-180, 1e-179,
-    1.0000000000000001e-178, 1.0000000000000002e-177, 1.0000000000000002e-176,
-    1.0000000000000001e-175, 1.0000000000000001e-174, 1e-173, 1e-172, 1.0000000000000001e-171,
-    1.0000000000000002e-170, 1e-169, 1e-168, 1e-167, 1e-166, 1e-165, 1.0000000000000002e-164,
-    1.0000000000000001e-163, 1.0000000000000001e-162, 1e-161, 1.0000000000000001e-160,
-    1.0000000000000001e-159, 1e-158, 1.0000000000000001e-157, 1e-156, 1e-155,
-    1.0000000000000001e-154, 1e-153, 1e-152, 1.0000000000000001e-151, 1e-150,
-    1.0000000000000002e-149, 1.0000000000000001e-148, 1.0000000000000001e-147, 1e-146,
-    1.0000000000000001e-145, 1.0000000000000001e-144, 1.0000000000000001e-143, 1e-142, 1e-141,
-    1.0000000000000001e-140, 1e-139, 1e-138, 1.0000000000000001e-137, 1e-136, 1e-135, 1e-134,
-    1e-133, 1.0000000000000001e-132, 1.0000000000000001e-131, 1e-130, 1.0000000000000001e-129,
-    1e-128, 1e-127, 1.0000000000000001e-126, 1e-125, 1.0000000000000001e-124, 1e-123, 1e-122,
-    1.0000000000000002e-121, 1.0000000000000002e-120, 1e-119, 1.0000000000000002e-118, 1e-117,
-    1.0000000000000001e-116, 1e-115, 1e-114, 1.0000000000000001e-113, 1.0000000000000001e-112,
-    1e-111, 1e-110, 1.0000000000000001e-109, 1e-108, 1e-107, 1.0000000000000001e-106,
-    1.0000000000000002e-105, 1.0000000000000001e-104, 1.0000000000000001e-103,
-    1.0000000000000001e-102, 1e-101, 1e-100, 1e-99, 1.0000000000000001e-98, 1e-97,
-    1.0000000000000001e-96, 1.0000000000000002e-95, 1.0000000000000001e-94,
-    1.0000000000000001e-93, 1.0000000000000002e-92, 1e-91, 1.0000000000000002e-90, 1e-89,
-    1.0000000000000001e-88, 1e-87, 1e-86, 1.0000000000000001e-85, 1e-84, 1e-83,
-    1.0000000000000001e-82, 1.0000000000000001e-81, 1.0000000000000001e-80,
-    1.0000000000000001e-79, 1.0000000000000001e-78, 1.0000000000000001e-77,
-    1.0000000000000001e-76, 1.0000000000000001e-75, 1.0000000000000002e-74,
-    1.0000000000000002e-73, 1.0000000000000001e-72, 1.0000000000000001e-71,
-    1.0000000000000002e-70, 1.0000000000000001e-69, 1e-68, 1.0000000000000001e-67,
-    1.0000000000000001e-66, 1.0000000000000001e-65, 1.0000000000000001e-64, 1e-63, 1e-62, 1e-61,
-    1.0000000000000001e-60, 1e-59, 1e-58, 1.0000000000000001e-57, 1e-56, 1.0000000000000002e-55,
-    1e-54, 1e-53, 1e-52, 1e-51, 1e-50, 1.0000000000000001e-49, 1.0000000000000001e-48,
-    1.0000000000000001e-47, 1e-46, 1.0000000000000001e-45, 1.0000000000000001e-44, 1e-43, 1e-42,
-    1e-41, 1.0000000000000001e-40, 1.0000000000000001e-39, 1.0000000000000001e-38, 1e-37,
-    1.0000000000000001e-36, 1e-35, 1.0000000000000001e-34, 1e-33, 1e-32, 1e-31, 1e-30,
-    1.0000000000000001e-29, 1.0000000000000001e-28, 1e-27, 1e-26, 1e-25, 1.0000000000000001e-24,
-    1.0000000000000001e-23, 1e-22, 1.0000000000000001e-21, 1.0000000000000001e-20,
-    1.0000000000000001e-19, 1e-18, 1e-17, 1.0000000000000001e-16, 1e-15, 1.0000000000000002e-14,
-    1e-13, 1.0000000000000002e-12, 1.0000000000000001e-11, 1e-10, 1e-09, 1e-08,
-    1.0000000000000001e-07, 1.0000000000000002e-06, 1e-05, 1e-04, 1e-03, 1e-02, 1e-01, 1e+00,
-    1e+01, 1e+02, 1e+03, 1e+04, 1e+05, 1e+06, 1e+07, 1e+08, 1e+09, 1e+10, 1e+11, 1e+12, 1e+13,
-    1e+14, 1e+15, 1e+16, 1e+17, 1e+18, 1e+19, 1e+20, 1e+21, 1e+22, 1.0000000000000001e+23,
-    1.0000000000000001e+24, 1e+25, 1e+26, 1e+27, 1.0000000000000002e+28, 1.0000000000000001e+29,
-    1e+30, 1.0000000000000001e+31, 1e+32, 1.0000000000000001e+33, 1.0000000000000001e+34,
-    1.0000000000000002e+35, 1e+36, 1.0000000000000001e+37, 1.0000000000000002e+38,
-    1.0000000000000001e+39, 1e+40, 1e+41, 1e+42, 1e+43, 1e+44, 1.0000000000000001e+45,
-    1.0000000000000001e+46, 1e+47, 1e+48, 1.0000000000000001e+49, 1e+50, 1.0000000000000002e+51,
-    1.0000000000000001e+52, 1.0000000000000002e+53, 1e+54, 1e+55, 1e+56, 1e+57,
-    1.0000000000000001e+58, 1.0000000000000001e+59, 1.0000000000000001e+60,
-    1.0000000000000001e+61, 1e+62, 1e+63, 1e+64, 1.0000000000000001e+65, 1.0000000000000001e+66,
-    1.0000000000000001e+67, 1.0000000000000001e+68, 1e+69, 1e+70, 1e+71, 1.0000000000000001e+72,
-    1.0000000000000001e+73, 1.0000000000000001e+74, 1.0000000000000001e+75, 1e+76,
-    1.0000000000000001e+77, 1e+78, 1.0000000000000001e+79, 1e+80, 1.0000000000000001e+81,
-    1.0000000000000001e+82, 1e+83, 1e+84, 1e+85, 1e+86, 1.0000000000000002e+87,
-    1.0000000000000001e+88, 1.0000000000000001e+89, 1.0000000000000001e+90, 1e+91, 1e+92, 1e+93,
-    1e+94, 1e+95, 1e+96, 1e+97, 1.0000000000000001e+98, 1.0000000000000001e+99, 1e+100,
-    1.0000000000000001e+101, 1.0000000000000001e+102, 1e+103, 1e+104, 1.0000000000000001e+105,
-    1e+106, 1.0000000000000001e+107, 1e+108, 1.0000000000000002e+109, 1e+110,
-    1.0000000000000001e+111, 1.0000000000000001e+112, 1e+113, 1e+114, 1e+115, 1e+116, 1e+117,
-    1.0000000000000001e+118, 1.0000000000000001e+119, 1.0000000000000001e+120, 1e+121, 1e+122,
-    1.0000000000000001e+123, 1.0000000000000001e+124, 1.0000000000000001e+125,
-    1.0000000000000001e+126, 1.0000000000000001e+127, 1e+128, 1.0000000000000002e+129, 1e+130,
-    1.0000000000000001e+131, 1.0000000000000001e+132, 1e+133, 1.0000000000000001e+134,
-    1.0000000000000001e+135, 1e+136, 1e+137, 1e+138, 1e+139, 1e+140, 1e+141, 1e+142, 1e+143,
-    1e+144, 1.0000000000000001e+145, 1.0000000000000002e+146, 1.0000000000000002e+147, 1e+148,
-    1e+149, 1.0000000000000002e+150, 1e+151, 1e+152, 1.0000000000000002e+153, 1e+154, 1e+155,
-    1.0000000000000002e+156, 1.0000000000000001e+157, 1.0000000000000001e+158,
-    1.0000000000000001e+159, 1e+160, 1e+161, 1.0000000000000001e+162, 1.0000000000000001e+163,
-    1e+164, 1.0000000000000001e+165, 1.0000000000000001e+166, 1e+167, 1.0000000000000001e+168,
-    1.0000000000000001e+169, 1e+170, 1.0000000000000002e+171, 1e+172, 1e+173, 1e+174,
-    1.0000000000000001e+175, 1e+176, 1e+177, 1e+178, 1.0000000000000001e+179, 1e+180,
-    1.0000000000000001e+181, 1e+182, 1.0000000000000001e+183, 1e+184, 1.0000000000000001e+185,
-    1.0000000000000001e+186, 1.0000000000000001e+187, 1e+188, 1e+189, 1e+190, 1e+191, 1e+192,
-    1e+193, 1.0000000000000001e+194, 1.0000000000000001e+195, 1.0000000000000002e+196,
-    1.0000000000000001e+197, 1e+198, 1e+199, 1.0000000000000001e+200, 1e+201,
-    1.0000000000000001e+202, 1.0000000000000002e+203, 1.0000000000000001e+204, 1e+205, 1e+206,
-    1e+207, 1.0000000000000001e+208, 1e+209, 1.0000000000000001e+210, 1.0000000000000001e+211,
-    1.0000000000000001e+212, 1.0000000000000001e+213, 1.0000000000000001e+214,
-    1.0000000000000001e+215, 1e+216, 1.0000000000000001e+217, 1e+218, 1.0000000000000001e+219,
-    1.0000000000000001e+220, 1e+221, 1e+222, 1e+223, 1.0000000000000002e+224,
-    1.0000000000000001e+225, 1.0000000000000001e+226, 1e+227, 1.0000000000000001e+228,
-    1.0000000000000001e+229, 1e+230, 1e+231, 1e+232, 1.0000000000000002e+233, 1e+234, 1e+235,
-    1e+236, 1.0000000000000001e+237, 1e+238, 1.0000000000000001e+239, 1e+240, 1e+241, 1e+242,
-    1e+243, 1e+244, 1e+245, 1e+246, 1.0000000000000001e+247, 1e+248, 1.0000000000000001e+249,
-    1.0000000000000001e+250, 1e+251, 1e+252, 1.0000000000000001e+253, 1.0000000000000001e+254,
-    1.0000000000000002e+255, 1e+256, 1e+257, 1e+258, 1.0000000000000001e+259, 1e+260,
-    1.0000000000000001e+261, 1e+262, 1e+263, 1e+264, 1e+265, 1e+266, 1.0000000000000001e+267,
-    1.0000000000000002e+268, 1e+269, 1e+270, 1.0000000000000001e+271, 1e+272,
-    1.0000000000000001e+273, 1.0000000000000001e+274, 1.0000000000000001e+275, 1e+276, 1e+277,
-    1.0000000000000001e+278, 1e+279, 1e+280, 1e+281, 1e+282, 1.0000000000000002e+283, 1e+284,
-    1.0000000000000001e+285, 1e+286, 1e+287, 1e+288, 1e+289, 1e+290, 1.0000000000000001e+291,
-    1e+292, 1.0000000000000001e+293, 1e+294, 1.0000000000000001e+295, 1.0000000000000002e+296,
-    1e+297, 1.0000000000000001e+298, 1e+299, 1e+300, 1e+301, 1e+302, 1e+303,
-    1.0000000000000001e+304, 1.0000000000000001e+305, 1e+306, 1.0000000000000001e+307, 1e+308
+/* POW10[j] is 10^j, which a double holds exactly for j up to 22 */
+static const double POW10[] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22
 };
 
 #define DIGITS 12
@@ -480,13 +366,13 @@ static void scale(double a, int s, double *hi, double *lo)
     for (; s < -22; s += 22)
         divide(hi, lo, 1e22);
     if (s >= 0)
-        times(hi, lo, UP10[s - UP10_FIRST]);
+        times(hi, lo, POW10[s]);
     else
-        divide(hi, lo, UP10[-s - UP10_FIRST]);
+        divide(hi, lo, POW10[-s]);
 }
 
 /* Writes the integer nearest a 10^s, ties to even, to out, for a positive
- * normal a with a 10^s in [10^11, 10^12].  Returns 0, with out unwritten,
+ * normal a with a 10^s in [10^11, 10^13).  Returns 0, with out unwritten,
  * when an inexact scaling lies too close to a tie to tell its side.
  */
 static int nearest(double a, int s, long long *out)
@@ -499,7 +385,7 @@ static int nearest(double a, int s, long long *out)
          * lies on the side of n + 1/2 that a 10^s does, unless it is that
          * double below 2^44 itself (its fraction, a multiple of the ulp of
          * hi, is exact) */
-        hi = s >= 0 ? a * UP10[s - UP10_FIRST] : a / UP10[-s - UP10_FIRST];
+        hi = s >= 0 ? a * POW10[s] : a / POW10[-s];
         n = (long long) hi;
         half = (hi - (double) n) - 0.5;
         if (half == 0.0) {
@@ -527,17 +413,19 @@ static int nearest(double a, int s, long long *out)
 static int decimal(double v, int k, long long *digits, int *exp10)
 {
     const double a = fabs(v);
-    /* floor(k log10 2): the decimal exponent of a or one below it */
+    /* floor(k log10 2): the decimal exponent of a or one below it, so
+     * a 10^(11 - e) lies in [10^11, 10^13) */
     int e = k >= 0 ? (k * 78913) >> 18 : -((-k * 78913 + 262143) >> 18);
 
-    /* the decimal exponent of a itself, so a 10^(11 - e) lies in [10^11, 10^12) */
-    e += a >= UP10[e + 1 - UP10_FIRST];
     if (!nearest(a, DIGITS - 1 - e, digits))
         return 0;
-    /* a carry in the rounding, 99..9.5 -> 10^12, moves the exponent up */
-    if (*digits == TEN_TO_DIGITS) {
-        *digits = TEN_TO_DIGITS / 10;
+    /* 13 digits: e is one below the exponent, or the rounding carried,
+     * 99..9.5 -> 10^12, and the exponent moved up.  A fresh scaling gives
+     * the digits: dividing these would round them twice */
+    if (*digits >= TEN_TO_DIGITS) {
         e++;
+        if (!nearest(a, DIGITS - 1 - e, digits))
+            return 0;
     }
     *exp10 = e;
     return 1;

@@ -304,7 +304,7 @@ def _known_answer_fits():
          np.array([1.0, -0.0])),
     ]
 def _known_answer_rows():
-    """Fixed (3, 33) columns and the t text for the rows check.
+    """Fixed (3, 39) columns and the t text for the rows check.
 
     They hold exact ties at the 13th digit (2^-18, 100000000000.5 and
     100000000001.5, which round to even), values on both sides of the %g
@@ -317,10 +317,14 @@ def _known_answer_rows():
 
     1 and 12 significant digits of both signs sit at the decimal exponents
     -5, -4, 11 and 12, where the layout switches, and at three-digit ones.
-    The doubles on both sides of 10^j for five j check the table of
-    rounded-up powers of ten.  Products a 10^22 and quotients a / 10^22
-    that round to n + 1/2, and their neighbours, take their side from the
-    exact remainder: one lies above n + 1/2, one below.
+    The doubles on both sides of 10^j for five j check where the decimal
+    exponent moves up.  Products a 10^22 and quotients a / 10^22 that round
+    to n + 1/2, and their neighbours, take their side from the exact
+    remainder: one lies above n + 1/2, one below.  Values whose exponent
+    estimate is one low, and their neighbours, take their digits from a
+    second scaling: exact after a double-double first one (1e-11),
+    double-double after an exact one (1e34), or exact after an exact one
+    (1.1e33).
     """
     tie_4, tie_12 = 9.999999999995e-05, 999999999999.5
     # a * 10^22 and a / 10^22 round to n + 1/2, a little below and above it
@@ -343,6 +347,9 @@ def _known_answer_rows():
         values += [math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
     for tie in (tie_up, tie_down):
         values += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
+    # exponent estimates one low: the digits come from a second scaling
+    for seam in (1e-11, 1.2e-11, 1.23456789012e-11, 1e34, 1.01e34, 1.1e33):
+        values += [seam, math.nextafter(seam, 0.0), math.nextafter(seam, math.inf)]
     # 12 digits: a leading pair 10 .. 90, then the pairs 5j .. 5j + 4 (mod 100)
     values += [
         float("%d%s" % (10 + 4 * j, "".join("%02d" % ((5 * j + i) % 100) for i in range(5))))

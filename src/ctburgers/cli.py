@@ -88,6 +88,11 @@ class RunConfig:
         bad = self.outputs - {"table", "csv", "plotdata"}
         if bad:
             raise ConfigError(f"outputs: unknown kind(s) {sorted(bad)}")
+        # a run that outputs nothing, or a table of no points, shows nothing
+        if not self.outputs:
+            raise ConfigError("outputs: no kind given")
+        if not self.sample_xs:
+            raise ConfigError("sample_xs: no point given")
         p = self.build_problem()
         p.validate()
         part = p.partition()

@@ -253,6 +253,21 @@ class TestRunCommand:
         assert code == cli.EXIT_CONFIG
         assert "outputs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, name", [("--outputs", "outputs"), ("--sample-xs", "sample_xs")]
+    )
+    def test_empty_list_rejected_before_the_march(self, flag, name, monkeypatch, capsys):
+        # a run that would output nothing, or a table of no rows, exits 1
+        def fail(*a, **k):
+            raise AssertionError("marched with nothing to output")
+
+        monkeypatch.setattr(cli, "solve_to_time", fail)
+        code = run_main(["run", "--n-cells", "4", "--dt", "0.01", "--t-end", "0.01", flag, ","])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert f"error: invalid config: {name}: no " in captured.err
+        assert captured.out == ""
+
     def test_misaligned_sample_time_exits_config_error(self, capsys):
         code = run_main(
             ["run", "--problem", "sine", "--dt", "0.001", "--t-end", "0.01",
@@ -635,16 +650,14 @@ class TestCompiledRows:
         for native in (_native.compiled().rows, None):
             assert bytes(csvtext._csv_rows(native, [values], "0.5")) == want
 
-    def test_exponent_table_holds_the_rounded_up_powers_of_ten(self):
-        # entry j + 307 is the least double >= 10^j, for j = -307 .. 308
+    def test_power_table_holds_the_exact_powers_of_ten(self):
+        # entry j is 10^j, for j = 0 .. 22: the powers a double holds exactly
         source = _native.SOURCE.read_text()
-        body = re.search(r"UP10\[\] = \{(.*?)\};", source, re.S).group(1)
+        body = re.search(r"POW10\[\] = \{(.*?)\};", source, re.S).group(1)
         table = [float(v) for v in body.replace(",", " ").split()]
-        assert "#define UP10_FIRST (-307)" in source
-        assert len(table) == 616
-        for j, up in enumerate(table, -307):
-            power = Fraction(10) ** j
-            assert Fraction(up) >= power > Fraction(math.nextafter(up, 0.0)), j
+        assert len(table) == 23
+        for j, power in enumerate(table):
+            assert Fraction(power) == Fraction(10) ** j, j
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(20141)
@@ -802,6 +815,15 @@ class TestConfigFile:
         cfg.write_text(line + "\n")
         assert run_main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
         assert f"error: invalid config: argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, name", [("outputs =", "outputs"), ("sample-xs =", "sample_xs")])
+    def test_empty_list_rejected(self, line, name, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n-cells = 4\ndt = 0.01\nt-end = 0.01\n{line}\n")
+        assert run_main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"error: invalid config: {name}: no " in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("lam_key", ["lambda", "lam"])
     @pytest.mark.parametrize("cells_key", ["n-cells", "n_cells"])

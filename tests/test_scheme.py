@@ -769,12 +769,24 @@ class TestNativeFinisher:
             # a product or quotient that rounds to n + 1/2 rounded up, whichever
             # side of it the exact one lies
             ("half = lo;", "half = 1.0;"),
-            # the table of powers of ten shifted by one entry: every value of
-            # the lower of its two possible decimal exponents given the higher
-            ("static const double UP10[] = {", "static const double UP10[] = {\n    0.0,"),
+            # no second scaling: a value whose exponent estimate is one low
+            # written with 13 digits
+            ("if (*digits >= TEN_TO_DIGITS) {", "if (0) {"),
+            # only the carry 99..9.5 -> 10^12 moves the exponent, as 10^11
+            (
+                "if (*digits >= TEN_TO_DIGITS) {\n        e++;\n"
+                "        if (!nearest(a, DIGITS - 1 - e, digits))\n            return 0;\n    }",
+                "if (*digits == TEN_TO_DIGITS) {\n        *digits = TEN_TO_DIGITS / 10;\n"
+                "        e++;\n    }",
+            ),
+            # the 13 digits cut to 12 instead of scaled again: rounded twice
+            (
+                "e++;\n        if (!nearest(a, DIGITS - 1 - e, digits))\n            return 0;",
+                "e++;\n        *digits /= 10;",
+            ),
         ],
         ids=["ties-half-up", "signed-nan", "trailing-zeros", "pair-table-off-by-one",
-             "half-rounded-up", "shifted-exponent-table"],
+             "half-rounded-up", "no-retry", "carry-only", "digits-over-ten"],
     )
     def test_known_answer_check_rejects_a_mutant_rows(self, statement, mutant, tmp_path):
         if _native.compiled().rows is None:
