@@ -23,6 +23,10 @@
  * It only sums: ctburgers.exact.sine_wave_columns checks the values
  * against [0, 1], once for all of a run's times, on both paths.
  *
+ * pulse writes sin(pi x), the sine problem's initial condition
+ * ctburgers.exact.sine_pulse, on an array of points with libm's sin, the
+ * function Python's math.sin calls.
+ *
  * Every expression has the operands of the Python code in its
  * left-to-right order, and the build turns off contraction and fast-math,
  * so the results are the Python path's to the bit.
@@ -55,11 +59,12 @@
  * abs of the difference.  It finds the digits of a row's three values
  * before it writes the row.
  *
- * ctburgers._native uses the library only when all six entry points end
+ * ctburgers._native uses the library only when all seven entry points end
  * every one of a fixed set of known-answer marches, fits, rows, front and
- * sine rows and snapshot files as the Python path does, each called from
- * the Python function that calls it in production: on the same zero-pivot
- * row, the same bits and the same bytes (_native._matches_python).
+ * sine rows, snapshot files and pulses as the Python path does, each
+ * called from the Python function that calls it in production: on the
+ * same zero-pivot row, the same bits and the same bytes
+ * (_native._matches_python).
  *
  * Build (ctburgers._native.compile_command): cc -O2 -std=c99
  *     -ffp-contract=off -fno-fast-math -shared -fPIC -o LIB _finish.c -lm
@@ -304,6 +309,30 @@ void sine(long n, const double *s, const double *c, const double *factors, long 
         sine_sums(s + i, c + i, jr, r2, e, terms, n, SINE_POINTS, scale, out + i);
     if (i < n)
         sine_sums(s + i, c + i, jr, r2, e, terms, n, n - i, scale, out + i);
+}
+
+/* x:   the n points of the column.
+ * n:   number of points.
+ * out: the values, written up to the first infinite angle.
+ *
+ * Writes sin(pi x), the initial condition of ctburgers.exact.sine_pulse,
+ * with libm's sin, the function Python's math.sin calls; the literal is
+ * the double math.pi holds, as M_PI is not C99.  Returns -1, or the index
+ * of the first point whose angle pi x is infinite (x infinite, or so large
+ * that the product overflows), where math.sin raises ValueError.
+ */
+long pulse(const double *x, long n, double *out)
+{
+    double angle;
+    long i;
+
+    for (i = 0; i < n; i++) {
+        angle = 3.141592653589793 * x[i];
+        if (isinf(angle))
+            return i;
+        out[i] = sin(angle);
+    }
+    return -1;
 }
 
 /* POW10[j] is 10^j, which a double holds exactly for j up to 22 */

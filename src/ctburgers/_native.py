@@ -1,9 +1,10 @@
 """Build, load, bind and check ``_finish.c``, the compiled library of
-the scheme's six C entry points: ``march`` (whole Crank-Nicolson steps),
-``fit`` (the initial spline fit), ``rows`` (the rows of a CSV file, with
-the bytes of ``'%.12g' % v``), ``front`` and ``sine`` (the traveling
-front and the sine wave's series on an array of points) and ``snapshot``
-(the rows of a run snapshot); ``_finish.c`` describes each.
+the scheme's seven C entry points: ``march`` (whole Crank-Nicolson
+steps), ``fit`` (the initial spline fit), ``rows`` (the rows of a CSV
+file, with the bytes of ``'%.12g' % v``), ``front`` and ``sine`` (the
+traveling front and the sine wave's series on an array of points),
+``snapshot`` (the rows of a run snapshot) and ``pulse`` (sin(pi x), the
+sine problem's initial column); ``_finish.c`` describes each.
 
 The library is compiled on first use, never at import, by the C compiler
 Python was built with, and cached under
@@ -17,14 +18,15 @@ one place the command is spelled out.
 :func:`compiled` is the one lookup of the library, which
 :mod:`ctburgers.scheme`, :mod:`ctburgers.exact` and
 :mod:`ctburgers.csvtext` call at each use, so one patch of it switches
-all six entry points.  It binds the library once per process and uses
-it, all six entry points or none, only when it gives the bits and bytes
+all seven entry points.  It binds the library once per process and uses
+it, all seven entry points or none, only when it gives the bits and bytes
 of the Python path on a fixed set of known answers, each run through the
 one function that calls that entry point in production
 (:func:`_matches_python`).  Otherwise, and on machines without a C
 compiler, every entry point runs on its Python path: the step and the
-fit on Python floats with the same expressions, the rows in %-templates
-and the exact solutions in numpy, the references the compiled ones are
+fit on Python floats with the same expressions, the rows in %-templates,
+the exact solutions in numpy and the initial sine column through
+``math.sin`` point by point, the references the compiled ones are
 checked against; :func:`ctburgers.scheme.step_finisher` says which path
 runs.  Those modules import this one and this one imports them, and each
 reads the other's names only at call time.
@@ -52,7 +54,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import csvtext, exact, scheme
-from .basis import SchemeCoefficients, knot_coefficients
+from .basis import SchemeCoefficients, UniformPartition, knot_coefficients
 from .linalg import ZeroPivotError
 
 SOURCE = Path(__file__).with_name("_finish.c")
@@ -163,9 +165,9 @@ def load_library() -> ctypes.CDLL | None:
 
 
 class _Compiled(NamedTuple):
-    """The six entry points of ``_finish.c``, typed for ctypes, or six
-    Nones when the march, the fit, the CSV rows, the front, the sine
-    series and the snapshot rows run in Python."""
+    """The seven entry points of ``_finish.c``, typed for ctypes, or
+    seven Nones when the march, the fit, the CSV rows, the front, the sine
+    series, the snapshot rows and the sine pulse run in Python."""
 
     march: Callable | None
     fit: Callable | None
@@ -173,16 +175,19 @@ class _Compiled(NamedTuple):
     front: Callable | None
     sine: Callable | None
     snapshot: Callable | None
+    pulse: Callable | None
 
 
-_PYTHON = _Compiled(None, None, None, None, None, None)
+_PYTHON = _Compiled(None, None, None, None, None, None, None)
 
 
 def _bind(lib: ctypes.CDLL) -> _Compiled:
     """``lib.march``, ``lib.fit``, ``lib.rows``, ``lib.front``,
-    ``lib.sine`` and ``lib.snapshot`` with the argument and result types
-    of ``_finish.c``."""
-    march, fit, rows, front, sine, snapshot = (getattr(lib, name) for name in _Compiled._fields)
+    ``lib.sine``, ``lib.snapshot`` and ``lib.pulse`` with the argument and
+    result types of ``_finish.c``."""
+    march, fit, rows, front, sine, snapshot, pulse = (
+        getattr(lib, name) for name in _Compiled._fields
+    )
     march.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_longlong,
     )
@@ -209,7 +214,9 @@ def _bind(lib: ctypes.CDLL) -> _Compiled:
         ctypes.c_void_p,
     )
     snapshot.restype = ctypes.c_long
-    return _Compiled(march, fit, rows, front, sine, snapshot)
+    pulse.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
+    pulse.restype = ctypes.c_long
+    return _Compiled(march, fit, rows, front, sine, snapshot, pulse)
 
 
 def _known_answer_cases():
@@ -458,11 +465,36 @@ def _known_answer_sines():
     ]
 
 
+def _known_answer_pulses():
+    """Fixed columns for the pulse check, as :func:`~ctburgers.exact._pulse`
+    takes them.
+
+    They hold +-0.0, subnormals, integers and half-integers of both signs
+    (pi x is rounded, so sin(pi x) is not 0 at a non-zero integer), 1/3,
+    1e15 and 1e300, whose angles lie far beyond one period, so that a pulse
+    that reduces x first moves their bits, NaNs of both signs and the 401
+    knots of N = 400.  Two columns raise: one holds -inf after finite points, the
+    other 1e308, whose angle overflows.
+    """
+    smallest, subnormal = 5e-324, -2.2250738585072014e-309
+    values = [0.0, -0.0, smallest, -smallest, subnormal, 3.0e-310,
+              1.0, -1.0, 2.0, 3.0, -7.0, 0.5, -0.5, 1.5, 2.5, -3.5, 1000000.5,
+              1.0 / 3.0, -1.0 / 3.0, 0.1, 0.7, 1e15, -1e15, 1e300,
+              math.nan, math.copysign(math.nan, -1.0)]
+    return [
+        np.array(values),
+        UniformPartition(0.0, 1.0, 400).knot_array(),
+        np.array([0.25, 1e300, -math.inf, 0.5, math.inf]),
+        np.array([0.75, 1e308]),
+    ]
+
+
 def _known_answer_outcomes(compiled: _Compiled):
     """The zero-pivot row, or None, and the result bits of every
     known-answer march and fit run by ``compiled``, then the bytes of its
     known-answer rows, the bits of its known-answer front and sine rows,
-    and the bytes of its known-answer snapshot files.
+    the bytes of its known-answer snapshot files and the bits of its
+    known-answer pulses, or the error a pulse raises.
 
     Each march is one multi-step call, and its result is the state after
     the last completed step; a fit that meets a zero pivot has no result.
@@ -491,6 +523,11 @@ def _known_answer_outcomes(compiled: _Compiled):
     files = csvtext._snapshot_files(compiled, knots, us, ue, t_texts)
     # each file's bytes are copied before the next overwrites its buffer
     yield [bytes(rows) for rows in files]
+    for xs in _known_answer_pulses():
+        try:
+            yield exact._pulse(compiled.pulse, xs).view(np.int64).tolist()
+        except ValueError as err:
+            yield repr(err)
 
 
 def _matches_python(compiled: _Compiled) -> bool:
@@ -506,8 +543,8 @@ def _matches_python(compiled: _Compiled) -> bool:
 
 @functools.cache
 def compiled() -> _Compiled:
-    """The compiled march, fit, rows, front, sine and snapshot, or
-    ``_PYTHON`` when all six run in Python.
+    """The compiled march, fit, rows, front, sine, snapshot and pulse, or
+    ``_PYTHON`` when all seven run in Python.
 
     Built on the first call in a process and trusted only when it passes
     :func:`_matches_python`: one library, used whole or not at all.

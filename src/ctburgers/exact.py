@@ -10,12 +10,13 @@ array gives the bits of the point-by-point calls.  Each also has a
 pass, row by row with the bits of the calls at each time.  An array of
 points on the front, and the sum of the sine wave's series over an
 array, is one call into the compiled library of
-:mod:`ctburgers._native` per time when that passed its check.  Either
-path only sums the sine wave's series: :func:`sine_wave_columns` checks
-the values of all its times against [0, 1] at once.  The modified Bessel
-functions are computed in-module; for small viscosity the series is
-evaluated entirely through the ratios I_j(z)/I_0(z), which stay O(1)
-even when the raw function values overflow.
+:mod:`ctburgers._native` per time when that passed its check, and so is
+the sine pulse on an array.  Either path only sums the sine wave's
+series: :func:`sine_wave_columns` checks the values of all its times
+against [0, 1] at once.  The modified Bessel functions are computed
+in-module; for small viscosity the series is evaluated entirely through
+the ratios I_j(z)/I_0(z), which stay O(1) even when the raw function
+values overflow.
 """
 
 from __future__ import annotations
@@ -227,9 +228,10 @@ def _sincospi(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=4)
 def _trig_table(x_bytes: bytes, terms: int) -> tuple[np.ndarray, np.ndarray]:
-    # sin(pi j x) and cos(pi j x) for j = 1..terms do not depend on t, and
-    # the snapshots of one run share their points and span a few J, so each
-    # table is built once; read-only because every caller shares it
+    # sin(pi j x) and cos(pi j x) for j = 1..terms do not depend on t: one
+    # sine_wave_columns call takes one table for all of its times, and
+    # later calls on the same points, such as sine_wave_exact at each t,
+    # reuse it; read-only because every caller shares it
     xs = np.frombuffer(x_bytes)
     s, c = _sincospi(np.multiply.outer(np.arange(1, terms + 1), xs))
     s.flags.writeable = False
@@ -241,13 +243,40 @@ def sine_pulse(x):
     """sin(pi x), the sine problem's initial condition, for a float or a
     1-D array of points.
 
-    An array goes through ``math.sin`` point by point, because ``np.sin``
-    can differ from it in the last bit and the fit would then move.
+    An array is one call of :func:`_pulse`: the compiled ``pulse``, the
+    seventh entry point of :mod:`ctburgers._native`, when the library
+    passed its check, and ``math.sin`` point by point otherwise.  Both
+    take libm's ``sin`` of the same angles, because ``np.sin`` can differ
+    from it in the last bit and the fit would then move, and both raise
+    ``math.sin``'s ``ValueError`` at an infinite angle.
     """
     if np.ndim(x) == 0:
         return math.sin(math.pi * x)
-    angles = (math.pi * np.asarray(x, dtype=float)).tolist()
-    return np.fromiter(map(math.sin, angles), float, len(angles))
+    xs = np.ascontiguousarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError("x must be a float or a 1-D array")
+    return _pulse(_native.compiled().pulse, xs)
+
+
+def _pulse(native, xs: np.ndarray) -> np.ndarray:
+    """sin(pi x) at the points ``xs``, a C-contiguous 1-D float array.
+
+    The compiled ``pulse``, when ``native`` is given, writes every value
+    in one call and reports the first infinite angle, where this raises
+    the error ``math.sin`` raises there.  Without it, ``math.sin`` point
+    by point: the reference the compiled pulse is checked against.
+    """
+    n = len(xs)
+    if native is None:
+        # an angle that overflows is infinite, as in C, and math.sin raises there
+        with np.errstate(over="ignore"):
+            angles = (math.pi * xs).tolist()
+        return np.fromiter(map(math.sin, angles), float, n)
+    out = np.empty(n)
+    first_inf = native(_native.address(xs), n, _native.address(out))
+    if first_inf >= 0:
+        math.sin(math.pi * float(xs[first_inf]))  # raises, in math.sin's own words
+    return out
 
 
 def sine_wave_exact(x, t: float, lam: float, ctl: SeriesControl = SeriesControl()):
@@ -343,7 +372,9 @@ def _sine_rows(native, xs: np.ndarray, s, c, factors: np.ndarray, terms,
     least max(terms) rows, ``factors`` the rows ``j*r_j``, ``2*r_j`` and
     ``e_j`` of :func:`_series_factors` of each J > 0, end to end, and
     ``scale`` is 4 pi lam; every array is C-contiguous.  A row with J = 0
-    is :func:`sine_pulse`, the value at t = 0.  The compiled ``sine``, when
+    is :func:`_pulse` on its Python path, the value at t = 0: the
+    compiled pulse would be looked up through :func:`_native.compiled`,
+    which runs this function in its check.  The compiled ``sine``, when
     ``native`` is given, is called once per row, into it, with the pointers
     fetched once.  Without it, numpy adds one row of terms at a time in
     ascending j, like the scalar sum: the reference the compiled sum is
@@ -360,7 +391,7 @@ def _sine_rows(native, xs: np.ndarray, s, c, factors: np.ndarray, terms,
     for k, j in enumerate(terms):
         if j == 0:
             # at t = 0 the series does not decay: the initial condition itself
-            out[k] = sine_pulse(xs)
+            out[k] = _pulse(None, xs)
             continue
         if native is not None:
             native(n, s_at, c_at, f_at + 8 * start, j, scale, out_at + 8 * k * n)

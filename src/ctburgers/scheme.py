@@ -139,6 +139,13 @@ class NodalState:
     A state from :func:`nodal_values` holds U and a copy of the spline
     parameters, and computes U_x and U_xx on their first read; it is a
     plain :class:`NodalState` in every other respect.
+
+    In a marched state, ``ux`` and ``uxx`` at x = a and x = b carry no
+    meaning: the end rows collocate the equation where the Dirichlet data
+    fix U, and Crank-Nicolson solves that constraint with amplification
+    -1, so their error changes sign on every step and never decays.
+    ``uxx[0]`` of the sine problem at lam = 1, N = 10, dt = 1e-5 reads
+    +4.48e-3, -4.48e-3, ... where the exact value is 0.  U is not affected.
     """
 
     u: np.ndarray
@@ -338,8 +345,9 @@ class _StepKernel:
 
 def step_finisher() -> str:
     """``"native"`` when the march, the initial fit, the CSV rows, the
-    traveling front's columns, the sine series and the snapshot rows run
-    in the compiled library, ``"python"`` when all six fall back.
+    traveling front's columns, the sine series, the snapshot rows and the
+    sine problem's initial column run in the compiled library, the seven
+    entry points of ``_finish.c``, ``"python"`` when all seven fall back.
 
     Builds and checks the library if this process has not tried yet.
     """
@@ -384,10 +392,17 @@ def solve_to_time(
     """March the scheme to ``t_end`` and record the requested snapshots.
 
     Every sample time (and ``t_end`` itself) must lie on the step grid at
-    or after t = 0, and the run may take at most ``MAX_CELL_STEPS``
-    cell-steps, (N+1) * steps; both are checked before the fit.
+    or after t = 0, no two sample times may fall on one step, equal ones
+    included, and the run may take at most ``MAX_CELL_STEPS`` cell-steps,
+    (N+1) * steps; all are checked before the fit, and each raises
+    ``ValueError``.  ``sample_times`` None samples ``t_end`` alone.
     Returns a map from sample time to the nodal state at that time; a
-    time of -0.0 is keyed as +0.0.
+    time of -0.0 is keyed as +0.0.  The first sample state whose U is not
+    finite raises ``FloatingPointError``, and the march stops there.
+
+    ``ux`` and ``uxx`` at the two end knots carry an error that changes
+    sign on every step, and no meaning (see :class:`NodalState`); U is not
+    affected.
     """
     p.validate()
     if (part.a, part.b, part.n_cells) != (p.a, p.b, p.n_cells):
@@ -406,10 +421,11 @@ def solve_to_time(
         k = _step_index(t, p.dt)
         if k > n_steps:
             raise ValueError(f"sample time {t} beyond t_end={t_end}")
-        if wanted.setdefault(k, t) != t:
+        if k in wanted:
             raise ValueError(
                 f"sample times {wanted[k]} and {t} both fall on step {k} (dt={p.dt})"
             )
+        wanted[k] = t
     sc = knot_coefficients(part.h)
     c = initialize_coefficients(p, part, sc)
     out: dict[float, NodalState] = {}
@@ -421,7 +437,10 @@ def solve_to_time(
         if k > done:
             kernel.march(k - done)
             done = k
-        out[t] = nodal_values(CoefficientVector(delta=kernel.delta, time=t), sc)
+        state = nodal_values(CoefficientVector(delta=kernel.delta, time=t), sc)
+        if not np.isfinite(state.u).all():
+            raise FloatingPointError(f"non-finite solution at t={t}")
+        out[t] = state
     if n_steps > done:
         kernel.march(n_steps - done)
     return out

@@ -21,11 +21,21 @@ from hypothesis import strategies as st
 from ctburgers import _native, cli, csvtext, exact, problems, scheme
 from ctburgers.exact import SeriesConvergenceError
 from ctburgers.linalg import ZeroPivotError
-from ctburgers.scheme import NodalState
 
 
 def run_main(args):
     return cli.main(args)
+
+
+def blow_up_the_march(monkeypatch):
+    """Make every march leave NaN in the state it stepped, on either path."""
+    march = scheme._StepKernel.march
+
+    def blown_up(kernel, steps):
+        march(kernel, steps)
+        kernel.delta[:] = np.nan
+
+    monkeypatch.setattr(scheme._StepKernel, "march", blown_up)
 
 
 # SHA-256 of each CSV of the exact_snapshots benchmark configuration at seed 1
@@ -254,10 +264,13 @@ class TestRunCommand:
         assert "outputs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, name", [("--outputs", "outputs"), ("--sample-xs", "sample_xs")]
+        "flag, name",
+        [("--outputs", "outputs"), ("--sample-xs", "sample_xs"),
+         ("--sample-times", "sample_times")],
     )
     def test_empty_list_rejected_before_the_march(self, flag, name, monkeypatch, capsys):
-        # a run that would output nothing, or a table of no rows, exits 1
+        # a run that would output nothing, a table of no rows or no times
+        # exits 1; an empty list of times is not the flag left out
         def fail(*a, **k):
             raise AssertionError("marched with nothing to output")
 
@@ -266,6 +279,22 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert code == cli.EXIT_CONFIG
         assert f"error: invalid config: {name}: no " in captured.err
+        assert captured.out == ""
+
+    def test_equal_sample_times_rejected_before_the_fit(self, monkeypatch, capsys):
+        # two equal times would print one row where two were asked for
+        def fail(*a, **k):
+            raise AssertionError("reached the fit")
+
+        monkeypatch.setattr(scheme, "initialize_coefficients", fail)
+        code = run_main(
+            ["run", "--n-cells", "4", "--dt", "0.01", "--t-end", "0.02",
+             "--sample-times", "0.01,0.01", "--sample-xs", "0.5"]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert ("error: invalid config: sample times 0.01 and 0.01 both fall on step 1"
+                in captured.err)
         assert captured.out == ""
 
     def test_misaligned_sample_time_exits_config_error(self, capsys):
@@ -388,11 +417,7 @@ class TestRunCommand:
         assert peak < 1 << 20  # nothing of the run's size was allocated
 
     def test_non_finite_solution_exits_numerical_failure(self, monkeypatch, capsys):
-        def blown_up(p, part, t_end, sample_times):
-            u = np.full(p.n_cells + 1, np.nan)
-            return {t_end: NodalState(u=u, ux=u, uxx=u)}
-
-        monkeypatch.setattr(cli, "solve_to_time", blown_up)
+        blow_up_the_march(monkeypatch)
         code = run_main(["run", "--problem", "sine", "--t-end", "0.001", "--dt", "0.001"])
         captured = capsys.readouterr()
         assert code == cli.EXIT_NUMERICAL
@@ -816,7 +841,11 @@ class TestConfigFile:
         assert run_main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
         assert f"error: invalid config: argument {flag}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line, name", [("outputs =", "outputs"), ("sample-xs =", "sample_xs")])
+    @pytest.mark.parametrize(
+        "line, name",
+        [("outputs =", "outputs"), ("sample-xs =", "sample_xs"),
+         ("sample_times=", "sample_times")],
+    )
     def test_empty_list_rejected(self, line, name, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"n-cells = 4\ndt = 0.01\nt-end = 0.01\n{line}\n")
@@ -962,6 +991,21 @@ class TestReproduce:
         assert code == cli.EXIT_NUMERICAL
         assert "error: numerical failure: zero pivot in row 3" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("target", ["table3", "table5", "fig7"])
+    def test_non_finite_solution_exits_numerical_failure(
+        self, target, tmp_path, monkeypatch, capsys
+    ):
+        # a NaN state is a numerical failure, not a mismatch: no cell is
+        # compared and no figure profile is written from it
+        blow_up_the_march(monkeypatch)
+        code = run_main(["reproduce", target, "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+        assert "error: numerical failure: non-finite solution at t=" in captured.err
+        assert "ok" not in captured.out and "FAIL" not in captured.out
+        assert "PASS" not in captured.out
+        assert list(tmp_path.iterdir()) == []
 
     def test_mismatch_exit_code(self, monkeypatch, capsys):
         # corrupt one published cell: the run must flag it and exit 3

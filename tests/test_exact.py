@@ -20,6 +20,7 @@ from ctburgers.exact import (
     SeriesConvergenceError,
     _bessel_ratios,
     _front_rows,
+    _pulse,
     _series_factors,
     _sine_rows,
     _trig_table,
@@ -789,3 +790,73 @@ class TestEmptyAndInitialRows:
         rows = sine_wave_columns(knots, [0.1, 0.0], 0.1)
         assert rows[1].tobytes() == sine_pulse(knots).tobytes()
         assert sine_wave_exact(knots, 0.0, 0.1).tobytes() == sine_pulse(knots).tobytes()
+
+
+def compiled_pulse():
+    pulse = _native.compiled().pulse
+    if pulse is None:
+        pytest.skip("no compiled library on this machine")
+    return pulse
+
+
+class TestCompiledPulse:
+    """The compiled sine pulse gives the bits of ``math.sin`` point by
+    point, and raises its error at an infinite angle."""
+
+    @settings(max_examples=300, deadline=None)
+    # every finite angle: pi * 5.7e307 overflows
+    @given(xs=st.lists(st.one_of(st.floats(-5e307, 5e307), st.just(math.nan)), max_size=40))
+    @example(xs=[0.0, -0.0, 5e-324, 1.0, 0.5, -2.5, 1.0 / 3.0, 1e15, 1e300, math.nan])
+    def test_compiled_column_is_bit_identical(self, xs):
+        pulse = compiled_pulse()
+        points = np.array(xs, dtype=float)
+        single = np.array([math.sin(math.pi * x) for x in xs], dtype=float)
+        compiled = _pulse(pulse, points)
+        assert compiled.tobytes() == _pulse(None, points).tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize(
+        "xs", [[0.25, 0.5, -math.inf], [math.inf], [0.5, 1e308]],
+        ids=["-inf", "inf", "overflowing-angle"],
+    )
+    def test_infinite_angle_raises_the_error_of_math_sin(self, xs):
+        pulse = compiled_pulse()
+        with pytest.raises(ValueError) as python:
+            _pulse(None, np.array(xs))
+        with pytest.raises(ValueError) as native:
+            _pulse(pulse, np.array(xs))
+        assert repr(native.value) == repr(python.value)
+        with pytest.raises(ValueError) as single:
+            math.sin(math.pi * xs[-1])  # the infinite angle is the last
+        assert repr(python.value) == repr(single.value)
+
+    @pytest.mark.parametrize("n_cells", [3, 40, 400, 4000])
+    def test_sine_fit_is_bit_identical_on_both_paths(self, n_cells, library):
+        compiled_pulse()
+        p = sine_problem(0.01, n_cells, 1e-3)
+        part = p.partition()
+        sc = knot_coefficients(part.h)
+        native = scheme.initialize_coefficients(p, part, sc).delta
+        library(_native._PYTHON)
+        python = scheme.initialize_coefficients(p, part, sc).delta
+        assert native.tobytes() == python.tobytes()
+
+    def test_an_array_is_one_call_of_the_compiled_pulse(self, library):
+        pulse = compiled_pulse()
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return pulse(*args)
+
+        library(_native.compiled()._replace(pulse=spy))
+        knots = UniformPartition(0.0, 1.0, 400).knot_array()
+        assert sine_pulse(knots).tobytes() == _pulse(None, knots).tobytes()
+        assert sine_pulse([0.5, 0.25]).tobytes() == _pulse(None, np.array([0.5, 0.25])).tobytes()
+        assert calls == [401, 2]
+        # a float takes math.sin itself
+        assert sine_pulse(0.25) == math.sin(math.pi * 0.25)
+        assert calls == [401, 2]
+
+    def test_a_two_dimensional_array_is_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            sine_pulse(np.zeros((2, 3)))

@@ -849,6 +849,31 @@ class TestNativeFinisher:
         assert _native._matches_python(mutant._replace(sine=None))
         assert not _native._matches_python(mutant)
 
+    @pytest.mark.parametrize(
+        "replacements",
+        [
+            # x reduced to one period first, as np.fmod(x, 2) would
+            [
+                (
+                    "angle = 3.141592653589793 * x[i];",
+                    "angle = 3.141592653589793 * fmod(x[i], 2.0);",
+                ),
+            ],
+            # the single-precision sine
+            [("out[i] = sin(angle);", "out[i] = sinf(angle);")],
+            # an infinite angle written as NaN, not reported
+            [("if (isinf(angle))\n            return i;\n", "")],
+        ],
+        ids=["period-reduced", "sinf", "unreported-inf"],
+    )
+    def test_known_answer_check_rejects_a_mutant_pulse(self, replacements, tmp_path):
+        if _native.compiled().pulse is None:
+            pytest.skip("no compiled library on this machine")
+        mutant = compile_mutant(tmp_path, replacements)
+        # the mutant's other entry points alone pass: the pulse is what fails the check
+        assert _native._matches_python(mutant._replace(pulse=None))
+        assert not _native._matches_python(mutant)
+
 
     @pytest.mark.parametrize(
         "replacements",
@@ -1077,10 +1102,50 @@ class TestSolveToTime:
         with pytest.raises(ValueError, match=r"0\.0004 and 0\.00040000000001"):
             solve_to_time(p, p.partition(), 0.001, [0.0004, 0.00040000000001])
 
-    def test_duplicate_sample_times_collapse(self):
+    def test_equal_sample_times_rejected_before_the_fit(self, monkeypatch):
+        # one state for two requested times would drop a sample silently
+        def fail(*a, **k):
+            raise AssertionError("reached the fit")
+
+        monkeypatch.setattr(scheme, "initialize_coefficients", fail)
         p = sine_problem(1.0, 10, 1e-4)
-        states = solve_to_time(p, p.partition(), 0.001, [0.0004, 0.001, 0.0004])
-        assert list(states) == [0.0004, 0.001]
+        with pytest.raises(ValueError, match=r"0\.0004 and 0\.0004 both fall on step 4"):
+            solve_to_time(p, p.partition(), 0.001, [0.0004, 0.001, 0.0004])
+        with pytest.raises(ValueError, match=r"0\.0 and 0\.0 both fall on step 0"):
+            solve_to_time(p, p.partition(), 0.001, [-0.0, 0.0])
+
+    @pytest.mark.parametrize("finisher", ["native", "python"])
+    def test_non_finite_state_raises_at_the_first_sample(self, finisher, library, monkeypatch):
+        # the march stops at the first sample time whose U is not finite
+        if finisher == "python":
+            library(_native._PYTHON)
+        marches = []
+        march = _StepKernel.march
+
+        def blown_up(kernel, steps):
+            marches.append(steps)
+            march(kernel, steps)
+            if len(marches) == 2:
+                kernel.delta[3] = np.nan
+
+        monkeypatch.setattr(_StepKernel, "march", blown_up)
+        p = sine_problem(1.0, 10, 1e-3)
+        with pytest.raises(FloatingPointError, match=r"non-finite solution at t=0\.002$"):
+            solve_to_time(p, p.partition(), 0.01, [0.001, 0.002, 0.005])
+        assert marches == [1, 1]
+
+    def test_end_knot_curvature_changes_sign_on_every_step(self):
+        # Crank-Nicolson solves the end rows' constraint with amplification
+        # -1: U_xx at both ends flips sign on each step around an exact 0,
+        # while U there stays the boundary value
+        p = sine_problem(1.0, 10, 1e-5)
+        times = [k * 1e-5 for k in range(1, 7)]
+        states = solve_to_time(p, p.partition(), times[-1], times)
+        for end in (0, -1):
+            uxx = [states[t].uxx[end] for t in times]
+            assert uxx == pytest.approx([4.48e-3, -4.48e-3] * 3, rel=1e-3)
+        for t in times:
+            assert np.abs(states[t].u[[0, -1]]).max() <= 1e-15
 
     def test_nonfinite_sample_time_rejected(self):
         p = sine_problem(1.0, 10, 1e-3)
