@@ -423,7 +423,7 @@ def _known_answer_fronts():
 
 def _known_answer_sines():
     """Fixed columns for the sine check: (points, s, c, factors, terms,
-    scale) as :func:`~ctburgers.exact._sine_rows` takes them.
+    scale) as :func:`~ctburgers.exact._sine_rows` takes them after ``compiled``.
 
     The first holds +-0.0 and subnormals in s, c and the factors, a
     denominator that reaches +0.0, under a zero and a non-zero numerator,
@@ -432,7 +432,8 @@ def _known_answer_sines():
     loop's four and two left over, so that a regrouped product or another
     order of the sums moves last bits.  The last has four times: 3 terms,
     t = 0 (no terms), 2 terms and 3 terms again, so each time after the
-    first reads its factors and writes its row at an offset.
+    first reads its factors and writes its row at an offset, and the t = 0
+    row checks the pulse through the call that production makes.
     """
     inf, nan = math.inf, math.nan
     smallest, subnormal = 5e-324, -2.2250738585072014e-309
@@ -518,7 +519,7 @@ def _known_answer_outcomes(compiled: _Compiled):
     for case in _known_answer_fronts():
         yield exact._front_rows(compiled.front, *case).view(np.int64).tolist()
     for case in _known_answer_sines():
-        yield exact._sine_rows(compiled.sine, *case).view(np.int64).tolist()
+        yield exact._sine_rows(compiled, *case).view(np.int64).tolist()
     knots, us, ue, t_texts = _known_answer_snapshots()
     files = csvtext._snapshot_files(compiled, knots, us, ue, t_texts)
     # each file's bytes are copied before the next overwrites its buffer

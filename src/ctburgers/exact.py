@@ -324,8 +324,8 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
     time whose factors fail raises after the values of the times before
     it have been checked.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     # a float gives a 1-element array
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim > 1:
@@ -349,7 +349,7 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
     s = c = None
     if flat:
         s, c = _trig_table(xs.tobytes(), max(terms))
-    out = _sine_rows(_native.compiled().sine, xs, s, c, factors, terms, 4.0 * math.pi * lam)
+    out = _sine_rows(_native.compiled(), xs, s, c, factors, terms, 4.0 * math.pi * lam)
     # a NaN value is outside too; a NaN point is not in [0, 1]
     stray = ~((out >= -RANGE_TOL) & (out <= 1.0 + RANGE_TOL)) & (xs >= 0.0) & (xs <= 1.0)
     if stray.any():
@@ -363,27 +363,26 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
     return out
 
 
-def _sine_rows(native, xs: np.ndarray, s, c, factors: np.ndarray, terms,
-               scale: float) -> np.ndarray:
+def _sine_rows(compiled: _native._Compiled, xs: np.ndarray, s, c, factors: np.ndarray,
+               terms, scale: float) -> np.ndarray:
     """The sine-wave series at the points ``xs``, one row for each J of
     ``terms``.
 
     ``s`` and ``c`` are the tables of sin(pi j x) and cos(pi j x) with at
     least max(terms) rows, ``factors`` the rows ``j*r_j``, ``2*r_j`` and
     ``e_j`` of :func:`_series_factors` of each J > 0, end to end, and
-    ``scale`` is 4 pi lam; every array is C-contiguous.  A row with J = 0
-    is :func:`_pulse` on its Python path, the value at t = 0: the
-    compiled pulse would be looked up through :func:`_native.compiled`,
-    which runs this function in its check.  The compiled ``sine``, when
-    ``native`` is given, is called once per row, into it, with the pointers
-    fetched once.  Without it, numpy adds one row of terms at a time in
-    ascending j, like the scalar sum: the reference the compiled sum is
-    checked against.  Neither checks the values: an overflowing term or a
-    zero denominator gives an inf or NaN value, which
-    :func:`sine_wave_columns` flags.
+    ``scale`` is 4 pi lam; every array is C-contiguous.  A row with J = 0,
+    the value at t = 0, is :func:`_pulse` of ``compiled.pulse``.  The
+    compiled ``sine``, when ``compiled`` has one, is called once per row,
+    into it, with the pointers fetched once.  Without it, numpy adds one
+    row of terms at a time in ascending j, like the scalar sum: the
+    reference the compiled sum is checked against.  Neither checks the
+    values: an overflowing term or a zero denominator gives an inf or NaN
+    value, which :func:`sine_wave_columns` flags.
     """
     n = len(xs)
     out = np.empty((len(terms), n))
+    native = compiled.sine
     if native is not None and factors.size:
         # the cached tables are read-only, so they take ndarray.ctypes.data
         s_at, c_at, f_at, out_at = map(_native.address, (s, c, factors, out))
@@ -391,7 +390,7 @@ def _sine_rows(native, xs: np.ndarray, s, c, factors: np.ndarray, terms,
     for k, j in enumerate(terms):
         if j == 0:
             # at t = 0 the series does not decay: the initial condition itself
-            out[k] = _pulse(None, xs)
+            out[k] = _pulse(compiled.pulse, xs)
             continue
         if native is not None:
             native(n, s_at, c_at, f_at + 8 * start, j, scale, out_at + 8 * k * n)
@@ -422,8 +421,8 @@ def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam
     same order, with the exponential of libm, which ``math.exp`` calls, so
     each value is bit-identical to a call with that point alone.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     if np.ndim(x) == 0:
         eta = alpha * (x - mu * t - gamma) / lam
         if eta > 0.0:
@@ -441,8 +440,8 @@ def traveling_wave_columns(x, ts, alpha: float, mu: float, gamma: float,
     ``traveling_wave_exact(x, ts[k], alpha, mu, gamma, lam)``: the rows
     of :func:`_front_rows`.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("x must be a float or a 1-D array")

@@ -75,8 +75,8 @@ def table_report(
     from one call ``exact_fn.columns(xs, times)`` when ``exact_fn`` has
     it, as the exact solution of each problem factory does, whose row k
     has the bits of ``exact_fn(xs, times[k])``; any other callable is
-    called once per time.  Either gets the array of sorted sample points.
-    Each state's U at the sample knots is read in one ``tolist``.
+    called once per time.  Either gets the array of the knots that the
+    sorted sample points match, where each state's U is read in one ``tolist``.
     """
     width = max(decimals + 4, 9)
     header = (
@@ -89,7 +89,7 @@ def table_report(
     times = sorted(states)
     numerical = [np.asarray(states[t].u)[indices].tolist() for t in times]
     if exact_fn is not None:
-        points = np.array(xs)
+        points = part.knot_array()[indices]
         columns = getattr(exact_fn, "columns", None)
         if columns is not None:
             exact = columns(points, times).tolist()

@@ -786,6 +786,43 @@ def test_one_lookup_reaches_every_entry_point(entries, runs, raised, library, tm
         assert called.value.args[0] in raised, run
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        # the pulse: the fit's initial column, then the t = 0 rows of the
+        # table's exact column and of the CSV's
+        (["run", "--problem", "sine", "--lambda", "0.1", "--n-cells", "40", "--dt", "0.01",
+          "--t-end", "0.02", "--sample-times", "0,0.02", "--outputs", "table,csv"],
+         {"fit": 1, "march": 1, "pulse": 3, "rows": 1, "sine": 2, "snapshot": 2}),
+        (LOOKUP_RUNS["traveling"],
+         {"fit": 1, "front": 2, "march": 1, "rows": 1, "snapshot": 1}),
+        (LOOKUP_RUNS["fig7"], {"fit": 1, "front": 2, "march": 1, "rows": 1}),
+    ],
+    ids=["sine-from-t0", "traveling", "fig7"],
+)
+def test_each_kernel_a_run_uses_is_reached_in_c(argv, calls, library, tmp_path, capsys):
+    """Every entry point of the active library, counted: each kernel that
+    a run uses is one compiled call per column, file or march, with no
+    Python path beside it."""
+    compiled = _native.compiled()
+    if compiled.march is None:
+        pytest.skip("no compiled library on this machine")
+    counts = dict.fromkeys(compiled._fields, 0)
+
+    def counted(entry):
+        native = getattr(compiled, entry)
+
+        def count(*args):
+            counts[entry] += 1
+            return native(*args)
+
+        return count
+
+    library(compiled._replace(**{entry: counted(entry) for entry in compiled._fields}))
+    assert run_main([*argv, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert {entry: n for entry, n in counts.items() if n} == calls
+
+
 class TestConfigFile:
     def test_file_values_and_cli_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

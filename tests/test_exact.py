@@ -213,6 +213,15 @@ class TestSineWaveSeries:
         with pytest.raises(ValueError):
             sine_wave_exact(0.5, -0.1, 1.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    @pytest.mark.parametrize("x", [0.5, np.array([0.25, 0.5])], ids=["float", "array"])
+    def test_non_finite_viscosity_raises(self, x, lam):
+        # lam = inf gave z = 0 and a ZeroDivisionError inside the ratios
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            sine_wave_exact(x, 0.5, lam)
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            sine_wave_columns(x, (0.5,), lam)
+
     def test_nan_time_raises(self):
         for x in (0.5, np.array([0.25, 0.5])):
             with pytest.raises(ValueError, match="t must be >= 0"):
@@ -448,6 +457,15 @@ class TestTravelingWave:
         with pytest.raises(ValueError):
             traveling_wave_exact(np.array([0.5]), 0.1, ALPHA, MU, GAMMA, 0.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    @pytest.mark.parametrize("x", [0.5, np.array([0.25, 0.5])], ids=["float", "array"])
+    def test_non_finite_viscosity_raises(self, x, lam):
+        # lam = inf gave mu = 0.6 at every point, a front of no width
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            traveling_wave_exact(x, 0.1, ALPHA, MU, GAMMA, lam)
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            traveling_wave_columns(x, (0.1,), ALPHA, MU, GAMMA, lam)
+
 
 class TestTravelingWaveColumns:
     @pytest.mark.parametrize("lam", [0.01, 0.005, 0.001])
@@ -534,10 +552,12 @@ def first_stray(xs, values):
     return -1
 
 
-def sine_column(native, xs, s, c, factors, scale):
-    """The one row of :func:`_sine_rows` at the (3, J) ``factors`` and its
-    first out-of-range point, or -1."""
-    row = _sine_rows(native, xs, s, c, factors.ravel(), [factors.shape[1]], scale)[0]
+def sine_column(sine, xs, s, c, factors, scale):
+    """The one row of :func:`_sine_rows`, summed by the compiled ``sine``
+    or, when it is None, in numpy, at the (3, J) ``factors`` and its first
+    out-of-range point, or -1."""
+    compiled = _native._PYTHON._replace(sine=sine)
+    row = _sine_rows(compiled, xs, s, c, factors.ravel(), [factors.shape[1]], scale)[0]
     return row, first_stray(xs, row)
 
 
@@ -856,6 +876,22 @@ class TestCompiledPulse:
         # a float takes math.sin itself
         assert sine_pulse(0.25) == math.sin(math.pi * 0.25)
         assert calls == [401, 2]
+
+    @pytest.mark.parametrize("n_cells", [40, 400, 4000])
+    def test_each_initial_row_is_one_call_of_the_compiled_pulse(self, n_cells, library):
+        pulse = compiled_pulse()
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return pulse(*args)
+
+        library(_native.compiled()._replace(pulse=spy))
+        knots = UniformPartition(0.0, 1.0, n_cells).knot_array()
+        rows = sine_wave_columns(knots, [0.0, 0.1, 0.0], 0.1)
+        assert calls == [n_cells + 1] * 2
+        reference = _pulse(None, knots).tobytes()
+        assert rows[0].tobytes() == rows[2].tobytes() == reference
 
     def test_a_two_dimensional_array_is_rejected(self):
         with pytest.raises(ValueError, match="1-D"):

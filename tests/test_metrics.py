@@ -181,6 +181,24 @@ class TestTableReport:
         )
         assert "0.234" in text or "0.235" in text
 
+    @pytest.mark.parametrize("columns", [True, False], ids=["columns", "per-time"])
+    def test_exact_column_is_taken_at_the_matched_knots(self, columns):
+        # x = 1 + 1e-10 matches the knot 1.0, where U is read; the series
+        # just past it is the odd extension, -2.9e-10 at t = 0.01
+        part = UniformPartition(0.0, 1.0, 4)
+        points = []
+
+        def exact_fn(xs, t):
+            points.append(xs.tolist())
+            return sine_wave_exact(xs, t, 1.0)
+
+        if columns:
+            exact_fn.columns = lambda xs, ts: np.array([exact_fn(xs, t) for t in ts])
+        text = table_report({0.01: state_from(np.zeros(5))}, [1.0000000001, 0.5 - 1e-10],
+                            exact_fn, part)
+        assert points == [[0.5, 1.0]]
+        assert text.splitlines()[2].split() == ["1.000", "0.010", "0.00000", "0.00000"]
+
     def test_rows_grouped_by_x_then_time(self):
         part = UniformPartition(0.0, 1.0, 4)
         states = {t: state_from(np.full(5, t)) for t in (0.2, 0.1)}

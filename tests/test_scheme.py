@@ -874,6 +874,17 @@ class TestNativeFinisher:
         assert _native._matches_python(mutant._replace(pulse=None))
         assert not _native._matches_python(mutant)
 
+    def test_zero_term_sine_row_rejects_a_mutant_pulse_alone(self, tmp_path, monkeypatch):
+        # sinf, not fmod(x, 2): every knot of the sine case lies in [0, 1],
+        # which the period reduction leaves as it is
+        if _native.compiled().pulse is None:
+            pytest.skip("no compiled library on this machine")
+        mutant = compile_mutant(tmp_path, [("out[i] = sin(angle);", "out[i] = sinf(angle);")])
+        monkeypatch.setattr(_native, "_known_answer_pulses", lambda: [])
+        # the t = 0 row of the sine case is the compiled pulse of the mutant
+        assert _native._matches_python(mutant._replace(pulse=None))
+        assert not _native._matches_python(mutant)
+
 
     @pytest.mark.parametrize(
         "replacements",
