@@ -42,8 +42,8 @@
  * only then is the exact remainder taken (Dekker's product).  Larger
  * scalings take factors of 10^22 first in double-double arithmetic, to
  * within 2^-50.  Zero, subnormals, inf, nan and a value whose inexact
- * scaling lies too close to a rounding tie take their digits from glibc's
- * correctly rounded %.11e instead.  The inexact scaling earns its place:
+ * scaling lies too close to a rounding tie, or overflows near DBL_MAX,
+ * take their digits from glibc's correctly rounded %.11e instead.  The inexact scaling earns its place:
  * the |error| of a flat front, 1e-17 to 1e-11, is 16 % of the values of
  * the fine_mesh benchmark, and sending those to %.11e doubles the time
  * rows takes there (BENCH_csv_writer.json).  The digits are written two at
@@ -402,7 +402,8 @@ static void scale(double a, int s, double *hi, double *lo)
 
 /* Writes the integer nearest a 10^s, ties to even, to out, for a positive
  * normal a with a 10^s in [10^11, 10^13).  Returns 0, with out unwritten,
- * when an inexact scaling lies too close to a tie to tell its side.
+ * when an inexact scaling lies too close to a tie to tell its side or
+ * overflows.
  */
 static int nearest(double a, int s, long long *out)
 {
@@ -427,7 +428,9 @@ static int nearest(double a, int s, long long *out)
         scale(a, s, &hi, &lo);
         n = (long long) hi;
         half = (hi - (double) n) - 0.5 + lo;
-        if (fabs(half) < NEAR_TIE)
+        /* within about 2^-27 of DBL_MAX, the split in the first division's
+         * product overflows and leaves lo infinite or NaN */
+        if (!isfinite(lo) || fabs(half) < NEAR_TIE)
             return 0;
     }
     *out = n + (half > 0.0 || (half == 0.0 && n % 2 != 0));

@@ -311,7 +311,7 @@ def _known_answer_fits():
          np.array([1.0, -0.0])),
     ]
 def _known_answer_rows():
-    """Fixed (3, 39) columns and the t text for the rows check.
+    """Fixed (3, 40) columns and the t text for the rows check.
 
     They hold exact ties at the 13th digit (2^-18, 100000000000.5 and
     100000000001.5, which round to even), values on both sides of the %g
@@ -319,7 +319,8 @@ def _known_answer_rows():
     1e-05 and 1e12, +-0.0, the smallest subnormal and normal doubles, the
     largest double, +-inf, a NaN with its sign bit set, the widest text
     (-1.23456789012e-308), values that, scaled by factors of 10^22 to 12
-    integer digits, lie within 2^-51 of a tie, and 21 values whose digit
+    integer digits, lie within 2^-51 of a tie, three within 2^-27 of the
+    largest double, whose scaling overflows, and 21 values whose digit
     pairs take every pair from 00 to 99 in the last five places.
 
     1 and 12 significant digits of both signs sit at the decimal exponents
@@ -346,6 +347,7 @@ def _known_answer_rows():
         0.1, -1.0 / 3.0, 123456.789, -7.0, 1e22, 1e23, 2.0**53, 1e-300,
         6.050602459065e-34, 1.616629688645e-19, 1.383957592355e-12,
         5.760931982955e+34, 1.565497303285e+56, 1.795097866425e+301,
+        1.7976931203573826e+308, 1.7976931249486444e+308, 1.7976931325556788e+308,
     ]
     for digits in (1.0, 1.23456789012):
         for e in (-5, -4, 11, 12, -300, 250):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,13 +150,14 @@ def bessel_i(order: int, z: float) -> float:
 
     Raises
     ------
+    ValueError
+        If ``order`` is not an integer >= 0 or ``z`` is negative or NaN.
     OverflowError
         If the (unscaled) result exceeds the double-precision range.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if z < 0.0:
-        raise ValueError("z must be >= 0")
+    order = _order(order, 0)
+    if not z >= 0.0:
+        raise ValueError(f"z must be >= 0, got {z!r}")
     if z == 0.0:
         return 1.0 if order == 0 else 0.0
     if z <= SERIES_Z_MAX:
@@ -168,12 +170,27 @@ def bessel_i(order: int, z: float) -> float:
 
 
 def bessel_i_ratio(order: int, z: float) -> float:
-    """I_order(z) / I_0(z) computed without forming either value."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if not z > 0.0:
-        raise ValueError("z must be positive")
+    """I_order(z) / I_0(z) computed without forming either value.
+
+    An ``order`` that is not an integer >= 1, or a ``z`` that is not
+    positive and finite, raises ``ValueError``.
+    """
+    order = _order(order, 1)
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"z must be positive and finite, got {z!r}")
     return _bessel_ratios(order, z)[order]
+
+
+def _order(order, least: int) -> int:
+    """``order`` as an int, or ``ValueError`` naming it if it is not an
+    integer >= ``least``."""
+    try:
+        k = operator.index(order)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {order!r}") from None
+    if k < least:
+        raise ValueError(f"order must be >= {least}, got {order!r}")
+    return k
 
 
 @functools.lru_cache(maxsize=16)

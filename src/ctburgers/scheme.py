@@ -393,9 +393,10 @@ def solve_to_time(
 
     Every sample time (and ``t_end`` itself) must lie on the step grid at
     or after t = 0, no two sample times may fall on one step, equal ones
-    included, and the run may take at most ``MAX_CELL_STEPS`` cell-steps,
-    (N+1) * steps; all are checked before the fit, and each raises
-    ``ValueError``.  ``sample_times`` None samples ``t_end`` alone.
+    included, at least one must be given, and the run may take at most
+    ``MAX_CELL_STEPS`` cell-steps, (N+1) * steps; all are checked before
+    the fit, and each raises ``ValueError``.  ``sample_times`` None
+    samples ``t_end`` alone.
     Returns a map from sample time to the nodal state at that time; a
     time of -0.0 is keyed as +0.0.  The first sample state whose U is not
     finite raises ``FloatingPointError``, and the march stops there.
@@ -410,6 +411,8 @@ def solve_to_time(
     # -0.0 + 0.0 is +0.0, so no key, file name or table reads -0
     t_end += 0.0
     sample_times = [t_end] if sample_times is None else [t + 0.0 for t in sample_times]
+    if not sample_times:
+        raise ValueError("no sample time given")
     n_steps = _step_index(t_end, p.dt)
     if (part.n_cells + 1) * n_steps > MAX_CELL_STEPS:
         raise ValueError(

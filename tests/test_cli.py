@@ -489,6 +489,9 @@ def reference_snapshot_text(t, xs, nums, exacts):
     return "\n".join(lines) + "\n"
 
 
+# the widest text of "%.12g"
+WIDEST = -1.23456789012e-308
+
 # finite floats of every magnitude, plus the forms whose text is easiest
 # to get wrong: signed zeros, subnormals, 1e+-16 and integers stored as floats
 csv_floats = st.one_of(
@@ -506,8 +509,13 @@ class TestCsvWriter:
         rows=st.lists(st.tuples(csv_floats, csv_floats, csv_floats), min_size=1, max_size=40),
     )
     # the widest knot text and the shortest
-    @example(t=0.7, rows=[(-1.23456789012e-308, 0.5, 0.25)])
-    @example(t=0.7, rows=[(0.0, -1.23456789012e-308, 1.0)])
+    @example(t=0.7, rows=[(WIDEST, 0.5, 0.25)])
+    @example(t=0.7, rows=[(0.0, WIDEST, 1.0)])
+    # one row after the widest knot, ending in the widest |error|, the
+    # shortest and one of 12 integer digits after two values of 18 characters
+    @example(t=0.7, rows=[(WIDEST, WIDEST, -WIDEST)])
+    @example(t=0.7, rows=[(WIDEST, 0.0, 0.0)])
+    @example(t=0.7, rows=[(WIDEST, -1.23456789012e15, -1.23456789012e15 - 123456789012.0)])
     def test_snapshot_matches_per_row_fstrings(self, t, rows, tmp_path, library):
         xs, nums, exacts = (list(col) for col in zip(*rows))
         path = tmp_path / "snapshot.csv"
@@ -670,6 +678,14 @@ class TestCompiledRows:
 
     @settings(max_examples=500, deadline=None)
     @given(values=st.lists(st.one_of(any_bits, ties), min_size=1, max_size=30))
+    # a buffer filled by the widest text that ends in the widest value, the
+    # shortest and the one whose fixed-size digit copies reach farthest
+    # past its text: the formatter writes into the spare bytes at its end
+    @example(values=[WIDEST] * 40 + [WIDEST])
+    @example(values=[WIDEST] * 40 + [0.0])
+    @example(values=[WIDEST] * 40 + [-123456789012.0])
+    # within 2^-27 of the largest double, where the scaling overflows
+    @example(values=[1.7976931203573586e+308, -1.7976931325556788e+308])
     def test_bit_patterns_and_ties_on_both_paths(self, values):
         want = "".join("%.12g,0.5\n" % v for v in values).encode("ascii")
         for native in (_native.compiled().rows, None):
@@ -718,10 +734,12 @@ class TestCompiledRows:
              "--t-end", "1", "--sample-times", "0.7,1", "--outputs", "csv"],
             ["run", "--problem", "traveling", "--lambda", "0.005", "--n-cells", "400",
              "--dt", "0.001", "--t-end", "0.03", "--sample-times", "0.02,0.03", "--outputs", "csv"],
+            ["run", "--problem", "traveling", "--lambda", "0.005", "--n-cells", "4000",
+             "--dt", "0.001", "--t-end", "0.03", "--outputs", "csv"],
             ["reproduce", "fig7"],
             ["reproduce", "fig8"],
         ],
-        ids=["sine", "traveling", "fig7", "fig8"],
+        ids=["sine", "traveling", "traveling-4000", "fig7", "fig8"],
     )
     def test_files_match_the_python_writer(self, argv, tmp_path, library, capsys):
         compiled_rows()

@@ -70,10 +70,16 @@ class TestBesselI:
             bessel_i(0, 800.0)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            bessel_i(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_i(0, -1.0)
+        # a non-integer order is rejected at every z, not only where the
+        # backward recurrence would index a list with it
+        for order, z, message in [
+            (-1, 1.0, "order must be >= 0"), (0, -1.0, "z must be >= 0"),
+            (0.5, 1.0, "order must be an integer, got 0.5"),
+            (0.5, 20.0, "order must be an integer, got 0.5"),
+            (0, math.nan, "z must be >= 0, got nan"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                bessel_i(order, z)
 
     @pytest.mark.parametrize("z", [0.5, 2.0, 7.5, 15.0, 30.0])
     def test_three_term_recurrence_identity(self, z):
@@ -106,10 +112,15 @@ class TestBesselRatio:
         assert r1 == pytest.approx(float(mp.besseli(1, z) / mp.besseli(0, z)), rel=1e-12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            bessel_i_ratio(0, 1.0)
-        with pytest.raises(ValueError):
-            bessel_i_ratio(1, 0.0)
+        # an infinite z is rejected as bad input, not by a failing conversion
+        for order, z, message in [
+            (0, 1.0, "order must be >= 1"), (1, 0.0, "z must be positive"),
+            (0.5, 1.0, "order must be an integer, got 0.5"),
+            (1, math.inf, "z must be positive and finite, got inf"),
+            (1, math.nan, "z must be positive and finite, got nan"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                bessel_i_ratio(order, z)
 
     def test_overflowing_recurrence_raises_and_returns(self):
         # (2k/z) b overflows for z below about 1e-47; the ratios used to

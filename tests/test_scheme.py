@@ -1124,6 +1124,9 @@ class TestSolveToTime:
             solve_to_time(p, p.partition(), 0.001, [0.0004, 0.001, 0.0004])
         with pytest.raises(ValueError, match=r"0\.0 and 0\.0 both fall on step 0"):
             solve_to_time(p, p.partition(), 0.001, [-0.0, 0.0])
+        # no sample time at all would march the whole run for nothing
+        with pytest.raises(ValueError, match="no sample time given"):
+            solve_to_time(p, p.partition(), 0.001, [])
 
     @pytest.mark.parametrize("finisher", ["native", "python"])
     def test_non_finite_state_raises_at_the_first_sample(self, finisher, library, monkeypatch):
