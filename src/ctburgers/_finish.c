@@ -59,9 +59,10 @@
  * abs of the difference.  It finds the digits of a row's three values
  * before it writes the row.
  *
- * ctburgers._native uses the library only when all seven entry points end
- * every one of a fixed set of known-answer marches, fits, rows, front and
- * sine rows, snapshot files and pulses as the Python path does, each
+ * ctburgers._native declares every entry point below once, with its C
+ * types, in _native._SIGNATURES, and uses the library only when every one
+ * ends every one of a fixed set of known-answer marches, fits, rows, front
+ * and sine rows, snapshot files and pulses as the Python path does, each
  * called from the Python function that calls it in production: on the
  * same zero-pivot row, the same bits and the same bytes
  * (_native._matches_python).

@@ -1,10 +1,11 @@
 """Build, load, bind and check ``_finish.c``, the compiled library of
-the scheme's seven C entry points: ``march`` (whole Crank-Nicolson
-steps), ``fit`` (the initial spline fit), ``rows`` (the rows of a CSV
-file, with the bytes of ``'%.12g' % v``), ``front`` and ``sine`` (the
-traveling front and the sine wave's series on an array of points),
-``snapshot`` (the rows of a run snapshot) and ``pulse`` (sin(pi x), the
-sine problem's initial column); ``_finish.c`` describes each.
+the scheme's C entry points, each declared once, with its C types, in
+``_SIGNATURES``: ``march`` (whole Crank-Nicolson steps), ``fit`` (the
+initial spline fit), ``rows`` (the rows of a CSV file, with the bytes of
+``'%.12g' % v``), ``front`` and ``sine`` (the traveling front and the
+sine wave's series on an array of points), ``snapshot`` (the rows of a
+run snapshot) and ``pulse`` (sin(pi x), the sine problem's initial
+column); ``_finish.c`` describes each.
 
 The library is compiled on first use, never at import, by the C compiler
 Python was built with, and cached under
@@ -18,10 +19,10 @@ one place the command is spelled out.
 :func:`compiled` is the one lookup of the library, which
 :mod:`ctburgers.scheme`, :mod:`ctburgers.exact` and
 :mod:`ctburgers.csvtext` call at each use, so one patch of it switches
-all seven entry points.  It binds the library once per process and uses
-it, all seven entry points or none, only when it gives the bits and bytes
-of the Python path on a fixed set of known answers, each run through the
-one function that calls that entry point in production
+every entry point.  It binds the library once per process and uses it,
+every entry point or none, only when it gives the bits and bytes of the
+Python path on a fixed set of known answers, each run through the one
+function that calls that entry point in production
 (:func:`_matches_python`).  Otherwise, and on machines without a C
 compiler, every entry point runs on its Python path: the step and the
 fit on Python floats with the same expressions, the rows in %-templates,
@@ -47,9 +48,10 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+from ctypes import c_char_p, c_double, c_long, c_longlong, c_void_p
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -164,59 +166,43 @@ def load_library() -> ctypes.CDLL | None:
         return None
 
 
-class _Compiled(NamedTuple):
-    """The seven entry points of ``_finish.c``, typed for ctypes, or
-    seven Nones when the march, the fit, the CSV rows, the front, the sine
-    series, the snapshot rows and the sine pulse run in Python."""
+# each entry point's (restype, argtypes) in the types of its definition in
+# _finish.c: an address is a c_void_p, a t_text a c_char_p
+_SIGNATURES = {
+    "march": (c_long, (c_void_p, c_void_p, c_void_p, c_long, c_longlong)),
+    "fit": (c_long, (c_void_p, c_void_p, c_void_p, c_long, c_double)),
+    "rows": (c_long, (c_void_p, c_long, c_long, c_char_p, c_void_p)),
+    "front": (None, (c_void_p, c_long, *[c_double] * 5, c_void_p)),
+    "sine": (None, (c_long, c_void_p, c_void_p, c_void_p, c_long, c_double, c_void_p)),
+    "snapshot": (c_long, (c_void_p, c_void_p, c_void_p, c_long, c_char_p, c_void_p)),
+    "pulse": (c_long, (c_void_p, c_long, c_void_p)),
+}
 
-    march: Callable | None
-    fit: Callable | None
-    rows: Callable | None
-    front: Callable | None
-    sine: Callable | None
-    snapshot: Callable | None
-    pulse: Callable | None
+_Compiled = NamedTuple("_Compiled", [(name, Optional[Callable]) for name in _SIGNATURES])
+_Compiled.__doc__ = """Every entry point of ``_finish.c`` named in ``_SIGNATURES``, typed
+for ctypes, or a None for each when all of them run in Python."""
 
-
-_PYTHON = _Compiled(None, None, None, None, None, None, None)
+_PYTHON = _Compiled._make(None for _ in _SIGNATURES)
 
 
 def _bind(lib: ctypes.CDLL) -> _Compiled:
-    """``lib.march``, ``lib.fit``, ``lib.rows``, ``lib.front``,
-    ``lib.sine``, ``lib.snapshot`` and ``lib.pulse`` with the argument and
-    result types of ``_finish.c``."""
-    march, fit, rows, front, sine, snapshot, pulse = (
-        getattr(lib, name) for name in _Compiled._fields
-    )
-    march.argtypes = (
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_longlong,
-    )
-    march.restype = ctypes.c_long
-    fit.argtypes = (
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
-    )
-    fit.restype = ctypes.c_long
-    rows.argtypes = (
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_void_p,
-    )
-    rows.restype = ctypes.c_long
-    front.argtypes = (
-        ctypes.c_void_p, ctypes.c_long, *[ctypes.c_double] * 5, ctypes.c_void_p,
-    )
-    front.restype = None
-    sine.argtypes = (
-        ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
-        ctypes.c_double, ctypes.c_void_p,
-    )
-    sine.restype = None
-    snapshot.argtypes = (
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_char_p,
-        ctypes.c_void_p,
-    )
-    snapshot.restype = ctypes.c_long
-    pulse.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
-    pulse.restype = ctypes.c_long
-    return _Compiled(march, fit, rows, front, sine, snapshot, pulse)
+    """The entry points of ``lib``, with the types ``_SIGNATURES`` gives them."""
+    functions = []
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        function = getattr(lib, name)
+        function.restype, function.argtypes = restype, argtypes
+        functions.append(function)
+    return _Compiled._make(functions)
+
+
+# the special values of the known answers: the smallest subnormal,
+# -DBL_MIN / 10, and a column of signed zeros and subnormals
+_SMALLEST = 5e-324
+_SUBNORMAL = -2.2250738585072014e-309
+_SPECIALS = (0.0, -0.0, _SMALLEST, _SUBNORMAL, -_SMALLEST, 3.0e-310)
+# 67 values of both signs, the state of N = 64, and the coefficients of N = 3
+_WAVE = tuple(1.5 * math.sin(0.7 * j) - 0.25 for j in range(67))
+_COARSE = knot_coefficients(1.0 / 3)
 
 
 def _known_answer_cases():
@@ -227,9 +213,6 @@ def _known_answer_cases():
     values at both ends of a non-trivial state, a zero pivot in the first
     row and in an interior one, and one in the second step.
     """
-    smallest = 5e-324
-    subnormal = -2.2250738585072014e-309
-    specials = [0.0, -0.0, smallest, subnormal, -smallest, 3.0e-310]
 
     def spec(n_cells, lam, dt, left, right):
         return scheme.ProblemSpec(
@@ -238,11 +221,10 @@ def _known_answer_cases():
             boundary_left=left, boundary_right=right,
         )
 
-    coarse = knot_coefficients(1.0 / 3)
     fine = knot_coefficients(1.0 / 64)
-    wave = [1.5 * math.sin(0.7 * j) - 0.25 for j in range(67)]
+    wave = list(_WAVE)
     for j in range(0, 60, 11):
-        wave[j:j + len(specials)] = specials
+        wave[j:j + len(_SPECIALS)] = _SPECIALS
     # no advection, alpha1 = 1, alpha2 = 2, lam gamma2 dt/2 = 1: the fold
     # leaves pivots -1, 1, 0 in rows 0-2; alpha2 = 1, gamma2 = 0 makes
     # row 0 zero
@@ -254,11 +236,11 @@ def _known_answer_cases():
     vanishing = SchemeCoefficients(
         alpha1=1.0, alpha2=2.0, beta1=-1.0, beta2=1.0, gamma1=-1.0, gamma2=-2.0
     )
-    steep = [0.25, -0.0, 1.0, smallest, -1.0, 0.0]
+    steep = [0.25, -0.0, 1.0, _SMALLEST, -1.0, 0.0]
     return [
-        (np.array(specials), spec(3, 0.1, 1e-3, -0.0, smallest), coarse, 4),
-        (np.array(steep), spec(3, 0.003, 1e-2, 1.0, 0.0), coarse, 4),
-        (np.array(wave), spec(64, 0.005, 1e-2, subnormal, -0.0), fine, 4),
+        (np.array(_SPECIALS), spec(3, 0.1, 1e-3, -0.0, _SMALLEST), _COARSE, 4),
+        (np.array(steep), spec(3, 0.003, 1e-2, 1.0, 0.0), _COARSE, 4),
+        (np.array(wave), spec(64, 0.005, 1e-2, _SUBNORMAL, -0.0), fine, 4),
         (np.array(wave), spec(64, 1.0, 1e-4, 0.0, 0.0), fine, 4),
         (np.array(wave), spec(64, 0.005, 1e-2, 1.0, 0.2), fine, 4),
         (np.zeros(8), spec(5, 1.0, 2.0, 0.0, 0.0), flat, 3),
@@ -278,16 +260,13 @@ def _known_answer_fits():
     smallest systems, n = 1 and n = 2.  Every input is a literal or a
     short ``math`` loop, so the check allocates next to nothing.
     """
-    smallest = 5e-324
-    subnormal = -2.2250738585072014e-309
-    coarse = knot_coefficients(1.0 / 3)
-    wave = [1.5 * math.sin(0.7 * j) - 0.25 for j in range(67)]
-    wave[5:11] = [0.0, -0.0, smallest, subnormal, -smallest, 3.0e-310]
+    wave = list(_WAVE)
+    wave[5:11] = _SPECIALS
     inf = math.inf
     bands = scheme._fit_bands
     return [
-        (bands(coarse, 6), np.array([0.0, -0.0, smallest, subnormal, -smallest, 3.0e-310])),
-        (bands(coarse, 6), np.array([-2.0, 0.25, 1.0, 0.75, -0.5, 3.0])),
+        (bands(_COARSE, 6), np.array(_SPECIALS)),
+        (bands(_COARSE, 6), np.array([-2.0, 0.25, 1.0, 0.75, -0.5, 3.0])),
         (bands(knot_coefficients(1.0 / 64), 67), np.array(wave)),
         # a full band: every back-substitution row subtracts two products;
         # in the fit matrix only row 0 does, and one of its products is zero
@@ -298,18 +277,20 @@ def _known_answer_fits():
         (np.array([[0.0, 0.0, 1.0, inf, inf], [0.0, -0.0, 2.0, 1.0, 0.0],
                    [-0.0, 0.5, 1.0, 0.0, 0.0]]), np.array([1.0, 2.0, 1.0])),
         # beta1 = 0: the derivative row has no pivot
-        (bands(replace(coarse, beta1=0.0), 6), np.array(wave[:6])),
+        (bands(replace(_COARSE, beta1=0.0), 6), np.array(wave[:6])),
         # unit tridiagonal: the second pivot is 1 - 1 * 1 = 0
         (np.array([[0.0, 0.0, 1.0, 1.0, 0.0]] + [[0.0, 1.0, 1.0, 1.0, 0.0]] * 3
                   + [[0.0, 1.0, 1.0, 0.0, 0.0]]), np.ones(5)),
         # the last pivot is 1 - 1 * 1 = 0
         (np.array([[0.0, 0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0, 0.0],
-                   [0.0, 1.0, 1.0, 0.0, 0.0]]), np.array([1.0, smallest, -1.0])),
+                   [0.0, 1.0, 1.0, 0.0, 0.0]]), np.array([1.0, _SMALLEST, -1.0])),
         # n = 1 and n = 2
-        (np.array([[0.0, 0.0, 3.0, 0.0, 0.0]]), np.array([subnormal])),
+        (np.array([[0.0, 0.0, 3.0, 0.0, 0.0]]), np.array([_SUBNORMAL])),
         (np.array([[0.0, 0.0, 2.0, 0.5, 0.0], [0.0, -1.0, 4.0, 0.0, 0.0]]),
          np.array([1.0, -0.0])),
     ]
+
+
 def _known_answer_rows():
     """Fixed (3, 40) columns and the t text for the rows check.
 
@@ -341,7 +322,7 @@ def _known_answer_rows():
         2.0**-18, 100000000000.5, 100000000001.5,
         tie_4, math.nextafter(tie_4, 0.0), math.nextafter(tie_4, 1.0), 1e-05, 1e-04,
         tie_12, math.nextafter(tie_12, 0.0), math.nextafter(tie_12, math.inf), 1e12,
-        0.0, -0.0, 5e-324, -3e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+        0.0, -0.0, _SMALLEST, -3e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
         math.inf, -math.inf, math.copysign(math.nan, -1.0), math.nan,
         -1.23456789012e-308, 1e-320,
         0.1, -1.0 / 3.0, 123456.789, -7.0, 1e22, 1e23, 2.0**53, 1e-300,
@@ -381,10 +362,9 @@ def _known_answer_snapshots():
     its t text is shorter, so it overwrites the buffer the first filled
     with fewer bytes.
     """
-    smallest, subnormal = 5e-324, -2.2250738585072014e-309
     inf, nan, big = math.inf, math.nan, 1.7976931348623157e308
     pairs = [
-        (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (smallest, subnormal), (subnormal, 3.0e-310),
+        (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (_SMALLEST, _SUBNORMAL), (_SUBNORMAL, 3.0e-310),
         (0.25, 0.75), (0.75, 0.25), (1.0 / 3.0, 0.1), (nan, 0.5), (0.5, nan),
         (inf, inf), (-inf, -inf), (inf, -1.0), (big, -big), (-big, big), (1e-17, 1.0),
     ]
@@ -438,14 +418,13 @@ def _known_answer_sines():
     row checks the pulse through the call that production makes.
     """
     inf, nan = math.inf, math.nan
-    smallest, subnormal = 5e-324, -2.2250738585072014e-309
-    specials = [0.0, -0.0, smallest, subnormal, 0.5, -0.75]
+    specials = [0.0, -0.0, _SMALLEST, _SUBNORMAL, 0.5, -0.75]
     # the last five points sum to NaN (from s and from c), inf, -inf and -0.0
     special_s = [specials + [0.0, 0.25, -0.25, nan, inf, -inf, 0.25, 0.5],
-                 [3.0e-310, 0.25, -0.0, 0.0, -0.0, smallest, 0.0, 0.25, -0.0,
+                 [3.0e-310, 0.25, -0.0, 0.0, -0.0, _SMALLEST, 0.0, 0.25, -0.0,
                   0.0, -0.0, 0.25, 0.5, 0.25]]
     special_c = [specials + [-1.0, -1.0, -1.0, 0.25, 0.5, 0.5, -inf, nan],
-                 [0.125, -0.0, smallest] + specials + [0.5, 0.0, 0.5, 0.0, 0.5]]
+                 [0.125, -0.0, _SMALLEST] + specials + [0.5, 0.0, 0.5, 0.0, 0.5]]
     terms = np.arange(1.0, 25.0)[:, None]
     points = np.arange(22.0)
     knots = np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
@@ -456,7 +435,7 @@ def _known_answer_sines():
         (np.array([0.5, 0.0, 0.25, 1.0, 0.75, 0.125, 0.375, 0.625, 0.875,
                    0.3, 0.4, 0.6, 0.7, 0.9]),
          np.array(special_s), np.array(special_c),
-         np.array([0.75, 1e300, 2.0, subnormal, 0.5, 3.0e-310]), (2,), 0.125),
+         np.array([0.75, 1e300, 2.0, _SUBNORMAL, 0.5, 3.0e-310]), (2,), 0.125),
         (points / 21.0,
          np.sin(0.37 * terms * points + 0.1), np.cos(0.53 * terms * points - 0.2),
          np.vstack([terms.T * 0.93**terms.T, 2.0 * 0.93**terms.T, np.exp(-0.01 * terms.T**2)]
@@ -479,8 +458,7 @@ def _known_answer_pulses():
     knots of N = 400.  Two columns raise: one holds -inf after finite points, the
     other 1e308, whose angle overflows.
     """
-    smallest, subnormal = 5e-324, -2.2250738585072014e-309
-    values = [0.0, -0.0, smallest, -smallest, subnormal, 3.0e-310,
+    values = [0.0, -0.0, _SMALLEST, -_SMALLEST, _SUBNORMAL, 3.0e-310,
               1.0, -1.0, 2.0, 3.0, -7.0, 0.5, -0.5, 1.5, 2.5, -3.5, 1000000.5,
               1.0 / 3.0, -1.0 / 3.0, 0.1, 0.7, 1e15, -1e15, 1e300,
               math.nan, math.copysign(math.nan, -1.0)]
@@ -546,8 +524,8 @@ def _matches_python(compiled: _Compiled) -> bool:
 
 @functools.cache
 def compiled() -> _Compiled:
-    """The compiled march, fit, rows, front, sine, snapshot and pulse, or
-    ``_PYTHON`` when all seven run in Python.
+    """Every entry point of ``_SIGNATURES`` compiled, or ``_PYTHON`` when
+    all of them run in Python.
 
     Built on the first call in a process and trusted only when it passes
     :func:`_matches_python`: one library, used whole or not at all.

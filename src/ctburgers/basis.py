@@ -9,6 +9,7 @@ that the collocation scheme is assembled from.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ class UniformPartition:
 
     ``knot(i)`` is defined for i in {-2, ..., n_cells + 3} so that every
     basis function overlapping [a, b] has its full support available.
-    ``n_cells`` lies in [3, ``MAX_CELLS``].
+    ``n_cells`` is an integer in [3, ``MAX_CELLS``].
     """
 
     a: float
@@ -45,6 +46,13 @@ class UniformPartition:
     h: float = field(init=False)
 
     def __post_init__(self):
+        try:
+            n_cells = operator.index(self.n_cells)
+        except TypeError:
+            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}") from None
+        if n_cells is not self.n_cells:
+            # a numpy integer, say, is stored as the int it stands for
+            object.__setattr__(self, "n_cells", n_cells)
         if self.n_cells < 3:
             raise ValueError(f"n_cells must be >= 3, got {self.n_cells}")
         if self.n_cells > MAX_CELLS:

@@ -146,7 +146,8 @@ def bessel_i(order: int, z: float) -> float:
 
     Uses the ascending power series for small arguments and Miller's
     backward recurrence normalized by the identity
-    ``exp(z) = I_0(z) + 2*sum_k I_k(z)`` for larger ones.
+    ``exp(z) = I_0(z) + 2*sum_k I_k(z)`` for larger ones.  A value that a
+    bound on the series puts below the smallest double is 0.0 at once.
 
     Raises
     ------
@@ -160,6 +161,10 @@ def bessel_i(order: int, z: float) -> float:
         raise ValueError(f"z must be >= 0, got {z!r}")
     if z == 0.0:
         return 1.0 if order == 0 else 0.0
+    # I_n(z) <= (z/2)^n e^(z^2 / (4 (n + 1))) / n!; below e^-746, under half the
+    # smallest double, the value rounds to 0.0
+    if order * math.log(0.5 * z) + z * z / (4 * (order + 1)) - math.lgamma(order + 1) < -746.0:
+        return 0.0
     if z <= SERIES_Z_MAX:
         return _bessel_i_series(order, z)
     if z > 709.0:
@@ -260,9 +265,9 @@ def sine_pulse(x):
     """sin(pi x), the sine problem's initial condition, for a float or a
     1-D array of points.
 
-    An array is one call of :func:`_pulse`: the compiled ``pulse``, the
-    seventh entry point of :mod:`ctburgers._native`, when the library
-    passed its check, and ``math.sin`` point by point otherwise.  Both
+    An array is one call of :func:`_pulse`: the compiled ``pulse``, an
+    entry point of ``_native._SIGNATURES``, when the library passed its
+    check, and ``math.sin`` point by point otherwise.  Both
     take libm's ``sin`` of the same angles, because ``np.sin`` can differ
     from it in the last bit and the fit would then move, and both raise
     ``math.sin``'s ``ValueError`` at an infinite angle.

@@ -344,10 +344,9 @@ class _StepKernel:
 
 
 def step_finisher() -> str:
-    """``"native"`` when the march, the initial fit, the CSV rows, the
-    traveling front's columns, the sine series, the snapshot rows and the
-    sine problem's initial column run in the compiled library, the seven
-    entry points of ``_finish.c``, ``"python"`` when all seven fall back.
+    """``"native"`` when every entry point of ``_finish.c`` that
+    ``_native._SIGNATURES`` declares runs in the compiled library,
+    ``"python"`` when every one falls back.
 
     Builds and checks the library if this process has not tried yet.
     """

@@ -76,8 +76,10 @@ class TestUniformPartition:
             assert p.knot(i) == pytest.approx(i * 0.1, abs=1e-15)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError, match="n_cells"):
-            UniformPartition(0.0, 1.0, 2)
+        # a count that is not an integer is rejected too, not taken as a float
+        for n in (2, 3.5, 40.0, "40"):
+            with pytest.raises(ValueError, match="n_cells"):
+                UniformPartition(0.0, 1.0, n)
 
     def test_rejects_more_cells_than_the_cap(self):
         UniformPartition(0.0, 1.0, MAX_CELLS)

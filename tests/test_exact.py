@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ctburgers import _native, exact, scheme
+from ctburgers import _native, exact, reference, scheme
 from ctburgers.basis import UniformPartition, knot_coefficients
 from ctburgers.exact import (
     RANGE_TOL,
@@ -64,6 +65,16 @@ class TestBesselI:
             if ref == 0.0:
                 continue
             assert bessel_i(order, z) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("order, z", [(99000, 20.0), (100000, 800.0), (3000, 700.0),
+                                          (5000, 100.0)])
+    def test_underflow_is_zero_at_once(self, order, z):
+        # these raised from the series or the overflow check, or took seconds
+        # in the backward recurrence, before returning 0.0
+        start = time.perf_counter()
+        value = bessel_i(order, z)
+        assert time.perf_counter() - start < 1.0
+        assert value == float(mp.besseli(order, z)) == 0.0
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
@@ -436,6 +447,15 @@ class TestTravelingWave:
         # the printed abscissa 0.444 is the grid point 8/18
         v = traveling_wave_exact(8.0 / 18.0, 0.5, ALPHA, MU, GAMMA, 0.01)
         assert v == pytest.approx(0.452, abs=5e-4)
+
+    def test_published_exact_column(self):
+        # table5's exact column: the factory's front at t = 0.5 on x = i/18,
+        # every second knot of its mesh
+        p = traveling_problem(0.01, reference.TABLE5_N_CELLS, 1e-3)
+        xs = p.partition().knot_array()[::2]
+        column = p.exact(xs, reference.TABLE5_TIME)
+        assert len(column) == len(reference.TABLE5_EXACT)
+        assert np.max(np.abs(column - reference.TABLE5_EXACT)) <= reference.TRAVELING_TOL
 
     def test_satisfies_burgers_equation(self):
         # finite-difference residual of U_t + U U_x - lam U_xx at random

@@ -5,6 +5,7 @@ import ctypes
 import math
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -68,6 +69,41 @@ def compile_mutant(tmp_path, replacements):
         _native.compile_command(library, path), check=True, capture_output=True, timeout=120,
     )
     return _native._bind(ctypes.CDLL(str(library)))
+
+
+# a non-static function definition of _finish.c: result type, name, parameters
+C_DEFINITION = re.compile(r"^(?!static\b)(\w[\w *]*?)\s*\b(\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
+C_RESULTS = {"long": ctypes.c_long, "void": None}
+C_SCALARS = {"long": ctypes.c_long, "long long": ctypes.c_longlong, "double": ctypes.c_double}
+
+
+def signature_mismatches(source, signatures):
+    """Each way in which ``signatures``, laid out as ``_native._SIGNATURES``,
+    differs from the non-static function definitions of the C ``source``."""
+    definitions = {name: (result, params) for result, name, params in C_DEFINITION.findall(source)}
+    found = []
+    if definitions.keys() != signatures.keys():
+        found.append(f"defined {sorted(definitions)}, bound {sorted(signatures)}")
+    for name in definitions.keys() & signatures.keys():
+        result, params = definitions[name]
+        restype, argtypes = signatures[name]
+        if C_RESULTS.get(result, "unbound") is not restype:
+            found.append(f"{name} returns {result}, bound to {restype}")
+        # each parameter's type: its declaration without the name
+        types = [re.sub(r"\w+$", "", " ".join(p.split())).strip() for p in params.split(",")]
+        if len(types) != len(argtypes):
+            found.append(f"{name} takes {len(types)} parameters, bound to {len(argtypes)}")
+        for i, (ctype, argtype) in enumerate(zip(types, argtypes)):
+            if "*" not in ctype:
+                allowed = {C_SCALARS.get(ctype)}
+            elif ctype == "const char *":
+                # text C only reads may be passed as bytes
+                allowed = {ctypes.c_void_p, ctypes.c_char_p}
+            else:
+                allowed = {ctypes.c_void_p}
+            if argtype not in allowed:
+                found.append(f"{name} parameter {i} is {ctype}, bound to {argtype}")
+    return found
 
 
 class TestNodalValues:
@@ -635,6 +671,25 @@ class TestNativeFinisher:
         for t in expected:
             for field in ("u", "ux", "uxx"):
                 assert bits(getattr(got[t], field)) == bits(getattr(expected[t], field))
+
+    def test_signatures_match_the_c_definitions(self):
+        # the one declaration of the compiled interface on the Python side
+        # names, counts and types every parameter as _finish.c defines it
+        assert signature_mismatches(_native.SOURCE.read_text(), _native._SIGNATURES) == []
+
+    @pytest.mark.parametrize("change", ["pulse-gains-a-parameter", "front-loses-a-double"])
+    def test_signature_check_finds_a_changed_definition(self, change):
+        source, signatures = _native.SOURCE.read_text(), dict(_native._SIGNATURES)
+        if change == "pulse-gains-a-parameter":
+            definition = "long pulse(const double *x, long n, double *out)"
+            assert source.count(definition) == 1
+            source = source.replace(definition, definition[:-1] + ", long stride)")
+        else:
+            restype, argtypes = signatures["front"]
+            argtypes = list(argtypes)
+            argtypes.remove(ctypes.c_double)
+            signatures["front"] = (restype, tuple(argtypes))
+        assert signature_mismatches(source, signatures) != []
 
     def test_step_count_reaches_the_library_unchanged(self):
         # the largest step count the cell-step cap lets through (4 knots, the
