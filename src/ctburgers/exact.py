@@ -4,19 +4,19 @@ Two benchmark solutions are provided: the Fourier series with modified
 Bessel coefficients for the decaying sine wave on [0, 1] (homogeneous
 boundaries), which starts from :func:`sine_pulse`, and the closed-form
 traveling wave front.  This module alone evaluates solution values: each
-solution is one function of a float or a 1-D array of points, and an
-array gives the bits of the point-by-point calls.  Each also has a
-``*_columns`` form that evaluates an array of points at many times in one
-pass, row by row with the bits of the calls at each time.  An array of
-points on the front, and the sum of the sine wave's series over an
-array, is one call into the compiled library of
-:mod:`ctburgers._native` per time when that passed its check, and so is
-the sine pulse on an array.  Either path only sums the sine wave's
-series: :func:`sine_wave_columns` checks the values of all its times
-against [0, 1] at once.  The modified Bessel functions are computed
-in-module; for small viscosity the series is evaluated entirely through
-the ratios I_j(z)/I_0(z), which stay O(1) even when the raw function
-values overflow.
+solution is one function of a 1-D array of points, which the package
+calls with arrays only, and a float is a one-point array through the same
+code.  Each also has a ``*_columns`` form that evaluates an array of
+points at many times in one pass, row by row with the bits of the calls
+at each time.  An array of points on the front, the sum of the sine
+wave's series over an array and the sine pulse are one call into the
+compiled library of :mod:`ctburgers._native` per time when that passed
+its check.  Either path only sums the sine wave's series:
+:func:`sine_wave_columns` checks the values of all its times against
+[0, 1] at once.  The modified Bessel functions are computed in-module;
+for small viscosity the series is evaluated entirely through the ratios
+I_j(z)/I_0(z), which stay O(1) even when the raw function values
+overflow.
 """
 
 from __future__ import annotations
@@ -105,7 +105,9 @@ def _miller_backward(jmax: int, z: float) -> tuple[list[float], float]:
     step (2k/z) b does once z is below about 1e-47, or if the start order
     passes ``MAX_START_ORDER``, which it does once z exceeds a few times 1e7.
     """
-    start = jmax + max(25, int(2.0 * math.sqrt((jmax + 40.0) * max(z, 1.0))))
+    # an infinite root, once the product overflows, starts above the cap too
+    root = 2.0 * math.sqrt((jmax + 40.0) * max(z, 1.0))
+    start = jmax + max(25, int(min(root, MAX_START_ORDER + 1)))
     prev = None
     while True:
         if start > MAX_START_ORDER:
@@ -265,19 +267,23 @@ def sine_pulse(x):
     """sin(pi x), the sine problem's initial condition, for a float or a
     1-D array of points.
 
-    An array is one call of :func:`_pulse`: the compiled ``pulse``, an
-    entry point of ``_native._SIGNATURES``, when the library passed its
-    check, and ``math.sin`` point by point otherwise.  Both
-    take libm's ``sin`` of the same angles, because ``np.sin`` can differ
-    from it in the last bit and the fit would then move, and both raise
-    ``math.sin``'s ``ValueError`` at an infinite angle.
+    A float is a one-point array: either is one call of :func:`_pulse`,
+    the compiled ``pulse`` when the library passed its check, and
+    ``math.sin`` point by point otherwise.  Both take libm's ``sin`` of
+    the same angles, because ``np.sin`` can differ from it in the last bit
+    and the fit would then move, and both raise ``math.sin``'s
+    ``ValueError`` at an infinite angle.
     """
-    if np.ndim(x) == 0:
-        return math.sin(math.pi * x)
+    u = _pulse(_native.compiled().pulse, _points(x))
+    return float(u[0]) if np.ndim(x) == 0 else u
+
+
+def _points(x) -> np.ndarray:
+    """``x``, a float or a 1-D array, as a C-contiguous 1-D float array."""
     xs = np.ascontiguousarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("x must be a float or a 1-D array")
-    return _pulse(_native.compiled().pulse, xs)
+    return xs
 
 
 def _pulse(native, xs: np.ndarray) -> np.ndarray:
@@ -348,10 +354,7 @@ def sine_wave_columns(x, ts, lam: float, ctl: SeriesControl = SeriesControl()) -
     """
     if not 0.0 < lam < math.inf:
         raise ValueError("lam must be positive and finite")
-    # a float gives a 1-element array
-    xs = np.ascontiguousarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError("x must be a float or a 1-D array")
+    xs = _points(x)
     # the factors j r_j, 2 r_j and e_j of each time, end to end, and J, 0 at t = 0
     flat, terms, failure = [], [], None
     for t in ts:
@@ -437,22 +440,13 @@ def traveling_wave_exact(x, t: float, alpha: float, mu: float, gamma: float, lam
     array of the same length.  The value falls from ``alpha + mu`` far
     left of the front to ``mu - alpha`` far right; ``lam`` controls the
     front width.  The positive-exponent side is rearranged so the
-    exponential never overflows.  An array is the one row of
-    :func:`traveling_wave_columns` at t, by :func:`_front_rows`, whose
-    compiled and numpy paths both take the operations of a float in the
-    same order, with the exponential of libm, which ``math.exp`` calls, so
-    each value is bit-identical to a call with that point alone.
+    exponential never overflows.  A float is a one-point array: either is
+    the one row of :func:`traveling_wave_columns` at t, by
+    :func:`_front_rows`, each value bit-identical to a call with that
+    point alone.
     """
-    if not 0.0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
-    if np.ndim(x) == 0:
-        eta = alpha * (x - mu * t - gamma) / lam
-        if eta > 0.0:
-            em = math.exp(-eta)
-            return ((alpha + mu) * em + (mu - alpha)) / (em + 1.0)
-        e = math.exp(eta)
-        return (alpha + mu + (mu - alpha) * e) / (1.0 + e)
-    return traveling_wave_columns(x, (t,), alpha, mu, gamma, lam)[0]
+    u = traveling_wave_columns(x, (t,), alpha, mu, gamma, lam)[0]
+    return float(u[0]) if np.ndim(x) == 0 else u
 
 
 def traveling_wave_columns(x, ts, alpha: float, mu: float, gamma: float,
@@ -464,10 +458,7 @@ def traveling_wave_columns(x, ts, alpha: float, mu: float, gamma: float,
     """
     if not 0.0 < lam < math.inf:
         raise ValueError("lam must be positive and finite")
-    xs = np.ascontiguousarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError("x must be a float or a 1-D array")
-    return _front_rows(_native.compiled().front, xs, ts, alpha, mu, gamma, lam)
+    return _front_rows(_native.compiled().front, _points(x), ts, alpha, mu, gamma, lam)
 
 
 def _front_rows(native, xs: np.ndarray, ts, alpha: float, mu: float, gamma: float,

@@ -2,8 +2,8 @@
 
 A factory only binds parameters: each problem's ``initial_condition``
 and ``exact`` are :mod:`ctburgers.exact` functions of a float or a 1-D
-array of points, with the problem's constants, λ included, held in a
-frozen dataclass, so problems built from equal arguments compare equal.
+array of points, called with arrays only, with the problem's constants,
+λ included, in a frozen dataclass: equal arguments give equal problems.
 Each ``exact`` also has ``columns(xs, ts)``, the solution at the points
 ``xs`` at every time of ``ts`` in one pass, row k with the bits of
 ``exact(xs, ts[k])``.
@@ -68,8 +68,14 @@ class _Front:
         return traveling_wave_columns(xs, ts, self.alpha, self.mu, self.gamma, self.lam)
 
 
-class _FrontSlope(_Front):
+@dataclass(frozen=True)
+class _FrontSlope:
     """:func:`traveling_wave_slope` of the front at t = 0."""
+
+    alpha: float
+    mu: float
+    gamma: float
+    lam: float
 
     def __call__(self, x: float) -> float:
         return traveling_wave_slope(x, 0.0, self.alpha, self.mu, self.gamma, self.lam)

@@ -66,13 +66,13 @@ class ProblemSpec:
     0.99465.
 
     ``initial_condition(x)`` and ``exact(x, t)``, the exact solution if
-    one is known, take a float or a 1-D array of points and give a float
-    or an array; :func:`initialize_coefficients` calls
-    ``initial_condition`` once, on the array of knots, and a scalar result
-    stands for a constant.  ``initial_derivative`` takes a float.  A
-    callable with a ``lam`` dataclass field, as the factories bind, is
-    rebound to ``self.lam``, so ``dataclasses.replace(p, lam=...)``
-    equals a fresh factory call; plain callables are kept as they are.
+    one is known, are called with 1-D arrays of points only and give an
+    array or a scalar that stands for a constant: ``initial_condition``
+    once on the two ends in :meth:`validate` and once on the knots in
+    :func:`initialize_coefficients`.  ``initial_derivative`` takes a
+    float.  A callable with a ``lam`` dataclass field, as the factories
+    bind, is rebound to ``self.lam``, so ``replace(p, lam=...)`` equals a
+    fresh factory call; plain callables are kept as they are.
     """
 
     lam: float
@@ -106,11 +106,13 @@ class ProblemSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.b > self.a:
             raise ValueError(f"domain endpoints out of order: a={self.a}, b={self.b}")
-        for where, x, bc in (
-            ("left", self.a, self.boundary_left),
-            ("right", self.b, self.boundary_right),
+        ends = self.initial_condition(np.array((self.a, self.b)))
+        left, right = ends.tolist() if isinstance(ends, np.ndarray) and ends.ndim else (ends, ends)
+        for where, x, u, bc in (
+            ("left", self.a, left, self.boundary_left),
+            ("right", self.b, right, self.boundary_right),
         ):
-            gap = abs(self.initial_condition(x) - bc)
+            gap = abs(u - bc)
             if not gap <= self.compat_tol:  # a NaN gap fails too
                 raise ValueError(
                     f"initial_condition incompatible with boundary_{where}: "

@@ -807,14 +807,16 @@ def test_one_lookup_reaches_every_entry_point(entries, runs, raised, library, tm
 @pytest.mark.parametrize(
     "argv, calls",
     [
-        # the pulse: the fit's initial column, then the t = 0 rows of the
-        # table's exact column and of the CSV's
+        # the pulse: the ends, checked before the output directory is made
+        # and again before the march, the fit's initial column, then the
+        # t = 0 rows of the table's exact column and of the CSV's; the
+        # front of a run reads the ends twice too, that of fig7 once
         (["run", "--problem", "sine", "--lambda", "0.1", "--n-cells", "40", "--dt", "0.01",
           "--t-end", "0.02", "--sample-times", "0,0.02", "--outputs", "table,csv"],
-         {"fit": 1, "march": 1, "pulse": 3, "rows": 1, "sine": 2, "snapshot": 2}),
+         {"fit": 1, "march": 1, "pulse": 5, "rows": 1, "sine": 2, "snapshot": 2}),
         (LOOKUP_RUNS["traveling"],
-         {"fit": 1, "front": 2, "march": 1, "rows": 1, "snapshot": 1}),
-        (LOOKUP_RUNS["fig7"], {"fit": 1, "front": 2, "march": 1, "rows": 1}),
+         {"fit": 1, "front": 4, "march": 1, "rows": 1, "snapshot": 1}),
+        (LOOKUP_RUNS["fig7"], {"fit": 1, "front": 3, "march": 1, "rows": 1}),
     ],
     ids=["sine-from-t0", "traveling", "fig7"],
 )
@@ -1232,13 +1234,15 @@ class TestProcessExitCodes:
 
     def test_tiny_viscosity_exits_two(self):
         # z = 1/(2 pi lam) ~ 1.6e299 put the Bessel recurrence's start order
-        # near 1e151, and the series never returned
-        proc = self.ctburgers(
-            "run", "--problem", "sine", "--lambda", "1e-300", "--n-cells", "10", "--dt", "0.1",
-            "--t-end", "0.1", "--sample-xs", "0.5",
-        )
-        assert proc.returncode == cli.EXIT_NUMERICAL
-        assert "error: numerical failure:" in proc.stderr and "Traceback" not in proc.stderr
+        # near 1e151, and the series never returned; at lam = 1e-310 z is
+        # inf, and the start order's int() raised OverflowError
+        for lam in ("1e-300", "1e-310"):
+            proc = self.ctburgers(
+                "run", "--problem", "sine", "--lambda", lam, "--n-cells", "10", "--dt", "0.1",
+                "--t-end", "0.1", "--sample-xs", "0.5",
+            )
+            assert proc.returncode == cli.EXIT_NUMERICAL, lam
+            assert "error: numerical failure:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_invalid_config_exits_one(self):
         proc = self.ctburgers("run", "--dt", "nan")

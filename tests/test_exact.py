@@ -156,14 +156,16 @@ class TestBesselRatio:
     def test_huge_argument_raises_at_once(self):
         # the start order of the backward recurrence grows like sqrt(z): at
         # z = 1e300 it was ~1e151 and the loop never ended, so the call runs
-        # in a child process with a hard time bound
+        # in a child process with a hard time bound; at z = 1e307 and above
+        # the square root is inf, whose int() raised OverflowError
         code = (
             "from ctburgers.exact import SeriesConvergenceError, bessel_i_ratio\n"
-            "try:\n"
-            "    bessel_i_ratio(1, 1e300)\n"
-            "except SeriesConvergenceError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n"
+            "for z in (1e300, 1e307, 1.7e308):\n"
+            "    try:\n"
+            "        bessel_i_ratio(1, z)\n"
+            "    except SeriesConvergenceError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
@@ -421,6 +423,19 @@ class TestSineWaveRangeCheck:
 ALPHA, MU, GAMMA = 0.4, 0.6, 0.125
 
 
+def front_point(x, t, alpha, mu, gamma, lam):
+    """The traveling front at one point in Python floats: the closed form,
+    rearranged on the positive-exponent side so the exponential never
+    overflows, kept here as a reference independent of the package's one
+    array body."""
+    eta = alpha * (x - mu * t - gamma) / lam
+    if eta > 0.0:
+        em = math.exp(-eta)
+        return ((alpha + mu) * em + (mu - alpha)) / (em + 1.0)
+    e = math.exp(eta)
+    return (alpha + mu + (mu - alpha) * e) / (1.0 + e)
+
+
 class TestTravelingWave:
     def test_far_field_limits(self):
         lam = 0.01
@@ -506,7 +521,8 @@ class TestTravelingWaveColumns:
         for t in (0.0, 0.1, 0.4, 0.5, 1.0, 1.2):
             col = traveling_wave_exact(np.array(knots), t, ALPHA, MU, GAMMA, lam)
             points = np.array([traveling_wave_exact(x, t, ALPHA, MU, GAMMA, lam) for x in knots])
-            assert col.tobytes() == points.tobytes()
+            reference = np.array([front_point(x, t, ALPHA, MU, GAMMA, lam) for x in knots])
+            assert col.tobytes() == points.tobytes() == reference.tobytes()
 
     def test_front_centre_and_extremes_are_bit_identical(self):
         # the branch switch at eta = 0 (both signs of zero) and exponents
@@ -515,7 +531,8 @@ class TestTravelingWaveColumns:
         for t in (0.0, 0.5):
             col = traveling_wave_exact(np.array(xs), t, ALPHA, MU, GAMMA, 1e-6)
             points = np.array([traveling_wave_exact(x, t, ALPHA, MU, GAMMA, 1e-6) for x in xs])
-            assert col.tobytes() == points.tobytes()
+            reference = np.array([front_point(x, t, ALPHA, MU, GAMMA, 1e-6) for x in xs])
+            assert col.tobytes() == points.tobytes() == reference.tobytes()
 
     def test_float_in_gives_python_float(self):
         for x in (0.3, np.float64(0.3), 1):
@@ -560,7 +577,8 @@ class TestCompiledFront:
             python = _front_rows(None, points, [t], alpha, mu, gamma, lam)[0]
         compiled = _front_rows(front, points, [t], alpha, mu, gamma, lam)[0]
         single = np.array([traveling_wave_exact(x, t, alpha, mu, gamma, lam) for x in xs])
-        assert compiled.tobytes() == python.tobytes() == single.tobytes()
+        reference = np.array([front_point(x, t, alpha, mu, gamma, lam) for x in xs])
+        assert compiled.tobytes() == python.tobytes() == single.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("n_cells", [3, 36, 4000])
     def test_traveling_fit_is_bit_identical_on_both_paths(self, n_cells, library):
@@ -904,9 +922,10 @@ class TestCompiledPulse:
         assert sine_pulse(knots).tobytes() == _pulse(None, knots).tobytes()
         assert sine_pulse([0.5, 0.25]).tobytes() == _pulse(None, np.array([0.5, 0.25])).tobytes()
         assert calls == [401, 2]
-        # a float takes math.sin itself
-        assert sine_pulse(0.25) == math.sin(math.pi * 0.25)
-        assert calls == [401, 2]
+        # a float is a one-point array, one call too, with the bits of math.sin
+        value = sine_pulse(0.25)
+        assert type(value) is float and value == math.sin(math.pi * 0.25)
+        assert calls == [401, 2, 1]
 
     @pytest.mark.parametrize("n_cells", [40, 400, 4000])
     def test_each_initial_row_is_one_call_of_the_compiled_pulse(self, n_cells, library):

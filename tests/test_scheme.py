@@ -1321,15 +1321,36 @@ class TestProblemSpecValidation:
             replace(constant_problem(0.0), boundary_left=1.0).validate()
 
     def test_rejects_nan_initial_condition(self):
-        # a NaN gap compares false against any tolerance
-        nan_ic = replace(constant_problem(0.0), initial_condition=lambda x: math.nan)
-        with pytest.raises(ValueError, match="boundary_left"):
-            nan_ic.validate()
+        # a NaN gap compares false against any tolerance; a 0-d array is a
+        # scalar too, and stands for a constant
+        for nan in (math.nan, np.asarray(math.nan)):
+            nan_ic = replace(constant_problem(0.0), initial_condition=lambda x: nan)
+            with pytest.raises(ValueError, match="boundary_left"):
+                nan_ic.validate()
 
     def test_traveling_compatibility_is_relaxed_by_construction(self):
         # exact front at t=0 reaches only ~0.99465 at x=0 while the
         # benchmark clamps the boundary at 1; the factory must accept this
         traveling_problem(0.01, 36, 1e-3).validate()
+
+    @pytest.mark.parametrize("factory", [sine_problem, traveling_problem])
+    def test_initial_condition_is_one_call_on_both_ends(self, factory):
+        p = factory(0.01, 36, 1e-3)
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return p.initial_condition(x)
+
+        replace(p, initial_condition=spy).validate()
+        assert len(calls) == 1
+        assert isinstance(calls[0], np.ndarray) and calls[0].tolist() == [p.a, p.b]
+
+    def test_right_end_of_an_array_is_checked(self):
+        step = lambda x: np.where(x > 0.5, 1.0, 0.0)
+        message = "boundary_right: |IC(1.0) - 0.0| = 1.000e+00 > 1.0e-10"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(constant_problem(0.0), initial_condition=step).validate()
 
 
 class TestProblemValue:
@@ -1351,6 +1372,10 @@ class TestProblemValue:
             assert bits(got.exact(x, t)) == bits(fresh.exact(x, t))
             assert bits(got.initial_condition(x)) == bits(fresh.initial_condition(x))
             assert bits(got.initial_derivative(x)) == bits(fresh.initial_derivative(x))
+
+    def test_front_slope_is_no_column_of_values(self):
+        # the slope once inherited the front's columns, which gave U, not U_x
+        assert not hasattr(traveling_problem(0.01, 36, 1e-3).initial_derivative, "columns")
 
     @pytest.mark.parametrize("factory", [sine_problem, traveling_problem])
     def test_equal_arguments_give_equal_problems(self, factory):
