@@ -13,9 +13,10 @@ wave's series over an array and the sine pulse are one call into the
 compiled library of :mod:`ctburgers._native` per time when that passed
 its check.  Either path only sums the sine wave's series:
 :func:`sine_wave_columns` checks the values of all its times against
-[0, 1] at once.  The modified Bessel functions are computed in-module;
-for small viscosity the series is evaluated entirely through the ratios
-I_j(z)/I_0(z), which stay O(1) even when the raw function values
+[0, 1] at once.  The modified Bessel functions are computed in-module:
+:func:`bessel_i` is their ascending series, and the sine wave's series
+is evaluated entirely through the ratios I_j(z)/I_0(z) of Miller's
+backward recurrence, which stay O(1) even when the raw function values
 overflow.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +43,6 @@ __all__ = [
     "traveling_wave_columns",
     "traveling_wave_exact",
 ]
-
-# switch point between the ascending power series and Miller's backward
-# recurrence for I_n(z)
-SERIES_Z_MAX = 15.0
 
 # highest start order of Miller's backward recurrence, which grows like sqrt(z)
 MAX_START_ORDER = 100_000
@@ -73,34 +71,34 @@ class SeriesControl:
 
 
 def _bessel_i_series(order: int, z: float) -> float:
-    # ascending series: sum_m (z/2)^(order+2m) / (m! (order+m)!); all terms
-    # positive, so no cancellation.  The leading term is formed in log
-    # space to survive large orders.
+    # ascending series (Abramowitz & Stegun 9.6.10): the lead (z/2)^order /
+    # order! times sum_m (z/2)^(2m) order! / (m! (order+m)!).  All terms are
+    # positive, so no cancellation; the sum starts at 1 and, for z <= 709,
+    # stays below I_0(z) < 1.3e306.  The lead is formed in log space to
+    # survive large orders and multiplies in last, in log space too when it
+    # alone is not a normal double.
     half = 0.5 * z
     log_lead = order * math.log(half) - math.lgamma(order + 1)
-    if log_lead < -745.0:
-        return 0.0  # underflows double precision
-    term = math.exp(log_lead)
-    total = term
+    term = total = 1.0
     zz4 = half * half
     m = 1
-    while True:
+    while term >= 1e-17 * total:
         term *= zz4 / (m * (m + order))
         total += term
-        if term < 1e-17 * total:
-            return total
         m += 1
-        if m > 10_000:  # unreachable for finite z
-            raise SeriesConvergenceError("ascending Bessel series stalled")
+    lead = math.exp(log_lead)
+    if lead >= sys.float_info.min:
+        return lead * total
+    return math.exp(log_lead + math.log(total))
 
 
-def _miller_backward(jmax: int, z: float) -> tuple[list[float], float]:
-    """Backward-recurrence values b_j proportional to I_j(z), j = 0..jmax,
-    plus the normalizer ``b_0 + 2*sum_{k>=1} b_k`` (proportional to exp(z)).
+def _miller_backward(jmax: int, z: float) -> list[float]:
+    """The ratios I_j(z)/I_0(z), j = 0..jmax, from Miller's backward
+    recurrence.
 
     Starts high enough above ``jmax`` that the downward recursion has
     converged to the minimal solution; the start order is raised until two
-    successive answers agree on the scale-free ratios b_j/b_0.  Raises
+    successive answers agree on the ratios.  Raises
     :class:`SeriesConvergenceError` if the recurrence overflows, which the
     step (2k/z) b does once z is below about 1e-47, or if the start order
     passes ``MAX_START_ORDER``, which it does once z exceeds a few times 1e7.
@@ -116,11 +114,9 @@ def _miller_backward(jmax: int, z: float) -> tuple[list[float], float]:
             )
         vals = [0.0] * (jmax + 1)
         b_hi, b = 0.0, 1e-280
-        total = 0.0
         for k in range(start, 0, -1):
             b_lo = b_hi + (2.0 * k / z) * b
             b_hi, b = b, b_lo
-            total += b if k == 1 else 2.0 * b
             if not abs(b) <= 1e260:
                 if not math.isfinite(b):
                     raise SeriesConvergenceError(
@@ -129,7 +125,6 @@ def _miller_backward(jmax: int, z: float) -> tuple[list[float], float]:
                 scale = 1e-260
                 b *= scale
                 b_hi *= scale
-                total *= scale
                 for j in range(jmax + 1):
                     vals[j] *= scale
             if k - 1 <= jmax:
@@ -138,7 +133,7 @@ def _miller_backward(jmax: int, z: float) -> tuple[list[float], float]:
         if prev is not None and all(
             abs(r - q) <= 1e-15 * abs(r) + 1e-305 for r, q in zip(ratios, prev)
         ):
-            return vals, total
+            return ratios
         prev = ratios
         start += 32
 
@@ -146,17 +141,18 @@ def _miller_backward(jmax: int, z: float) -> tuple[list[float], float]:
 def bessel_i(order: int, z: float) -> float:
     """Modified Bessel function of the first kind, integer order, z >= 0.
 
-    Uses the ascending power series for small arguments and Miller's
-    backward recurrence normalized by the identity
-    ``exp(z) = I_0(z) + 2*sum_k I_k(z)`` for larger ones.  A value that a
-    bound on the series puts below the smallest double is 0.0 at once.
+    One algorithm: the ascending power series, summed relative to its
+    leading term.  A value that a bound on the series puts below the
+    smallest double is 0.0 at once, a z above 709, near where I_0(z)
+    leaves the double range, raises ``OverflowError``, and any other z
+    gives the series' value.
 
     Raises
     ------
     ValueError
         If ``order`` is not an integer >= 0 or ``z`` is negative or NaN.
     OverflowError
-        If the (unscaled) result exceeds the double-precision range.
+        If ``z`` exceeds 709.
     """
     order = _order(order, 0)
     if not z >= 0.0:
@@ -167,13 +163,11 @@ def bessel_i(order: int, z: float) -> float:
     # smallest double, the value rounds to 0.0
     if order * math.log(0.5 * z) + z * z / (4 * (order + 1)) - math.lgamma(order + 1) < -746.0:
         return 0.0
-    if z <= SERIES_Z_MAX:
-        return _bessel_i_series(order, z)
     if z > 709.0:
-        # I_0(z) ~ exp(z)/sqrt(2 pi z) already overflows
+        # I_0(z) ~ exp(z)/sqrt(2 pi z), the bound on the relative sum,
+        # overflows near z = 714
         raise OverflowError(f"I_{order}({z}) exceeds double-precision range")
-    vals, norm = _miller_backward(order, z)
-    return vals[order] / norm * math.exp(z)
+    return _bessel_i_series(order, z)
 
 
 def bessel_i_ratio(order: int, z: float) -> float:
@@ -204,9 +198,7 @@ def _order(order, least: int) -> int:
 def _bessel_ratios(jmax: int, z: float) -> tuple[float, ...]:
     # one backward recurrence yields every ratio up to jmax; cached because
     # every (x, t) of one viscosity needs the same ratios
-    vals, _ = _miller_backward(jmax, z)
-    b0 = vals[0]
-    return tuple(v / b0 for v in vals)
+    return tuple(_miller_backward(jmax, z))
 
 
 def _series_factors(

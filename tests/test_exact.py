@@ -1,7 +1,9 @@
 """Reference-solution tests: Bessel functions, series, traveling wave."""
 
+import hashlib
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -47,6 +49,15 @@ def bessel_oracle(order, z, terms=40):
     return float(s)
 
 
+# orders and arguments of bessel_i's accuracy grid, z up to the overflow
+# bound 709; 1e-310 and 1e-320 are subnormal arguments
+BESSEL_GRID_ORDERS = (0, 1, 2, 3, 5, 10, 20, 50, 100, 134, 150, 200, 272, 300, 500, 700,
+                      850, 1000)
+BESSEL_GRID_Z = (1e-320, 1e-310, 1e-3, 0.1, 0.5, 1.0, 2.0, 7.5, 14.9, 15.0, 15.1, 20.0,
+                 30.0, 60.0, 100.0, 150.0, 255.0, 300.0, 400.0, 500.0, 600.0, 700.0, 708.9)
+BESSEL_GRID_EXTRA = {300.0: (800, 900), 700.0: (1400, 1500, 1560, 1600)}
+
+
 class TestBesselI:
     def test_at_zero(self):
         assert bessel_i(0, 0.0) == 1.0
@@ -58,13 +69,23 @@ class TestBesselI:
         assert oracle == pytest.approx(0.21273995923985266, rel=1e-15)
         assert bessel_i(3, 2.0) == pytest.approx(oracle, rel=1e-13)
 
-    @pytest.mark.parametrize("z", [0.1, 0.5, 2.0, 14.9, 15.1, 30.0, 60.0, 100.0])
+    @pytest.mark.parametrize("z", BESSEL_GRID_Z)
     def test_relative_accuracy_against_mpmath(self, z):
-        for order in (0, 1, 2, 5, 10, 20):
+        # every order of the grid at z, plus, at z = 300 and 700, orders whose
+        # values fall from 1e-200 to the bottom of the double range, where
+        # I_1560(700)'s leading term has underflowed; I_1600(700) rounds to 0.0
+        orders = BESSEL_GRID_ORDERS + BESSEL_GRID_EXTRA.get(z, ())
+        start = time.perf_counter()
+        values = [bessel_i(order, z) for order in orders]
+        # the whole grid in under 1 s
+        assert time.perf_counter() - start < 1.0 / len(BESSEL_GRID_Z)
+        for order, value in zip(orders, values):
             ref = float(mp.besseli(order, z))
             if ref == 0.0:
-                continue
-            assert bessel_i(order, z) == pytest.approx(ref, rel=1e-12)
+                assert value == 0.0, (order, z)
+            else:
+                rel = 1e-12 if order <= 200 else 5e-12
+                assert value == pytest.approx(ref, rel=rel, abs=1e-322), (order, z)
 
     @pytest.mark.parametrize("order, z", [(99000, 20.0), (100000, 800.0), (3000, 700.0),
                                           (5000, 100.0)])
@@ -152,6 +173,19 @@ class TestBesselRatio:
         )
         assert proc.returncode == 0, proc.stderr
         assert bessel_i_ratio(1, 1e-46) == pytest.approx(5e-47, rel=1e-15)
+
+    def test_oracle_ratio_bits_are_pinned(self):
+        # the sine oracle's coefficients at lam = 1 ... 0.00167, by jmax, as
+        # the backward recurrence gives them; a change to the recurrence
+        # moves the oracle and every sine value with it
+        digest = hashlib.sha256()
+        for lam in (1.0, 0.1, 0.01, 0.005, 0.002, 0.00167):
+            for jmax in (64, 130, 262, 526):
+                ratios = _bessel_ratios(jmax, 1.0 / (2.0 * math.pi * lam))
+                digest.update(struct.pack(f"<{len(ratios)}d", *ratios))
+        assert digest.hexdigest() == (
+            "5b0ba41e5a183ff42921629280a7d87e17c14b9135792d14e5a9a5abba842fe2"
+        )
 
     def test_huge_argument_raises_at_once(self):
         # the start order of the backward recurrence grows like sqrt(z): at
