@@ -10,6 +10,15 @@
  * the statements differs, but every value has the same expression, so the
  * bits are the same.
  *
+ * A step that starts from at least REUSE_MIN parameters equal to their
+ * upper neighbour bit for bit, as the flat far field of a steep front is,
+ * takes a row's multiplier, forward update and new parameter from the row
+ * before it wherever every operand of that work repeats the row before's
+ * bits; the same operation on the same bits gives the same bits, so the
+ * step skips those divisions and keeps every bit of the Python step.
+ * Operands are compared as bit patterns, never with ==, which takes -0.0
+ * for 0.0 and would hand on a quotient or a difference of the wrong sign.
+ *
  * fit solves the bandwidth-2 system of the initial spline fit with the
  * statements of ctburgers.linalg.banded_solve in the same order.
  *
@@ -105,6 +114,125 @@ static inline void row(const double *k, const double *d, double *lo, double *up,
     *rh = rhs_outer * (d0 + d2) + rhs_centre * d1;
 }
 
+/* Whether a and b have the same bits.  == would take -0.0 for 0.0, which
+ * divides into a quotient of the other sign, and never takes a NaN for
+ * itself.
+ */
+static inline int same(double a, double b)
+{
+    unsigned long long x, y;
+
+    memcpy(&x, &a, sizeof x);
+    memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
+/* the fewest parameters equal to their upper neighbour for which a step
+ * looks for work to reuse */
+#define REUSE_MIN 64
+
+/* march calls step twice, with reuse 1 and 0: each call must be inlined,
+ * so that the test of the constant folds away, and the variant without
+ * reuse keeps the loops of a step that never looks for repeats */
+#if defined(__GNUC__)
+#define ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE
+#endif
+
+/* One step of march: assembles row i, folds a phantom into it if it is an
+ * end row, and eliminates it at once; the back substitution then writes
+ * the new parameters and the phantoms are restored.  Returns -1, or the
+ * row of the first pivot whose magnitude is below the tolerance, with
+ * delta unchanged.  *repeats is set to the number of new parameters
+ * delta[j], 1 <= j < n, whose bits are those of delta[j + 1].
+ *
+ * With reuse, a row takes a value of the row before it in place of an
+ * operation whose operands all have the bits of that row's: the same
+ * operation on the same bits gives the same bits.  A row takes
+ *   - the multiplier m = lo / piv when lo and piv repeat;
+ *   - then also the forward update acc = rh - m acc when rh and the
+ *     incoming acc repeat: that is the incoming acc itself;
+ *   - in the back substitution, the new parameter when rhs, upper and diag
+ *     repeat the next row's and the incoming parameter repeats that row's:
+ *     that is the incoming parameter itself.
+ * On a flat stretch of the state, where lo, up, dg and rh repeat, pivot
+ * and acc settle on fixed bits within a few rows, and the dependent
+ * divisions of the rows after are skipped.  Without reuse, every row
+ * takes every operation and only counts the repeats.
+ */
+static inline ALWAYS_INLINE long step(double *bands, double *delta, const double *k, long n,
+                                      const int reuse, long *repeats)
+{
+    double *upper = bands, *diag = bands + n, *rhs = bands + 2 * n;
+    const double a1 = k[0], a2 = k[1];
+    const double bc_left = k[9], bc_right = k[10], tol = k[11];
+    double lo, up, dg, rh, first, last, piv, acc, m = 0.0, x, x_up;
+    /* the operands of the previous row's division and forward update */
+    double lo_was = 0.0, piv_was = 0.0, rh_was = 0.0, acc_was = 0.0;
+    long i, count = 0;
+    int same_m, flat = 0;
+
+    row(k, delta, &lo, &up, &dg, &rh);
+    /* delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1 */
+    first = lo;
+    dg -= first * a2 / a1;
+    up -= first;
+    rh -= first * bc_left / a1;
+    /* Thomas sweep: row i's lower multiplies parameter i-1 */
+    piv = dg;
+    acc = rh;
+    upper[0] = up;
+    diag[0] = piv;
+    rhs[0] = acc;
+    for (i = 1; i < n; i++) {
+        row(k, delta + i, &lo, &up, &dg, &rh);
+        if (i == n - 1) {
+            /* delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1 */
+            last = up;
+            dg -= last * a2 / a1;
+            lo -= last;
+            rh -= last * bc_right / a1;
+        }
+        if (fabs(piv) < tol)
+            return i - 1;
+        same_m = reuse && i > 1 && same(lo, lo_was) && same(piv, piv_was);
+        if (!same_m) {
+            lo_was = lo;
+            piv_was = piv;
+            m = lo / piv;
+        }
+        piv = dg - m * upper[i - 1];
+        if (!(same_m && same(rh, rh_was) && same(acc, acc_was))) {
+            acc_was = acc;
+            acc = rh - m * acc;
+        }
+        rh_was = rh;
+        upper[i] = up;
+        diag[i] = piv;
+        rhs[i] = acc;
+    }
+    if (fabs(piv) < tol)
+        return n - 1;
+    x = acc / piv;
+    delta[n] = x;
+    for (i = n - 2; i >= 0; i--) {
+        x_up = x;
+        /* flat: the incoming parameter repeats the previous row's */
+        if (!(reuse && flat && same(rhs[i], rhs[i + 1]) && same(upper[i], upper[i + 1])
+              && same(diag[i], diag[i + 1])))
+            x = (rhs[i] - upper[i] * x) / diag[i];
+        flat = same(x, x_up);
+        count += flat;
+        delta[i + 1] = x;
+    }
+
+    delta[0] = (bc_left - a2 * delta[1] - a1 * delta[2]) / a1;
+    delta[n + 1] = (bc_right - a1 * delta[n - 1] - a2 * delta[n]) / a1;
+    *repeats = count;
+    return -1;
+}
+
 /* bands: (3, n) row-major scratch for the upper, diag and rhs entries the
  *        forward elimination leaves for the back substitution, n = N+1.
  * delta: the n+2 parameters, advanced in place one step at a time.
@@ -115,9 +243,12 @@ static inline void row(const double *k, const double *d, double *lo, double *up,
  * steps: number of steps to take, in one call however many: the run cap
  *        scheme.MAX_CELL_STEPS keeps it below 10^11, far inside 64 bits.
  *
- * Each step assembles row i, folds a phantom into it if it is an end row,
- * and eliminates it at once; the back substitution then writes the new
- * parameters and the phantoms are restored.
+ * Each step is one step(), with reuse when at least REUSE_MIN of the
+ * parameters it starts from repeat their upper neighbour bit for bit: the
+ * count the previous step's back substitution kept, or, for a call's first
+ * step, one taken on entry.  A state without such a stretch takes the
+ * variant that does not look for repeats, whose tests would cost more than
+ * they save.  Both variants give the same bits.
  *
  * Returns -1, or the row of the first pivot whose magnitude is below the
  * tolerance; delta then holds the parameters after the last completed
@@ -125,55 +256,18 @@ static inline void row(const double *k, const double *d, double *lo, double *up,
  */
 long march(double *bands, double *delta, const double *k, long n, long long steps)
 {
-    double *upper = bands, *diag = bands + n, *rhs = bands + 2 * n;
-    const double a1 = k[0], a2 = k[1];
-    const double bc_left = k[9], bc_right = k[10], tol = k[11];
-    double lo, up, dg, rh, first, last, piv, acc, m, x;
+    long repeats = 0, failed, j;
     long long s;
-    long i;
 
+    for (j = 1; j < n; j++)
+        repeats += same(delta[j], delta[j + 1]);
     for (s = 0; s < steps; s++) {
-        row(k, delta, &lo, &up, &dg, &rh);
-        /* delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1 */
-        first = lo;
-        dg -= first * a2 / a1;
-        up -= first;
-        rh -= first * bc_left / a1;
-        /* Thomas sweep: row i's lower multiplies parameter i-1 */
-        piv = dg;
-        acc = rh;
-        upper[0] = up;
-        diag[0] = piv;
-        rhs[0] = acc;
-        for (i = 1; i < n; i++) {
-            row(k, delta + i, &lo, &up, &dg, &rh);
-            if (i == n - 1) {
-                /* delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1 */
-                last = up;
-                dg -= last * a2 / a1;
-                lo -= last;
-                rh -= last * bc_right / a1;
-            }
-            if (fabs(piv) < tol)
-                return i - 1;
-            m = lo / piv;
-            piv = dg - m * upper[i - 1];
-            acc = rh - m * acc;
-            upper[i] = up;
-            diag[i] = piv;
-            rhs[i] = acc;
-        }
-        if (fabs(piv) < tol)
-            return n - 1;
-        x = acc / piv;
-        delta[n] = x;
-        for (i = n - 2; i >= 0; i--) {
-            x = (rhs[i] - upper[i] * x) / diag[i];
-            delta[i + 1] = x;
-        }
-
-        delta[0] = (bc_left - a2 * delta[1] - a1 * delta[2]) / a1;
-        delta[n + 1] = (bc_right - a1 * delta[n - 1] - a2 * delta[n]) / a1;
+        if (repeats >= REUSE_MIN)
+            failed = step(bands, delta, k, n, 1, &repeats);
+        else
+            failed = step(bands, delta, k, n, 0, &repeats);
+        if (failed >= 0)
+            return failed;
     }
     return -1;
 }

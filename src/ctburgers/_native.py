@@ -211,7 +211,12 @@ def _known_answer_cases():
     They hold +-0.0 and subnormals in the state and the boundary values,
     the smallest mesh (N=3) and a larger one (N=64), non-zero boundary
     values at both ends of a non-trivial state, a zero pivot in the first
-    row and in an interior one, and one in the second step.
+    row and in an interior one, and one in the second step.  Two states of
+    N=200 start every step from enough parameters equal to their
+    neighbour bit for bit that ``march`` reuses work, on rows where a
+    pivot or a forward update has not yet settled beside rows where it
+    has, and on -0.0 beside +0.0, which compare equal with == but differ
+    in bits.
     """
 
     def spec(n_cells, lam, dt, left, right):
@@ -237,12 +242,20 @@ def _known_answer_cases():
         alpha1=1.0, alpha2=2.0, beta1=-1.0, beta2=1.0, gamma1=-1.0, gamma2=-2.0
     )
     steep = [0.25, -0.0, 1.0, _SMALLEST, -1.0, 0.0]
+    # N = 200 with more than REUSE_MIN repeated parameters in _finish.c, so
+    # that march reuses work: a wave, a plateau, and a plateau that reaches
+    # the right boundary; then runs of -0.0 beside runs of +0.0, whose
+    # signs one step leaves alternating and a second one evens out
+    flats = [*_WAVE[:20], *[0.75] * 100, *[0.2] * 83]
+    zeros = [*[0.0] * 60, *[-0.0] * 80, *[0.0] * 63]
     return [
         (np.array(_SPECIALS), spec(3, 0.1, 1e-3, -0.0, _SMALLEST), _COARSE, 4),
         (np.array(steep), spec(3, 0.003, 1e-2, 1.0, 0.0), _COARSE, 4),
         (np.array(wave), spec(64, 0.005, 1e-2, _SUBNORMAL, -0.0), fine, 4),
         (np.array(wave), spec(64, 1.0, 1e-4, 0.0, 0.0), fine, 4),
         (np.array(wave), spec(64, 0.005, 1e-2, 1.0, 0.2), fine, 4),
+        (np.array(flats), spec(200, 0.005, 1e-5, 1.0, 0.2), knot_coefficients(1.0 / 200), 4),
+        (np.array(zeros), spec(200, 0.005, 1e-5, -0.0, 0.0), knot_coefficients(1.0 / 200), 1),
         (np.zeros(8), spec(5, 1.0, 2.0, 0.0, 0.0), flat, 3),
         (np.zeros(8), spec(5, 1.0, 1e-4, 0.0, 0.0), replace(flat, alpha2=1.0, gamma2=0.0), 3),
         (np.linspace(-1.0, 1.0, 8), spec(5, 1.0, 2.0, 0.0, 0.0), vanishing, 3),

@@ -47,6 +47,9 @@ __all__ = [
 # highest start order of Miller's backward recurrence, which grows like sqrt(z)
 MAX_START_ORDER = 100_000
 
+# log of the largest double: a Bessel term above it overflows
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
 # how far a sine-wave value on [0, 1] may stray outside [0, 1], the bounds
 # of its data, before it counts as a lost sum rather than rounding
 RANGE_TOL = 1e-9
@@ -71,25 +74,46 @@ class SeriesControl:
 
 
 def _bessel_i_series(order: int, z: float) -> float:
-    # ascending series (Abramowitz & Stegun 9.6.10): the lead (z/2)^order /
-    # order! times sum_m (z/2)^(2m) order! / (m! (order+m)!).  All terms are
-    # positive, so no cancellation; the sum starts at 1 and, for z <= 709,
-    # stays below I_0(z) < 1.3e306.  The lead is formed in log space to
-    # survive large orders and multiplies in last, in log space too when it
-    # alone is not a normal double.
+    # ascending series (Abramowitz & Stegun 9.6.10): the sum over m of
+    # t_m = (z/2)^(order+2m) / (m! (order+m)!), summed relative to its
+    # largest term t_peak.  All terms are positive, so no cancellation;
+    # t_m / t_{m-1} = (z/2)^2 / (m (m + order)) is at least 1 up to the peak
+    # and below 1 after it, so the relative sum starts at 1 and adds terms
+    # outward in both directions until they no longer count.  t_peak is
+    # formed in log space, so neither it nor the sum overflows before the
+    # value does, and a value beyond the largest double raises
+    # ``OverflowError``.
     half = 0.5 * z
-    log_lead = order * math.log(half) - math.lgamma(order + 1)
-    term = total = 1.0
     zz4 = half * half
-    m = 1
+    # m (m + order) = (z/2)^2 at the peak; rounding may move it by one term,
+    # which the sums outward from it do not need to know
+    peak = int(0.5 * (math.hypot(order, z) - order))
+    log_peak = (
+        (order + 2 * peak) * math.log(half) - math.lgamma(peak + 1) - math.lgamma(order + peak + 1)
+    )
+    if log_peak > _LOG_DBL_MAX:
+        raise OverflowError(f"I_{order}({z}) exceeds double-precision range")
+    total = 1.0
+    term = 1.0
+    m = peak
+    while m > 0 and term >= 1e-17 * total:
+        term *= m * (m + order) / zz4
+        total += term
+        m -= 1
+    term = 1.0
+    m = peak + 1
     while term >= 1e-17 * total:
         term *= zz4 / (m * (m + order))
         total += term
         m += 1
-    lead = math.exp(log_lead)
-    if lead >= sys.float_info.min:
-        return lead * total
-    return math.exp(log_lead + math.log(total))
+    largest = math.exp(log_peak)
+    if largest < sys.float_info.min:
+        # a subnormal t_peak would keep only some of its digits
+        return math.exp(log_peak + math.log(total))
+    value = largest * total
+    if value == math.inf:
+        raise OverflowError(f"I_{order}({z}) exceeds double-precision range")
+    return value
 
 
 def _miller_backward(jmax: int, z: float) -> list[float]:
@@ -142,17 +166,17 @@ def bessel_i(order: int, z: float) -> float:
     """Modified Bessel function of the first kind, integer order, z >= 0.
 
     One algorithm: the ascending power series, summed relative to its
-    leading term.  A value that a bound on the series puts below the
-    smallest double is 0.0 at once, a z above 709, near where I_0(z)
-    leaves the double range, raises ``OverflowError``, and any other z
-    gives the series' value.
+    largest term.  A value that a bound on the series puts below the
+    smallest double is 0.0 at once, and any other gives the series' value,
+    above z = 709 too (I_1000(710) = 2.16e34).
 
     Raises
     ------
     ValueError
         If ``order`` is not an integer >= 0 or ``z`` is negative or NaN.
     OverflowError
-        If ``z`` exceeds 709.
+        If the value exceeds the largest double, as I_0(z) does from
+        z = 713.987 on, or (z/2)^2 does.
     """
     order = _order(order, 0)
     if not z >= 0.0:
@@ -163,9 +187,8 @@ def bessel_i(order: int, z: float) -> float:
     # smallest double, the value rounds to 0.0
     if order * math.log(0.5 * z) + z * z / (4 * (order + 1)) - math.lgamma(order + 1) < -746.0:
         return 0.0
-    if z > 709.0:
-        # I_0(z) ~ exp(z)/sqrt(2 pi z), the bound on the relative sum,
-        # overflows near z = 714
+    if 0.25 * z * z == math.inf:
+        # every term beyond the first has the factor (z/2)^2
         raise OverflowError(f"I_{order}({z}) exceeds double-precision range")
     return _bessel_i_series(order, z)
 

@@ -207,6 +207,23 @@ class TestRunCommand:
                 "461637536334491510185b84870f9524a1aff8e0ff3e27f248c8409d6e38007e",
         }
 
+    def test_steep_traveling_csv_is_byte_identical(self, tmp_path):
+        # at lam = 0.001 about 80 % of the parameters repeat their neighbour
+        # bit for bit, so the compiled march reuses work on most rows
+        args = [
+            "run", "--problem", "traveling", "--lambda", "0.001", "--n-cells", "4000",
+            "--dt", "0.0001", "--t-end", "0.003", "--sample-times", "0.002,0.003",
+            "--outputs", "csv", "--output-dir", str(tmp_path),
+        ]
+        assert run_main(args) == cli.EXIT_OK
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert digests == {
+            "traveling_lam0.001_t0.002.csv":
+                "cf292075ff865b786b1cd1447f35a8809c8e26ce47788638405ff9a8bf4294a1",
+            "traveling_lam0.001_t0.003.csv":
+                "f09dabd619cccbcda8f025ccc6610985b0b1ff6915d2c9632dd36d76b5b5f050",
+        }
+
     def test_negative_zero_sample_time_is_zero(self, tmp_path, capsys):
         outputs = []
         for times in ("-0.0,0.01", "0,0.01"):

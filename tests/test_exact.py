@@ -56,6 +56,9 @@ BESSEL_GRID_ORDERS = (0, 1, 2, 3, 5, 10, 20, 50, 100, 134, 150, 200, 272, 300, 5
 BESSEL_GRID_Z = (1e-320, 1e-310, 1e-3, 0.1, 0.5, 1.0, 2.0, 7.5, 14.9, 15.0, 15.1, 20.0,
                  30.0, 60.0, 100.0, 150.0, 255.0, 300.0, 400.0, 500.0, 600.0, 700.0, 708.9)
 BESSEL_GRID_EXTRA = {300.0: (800, 900), 700.0: (1400, 1500, 1560, 1600)}
+# finite values above z = 709, each with mpmath's value to six digits
+BESSEL_ABOVE_709 = ((1000, 710.0, 2.16118e34), (500, 720.0, 1.23056e238),
+                    (0, 709.78, 2.68511e306))
 
 
 class TestBesselI:
@@ -97,9 +100,23 @@ class TestBesselI:
         assert time.perf_counter() - start < 1.0
         assert value == float(mp.besseli(order, z)) == 0.0
 
+    @pytest.mark.parametrize("order, z, approx", BESSEL_ABOVE_709)
+    def test_finite_values_above_709(self, order, z, approx):
+        # the relative sum is anchored at the series' largest term, so only
+        # a value beyond the largest double overflows
+        value = bessel_i(order, z)
+        assert value == pytest.approx(approx, rel=1e-5)
+        assert value == pytest.approx(float(mp.besseli(order, z)), rel=5e-12)
+
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             bessel_i(0, 800.0)
+        # I_0 leaves the double range at z = 713.987, and every term beyond
+        # the first overflows with (z/2)^2
+        assert bessel_i(0, 713.98) < sys.float_info.max
+        for z in (713.99, 1e10, 1e200, math.inf):
+            with pytest.raises(OverflowError):
+                bessel_i(0, z)
 
     def test_invalid_arguments(self):
         # a non-integer order is rejected at every z, not only where the

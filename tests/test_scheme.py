@@ -706,6 +706,32 @@ class TestNativeFinisher:
         k.march(scheme.MAX_CELL_STEPS // 4)
         assert calls == [scheme.MAX_CELL_STEPS // 4]
 
+    def test_known_answers_reach_the_reuse_variant(self):
+        # march reuses work only in a step that starts from at least
+        # REUSE_MIN parameters equal to their upper neighbour bit for bit:
+        # one known answer does in each of its steps, one from signed zeros
+        reuse_min = int(re.search(r"#define REUSE_MIN (\d+)", _native.SOURCE.read_text())[1])
+
+        def repeats(delta):
+            b = delta.view(np.int64)[1:-1]
+            return int(np.sum(b[:-1] == b[1:]))
+
+        every_step, signed_zeros = False, False
+        for delta, p, sc, steps in _native._known_answer_cases():
+            kernel = _StepKernel(delta, p, sc, None)
+            counts = []
+            try:
+                for _ in range(steps):
+                    counts.append(repeats(kernel.delta))
+                    kernel.march(1)
+            except ZeroPivotError:
+                continue
+            every_step |= min(counts) >= reuse_min
+            zeros = delta[delta == 0.0]
+            signed_zeros |= (counts[0] >= reuse_min and np.signbit(zeros).any()
+                             and not np.signbit(zeros).all())
+        assert every_step and signed_zeros
+
     def test_known_answer_check_rejects_a_wrong_finisher(self):
         native = _native.compiled().march
         if native is None:
@@ -750,9 +776,28 @@ class TestNativeFinisher:
                 "delta[0] = (bc_left - a2 * delta[1] - a1 * delta[2]) / a1;",
                 "delta[0] = (bc_left - (a2 * delta[1] + a1 * delta[2])) / a1;",
             ),
+            # reuse on rows that repeat the previous row: signed zeros taken
+            # for each other
+            ("return x == y;", "return a == b;"),
+            # the multiplier reused when only lo repeats
+            (
+                "same(lo, lo_was) && same(piv, piv_was)",
+                "same(lo, lo_was)",
+            ),
+            # the forward update reused when only rh repeats
+            (
+                "same(rh, rh_was) && same(acc, acc_was)",
+                "same(rh, rh_was)",
+            ),
+            # the new parameter reused when the incoming one does not repeat
+            (
+                "reuse && flat && same(rhs[i], rhs[i + 1])",
+                "reuse && same(rhs[i], rhs[i + 1])",
+            ),
         ],
         ids=["regrouped-u", "regrouped-lower", "distributed-rhs", "left-fold-ratio",
-             "regrouped-left-restore"],
+             "regrouped-left-restore", "reuse-by-equality", "reuse-m-without-pivot",
+             "reuse-acc-without-acc", "reuse-x-without-x"],
     )
     def test_known_answer_check_rejects_a_mutant_finisher(self, statement, mutant, tmp_path):
         if _native.compiled().march is None:
