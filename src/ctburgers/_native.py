@@ -248,14 +248,15 @@ def _known_answer_cases():
     # signs one step leaves alternating and a second one evens out
     flats = [*_WAVE[:20], *[0.75] * 100, *[0.2] * 83]
     zeros = [*[0.0] * 60, *[-0.0] * 80, *[0.0] * 63]
+    finer = knot_coefficients(1.0 / 200)
     return [
         (np.array(_SPECIALS), spec(3, 0.1, 1e-3, -0.0, _SMALLEST), _COARSE, 4),
         (np.array(steep), spec(3, 0.003, 1e-2, 1.0, 0.0), _COARSE, 4),
         (np.array(wave), spec(64, 0.005, 1e-2, _SUBNORMAL, -0.0), fine, 4),
         (np.array(wave), spec(64, 1.0, 1e-4, 0.0, 0.0), fine, 4),
         (np.array(wave), spec(64, 0.005, 1e-2, 1.0, 0.2), fine, 4),
-        (np.array(flats), spec(200, 0.005, 1e-5, 1.0, 0.2), knot_coefficients(1.0 / 200), 4),
-        (np.array(zeros), spec(200, 0.005, 1e-5, -0.0, 0.0), knot_coefficients(1.0 / 200), 1),
+        (np.array(flats), spec(200, 0.005, 1e-5, 1.0, 0.2), finer, 4),
+        (np.array(zeros), spec(200, 0.005, 1e-5, -0.0, 0.0), finer, 1),
         (np.zeros(8), spec(5, 1.0, 2.0, 0.0, 0.0), flat, 3),
         (np.zeros(8), spec(5, 1.0, 1e-4, 0.0, 0.0), replace(flat, alpha2=1.0, gamma2=0.0), 3),
         (np.linspace(-1.0, 1.0, 8), spec(5, 1.0, 2.0, 0.0, 0.0), vanishing, 3),
