@@ -13,7 +13,6 @@ from .exact import (
     SeriesControl,
     SeriesConvergenceError,
     bessel_i,
-    bessel_i_ratio,
     sine_wave_exact,
     traveling_wave_exact,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "SeriesControl",
     "SeriesConvergenceError",
     "bessel_i",
-    "bessel_i_ratio",
     "sine_wave_exact",
     "traveling_wave_exact",
     "sine_problem",

@@ -11,9 +11,11 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
 3 reproduction outside tolerance.  :func:`main` is the one place that
 maps errors to them.  1 is a bad flag, config-file value or input, an
 unreadable config file or an unusable output directory (a
-``ValueError`` or ``OSError``); 2 is a zero pivot, a non-finite
-solution or an exact series that does not converge or has lost its
-accuracy.  The library
+``ValueError``, or an ``OSError`` that names a path), or output that
+cannot be written, to stdout or to an open CSV (an ``OSError`` that
+names none, reported as ``cannot write output``); 2 is a zero pivot, a
+non-finite solution or an exact series that does not converge or has
+lost its accuracy.  The library
 functions :func:`run` and :func:`reproduce` raise these errors instead
 of printing them, and return 0 or 3.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -35,7 +38,7 @@ from .exact import SeriesConvergenceError
 from .linalg import ZeroPivotError
 from .metrics import _knot_index, table_report
 from .problems import sine_problem, traveling_problem
-from .scheme import solve_to_time
+from .scheme import _step_schedule, solve_to_time
 
 __all__ = ["RunConfig", "ConfigError", "run", "reproduce", "main"]
 
@@ -102,6 +105,8 @@ class RunConfig:
         if self.sample_xs != "all-knots":
             for x in self.sample_xs:
                 _knot_index(x, part)
+        # the times that solve_to_time would reject, before run makes a directory
+        _step_schedule(p, self.t_end, self.sample_times)
         return p
 
 
@@ -347,6 +352,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _discard_unwritable_stdout() -> None:
+    """Flush stdout; if the process's own stdout cannot take the text,
+    point it at ``os.devnull``, so the flush at exit does not fail on the
+    same text again."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the command of ``argv``, by default ``sys.argv[1:]``, and return
     its exit code; an argv that starts with a flag other than ``-h`` or
@@ -374,20 +392,33 @@ def main(argv: list[str] | None = None) -> int:
                 parser.print_help()
                 return EXIT_CONFIG
         if command == "reproduce":
-            return reproduce(args.target, output_dir=args.output_dir)
-        if args.config is not None:
-            # the file's lines are flags that the command line follows, so
-            # the command line wins
-            run_parser = parser.commands["run"]
-            tokens = _read_config_file(args.config)
-            if run_parser.parse_args(tokens).config is not None:
-                raise ConfigError("config file: a config file cannot name another")
-            args = run_parser.parse_args([*tokens, *argv[1:]])
-        given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-        return run(RunConfig(**{k: v for k, v in given.items() if v is not None}))
+            code = reproduce(args.target, output_dir=args.output_dir)
+        else:
+            if args.config is not None:
+                # the file's lines are flags that the command line follows, so
+                # the command line wins
+                run_parser = parser.commands["run"]
+                tokens = _read_config_file(args.config)
+                if run_parser.parse_args(tokens).config is not None:
+                    raise ConfigError("config file: a config file cannot name another")
+                args = run_parser.parse_args([*tokens, *argv[1:]])
+            given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+            code = run(RunConfig(**{k: v for k, v in given.items() if v is not None}))
+        # a buffered stdout that cannot take the text fails here, not at exit
+        sys.stdout.flush()
+        return code
+    except OSError as e:
+        # mkdir and os.open name their path; a failed write, to stdout or
+        # to an open CSV, names none
+        if e.filename is not None:
+            print(f"error: invalid config: {e}", file=sys.stderr)
+        else:
+            _discard_unwritable_stdout()
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     # ConfigError is a ValueError, and every ValueError the package raises
     # is an input check
-    except (ValueError, OSError) as e:
+    except ValueError as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ZeroPivotError, FloatingPointError, SeriesConvergenceError) as e:

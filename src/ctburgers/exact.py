@@ -36,7 +36,6 @@ __all__ = [
     "SeriesControl",
     "SeriesConvergenceError",
     "bessel_i",
-    "bessel_i_ratio",
     "sine_pulse",
     "sine_wave_columns",
     "sine_wave_exact",
@@ -116,9 +115,11 @@ def _bessel_i_series(order: int, z: float) -> float:
     return value
 
 
-def _miller_backward(jmax: int, z: float) -> list[float]:
+@functools.lru_cache(maxsize=16)
+def _miller_backward(jmax: int, z: float) -> tuple[float, ...]:
     """The ratios I_j(z)/I_0(z), j = 0..jmax, from Miller's backward
-    recurrence.
+    recurrence: the sine oracle's coefficients, cached because every
+    (x, t) of one viscosity needs the same ones.
 
     Starts high enough above ``jmax`` that the downward recursion has
     converged to the minimal solution; the start order is raised until two
@@ -153,7 +154,7 @@ def _miller_backward(jmax: int, z: float) -> list[float]:
                     vals[j] *= scale
             if k - 1 <= jmax:
                 vals[k - 1] = b
-        ratios = [v / vals[0] for v in vals]
+        ratios = tuple(v / vals[0] for v in vals)
         if prev is not None and all(
             abs(r - q) <= 1e-15 * abs(r) + 1e-305 for r, q in zip(ratios, prev)
         ):
@@ -170,6 +171,14 @@ def bessel_i(order: int, z: float) -> float:
     smallest double is 0.0 at once, and any other gives the series' value,
     above z = 709 too (I_1000(710) = 2.16e34).
 
+    Against 50-digit mpmath the relative error is within 1e-12 at orders
+    up to 200 and 5e-12 up to order 1600, for z from 1e-320 to 708.9; a
+    value in the subnormal range is within 1e-322.  The error grows with
+    the order and z: the largest term is the exponential of a log of
+    magnitude about (order + 2 m) log(z/2), m the index of that term, and
+    the rounding of that log, about 1e-16 of its magnitude, is the
+    value's relative error: 6.6e-11 at I_30000(20000).
+
     Raises
     ------
     ValueError
@@ -178,7 +187,12 @@ def bessel_i(order: int, z: float) -> float:
         If the value exceeds the largest double, as I_0(z) does from
         z = 713.987 on, or (z/2)^2 does.
     """
-    order = _order(order, 0)
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {order!r}") from None
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order!r}")
     if not z >= 0.0:
         raise ValueError(f"z must be >= 0, got {z!r}")
     if z == 0.0:
@@ -193,37 +207,6 @@ def bessel_i(order: int, z: float) -> float:
     return _bessel_i_series(order, z)
 
 
-def bessel_i_ratio(order: int, z: float) -> float:
-    """I_order(z) / I_0(z) computed without forming either value.
-
-    An ``order`` that is not an integer >= 1, or a ``z`` that is not
-    positive and finite, raises ``ValueError``.
-    """
-    order = _order(order, 1)
-    if not 0.0 < z < math.inf:
-        raise ValueError(f"z must be positive and finite, got {z!r}")
-    return _bessel_ratios(order, z)[order]
-
-
-def _order(order, least: int) -> int:
-    """``order`` as an int, or ``ValueError`` naming it if it is not an
-    integer >= ``least``."""
-    try:
-        k = operator.index(order)
-    except TypeError:
-        raise ValueError(f"order must be an integer, got {order!r}") from None
-    if k < least:
-        raise ValueError(f"order must be >= {least}, got {order!r}")
-    return k
-
-
-@functools.lru_cache(maxsize=16)
-def _bessel_ratios(jmax: int, z: float) -> tuple[float, ...]:
-    # one backward recurrence yields every ratio up to jmax; cached because
-    # every (x, t) of one viscosity needs the same ratios
-    return tuple(_miller_backward(jmax, z))
-
-
 def _series_factors(
     t: float, lam: float, ctl: SeriesControl
 ) -> tuple[list[float], list[float], list[float]]:
@@ -234,10 +217,10 @@ def _series_factors(
     z = 1.0 / (2.0 * math.pi * lam)
     decay = math.pi * math.pi * lam * t
     jr, r2, es = [], [], []
-    ratios = _bessel_ratios(min(64, ctl.max_terms), z)
+    ratios = _miller_backward(min(64, ctl.max_terms), z)
     for j in range(1, ctl.max_terms + 1):
         if j >= len(ratios):
-            ratios = _bessel_ratios(2 * len(ratios), z)
+            ratios = _miller_backward(2 * len(ratios), z)
         r = ratios[j]
         e = math.exp(-j * j * decay) if j * j * decay < 745.0 else 0.0
         jr.append(j * r)

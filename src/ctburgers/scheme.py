@@ -384,40 +384,28 @@ def _step_index(t: float, dt: float) -> int:
     return k
 
 
-def solve_to_time(
-    p: ProblemSpec,
-    part: UniformPartition,
-    t_end: float,
-    sample_times: list[float] | None = None,
-) -> dict[float, NodalState]:
-    """March the scheme to ``t_end`` and record the requested snapshots.
+def _step_schedule(
+    p: ProblemSpec, t_end: float, sample_times: list[float] | None = None
+) -> tuple[int, dict[int, float]]:
+    """The step count of a march of ``p`` to ``t_end``, and each sample
+    time keyed by its step, in ascending order.
 
-    Every sample time (and ``t_end`` itself) must lie on the step grid at
-    or after t = 0, no two sample times may fall on one step, equal ones
-    included, at least one must be given, and the run may take at most
-    ``MAX_CELL_STEPS`` cell-steps, (N+1) * steps; all are checked before
-    the fit, and each raises ``ValueError``.  ``sample_times`` None
-    samples ``t_end`` alone.
-    Returns a map from sample time to the nodal state at that time; a
-    time of -0.0 is keyed as +0.0.  The first sample state whose U is not
-    finite raises ``FloatingPointError``, and the march stops there.
-
-    ``ux`` and ``uxx`` at the two end knots carry an error that changes
-    sign on every step, and no meaning (see :class:`NodalState`); U is not
-    affected.
+    ``t_end`` and every sample time must lie on the step grid at or after
+    t = 0, no sample time after ``t_end``, no two sample times may fall on
+    one step, equal ones included, at least one must be given, and the
+    run may take at most ``MAX_CELL_STEPS`` cell-steps, (N+1) * steps;
+    each raises ``ValueError``.  ``sample_times`` None samples ``t_end``
+    alone, and a time of -0.0 is keyed as +0.0.
     """
-    p.validate()
-    if (part.a, part.b, part.n_cells) != (p.a, p.b, p.n_cells):
-        raise ValueError("partition does not match the problem domain")
     # -0.0 + 0.0 is +0.0, so no key, file name or table reads -0
     t_end += 0.0
     sample_times = [t_end] if sample_times is None else [t + 0.0 for t in sample_times]
     if not sample_times:
         raise ValueError("no sample time given")
     n_steps = _step_index(t_end, p.dt)
-    if (part.n_cells + 1) * n_steps > MAX_CELL_STEPS:
+    if (p.n_cells + 1) * n_steps > MAX_CELL_STEPS:
         raise ValueError(
-            f"{n_steps} steps of {part.n_cells + 1} knots exceed the cap of "
+            f"{n_steps} steps of {p.n_cells + 1} knots exceed the cap of "
             f"{MAX_CELL_STEPS:.0e} cell-steps per run"
         )
     wanted: dict[int, float] = {}
@@ -430,6 +418,32 @@ def solve_to_time(
                 f"sample times {wanted[k]} and {t} both fall on step {k} (dt={p.dt})"
             )
         wanted[k] = t
+    return n_steps, wanted
+
+
+def solve_to_time(
+    p: ProblemSpec,
+    part: UniformPartition,
+    t_end: float,
+    sample_times: list[float] | None = None,
+) -> dict[float, NodalState]:
+    """March the scheme to ``t_end`` and record the requested snapshots.
+
+    The times are checked by :func:`_step_schedule` before the fit, and
+    each fault raises ``ValueError``.  ``sample_times`` None samples
+    ``t_end`` alone.
+    Returns a map from sample time to the nodal state at that time; a
+    time of -0.0 is keyed as +0.0.  The first sample state whose U is not
+    finite raises ``FloatingPointError``, and the march stops there.
+
+    ``ux`` and ``uxx`` at the two end knots carry an error that changes
+    sign on every step, and no meaning (see :class:`NodalState`); U is not
+    affected.
+    """
+    p.validate()
+    if (part.a, part.b, part.n_cells) != (p.a, p.b, p.n_cells):
+        raise ValueError("partition does not match the problem domain")
+    n_steps, wanted = _step_schedule(p, t_end, sample_times)
     sc = knot_coefficients(part.h)
     c = initialize_coefficients(p, part, sc)
     out: dict[float, NodalState] = {}

@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import io
 import math
 import os
 import re
@@ -496,6 +497,57 @@ class TestRunCommand:
         assert code == cli.EXIT_NUMERICAL
         assert err == f"error: numerical failure: {alone.value}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            (["--t-end", "0.01", "--sample-times", "0.0005"], "is not a multiple of dt=0.001"),
+            (["--t-end", "0.01", "--sample-times", "0.02"], "sample time 0.02 beyond t_end=0.01"),
+            (["--t-end", "0.01", "--sample-times", "0.005,0.005"], "both fall on step 5"),
+            (["--t-end", "1e9"], "exceed the cap of 1e+11 cell-steps"),
+        ],
+        ids=["misaligned", "beyond", "same-step", "cap"],
+    )
+    def test_rejected_times_leave_no_output_directory(self, times, message, tmp_path, capsys):
+        # the times are checked with the config, before the directory is made
+        new = tmp_path / "new"
+        code = run_main(["run", "--outputs", "csv", "--output-dir", str(new), "--dt", "0.001",
+                         *times])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: invalid config: ") and message in err
+        assert not new.exists()
+
+
+class UnwritableStdout(io.StringIO):
+    """A stdout whose every write raises ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error",
+    [BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+     OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))],
+    ids=["broken-pipe", "disk-full"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--n-cells", "4", "--dt", "0.01", "--t-end", "0.02"], ["reproduce", "fig7"]],
+    ids=["run", "reproduce"],
+)
+def test_unwritable_stdout_is_an_output_error(argv, error, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", UnwritableStdout(error))
+    assert run_main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output: {error}\n"
 
 
 def reference_snapshot_text(t, xs, nums, exacts):
@@ -1260,6 +1312,32 @@ class TestProcessExitCodes:
             )
             assert proc.returncode == cli.EXIT_NUMERICAL, lam
             assert "error: numerical failure:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+    def test_unwritable_stdout_exits_one(self, sink):
+        # without PYTHONUNBUFFERED the report waits in stdout's buffer, so
+        # the write fails in the flush of main, not in the one at exit
+        if sink == "full-device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            out = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read, out = os.pipe()
+            os.close(read)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ctburgers.cli", "run", "--n-cells", "4", "--dt", "0.01",
+                 "--t-end", "0.02"],
+                env={**env, "PYTHONPATH": str(src)}, stdout=out, stderr=subprocess.PIPE,
+                text=True, timeout=120,
+            )
+        finally:
+            os.close(out)
+        assert proc.returncode == cli.EXIT_CONFIG
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write output: "), lines
 
     def test_invalid_config_exits_one(self):
         proc = self.ctburgers("run", "--dt", "nan")
