@@ -16,7 +16,7 @@ from .exact import (
     sine_wave_exact,
     traveling_wave_exact,
 )
-from .linalg import ZeroPivotError, banded_solve, thomas_sweep
+from .linalg import ZeroPivotError, banded_solve
 from .metrics import ErrorReport, error_norms, table_report
 from .problems import sine_problem, traveling_problem
 from .scheme import (
@@ -45,7 +45,6 @@ __all__ = [
     "advance",
     "solve_to_time",
     "ZeroPivotError",
-    "thomas_sweep",
     "banded_solve",
     "SeriesControl",
     "SeriesConvergenceError",

@@ -5,10 +5,8 @@
  * diag and rhs entries of one row of the step system from the current
  * parameters, folds a phantom parameter into it if it is an end row and
  * eliminates it at once, then back-substitutes and restores the phantoms.
- * The Python step of _StepKernel.assemble, ctburgers.linalg.thomas_sweep
- * and _StepKernel.march fills all the bands before it sweeps: the order of
- * the statements differs, but every value has the same expression, so the
- * bits are the same.
+ * The Python step, _StepKernel._step, has the statements of step() without
+ * reuse in the same order, so the bits are the same.
  *
  * A step that starts from at least REUSE_MIN parameters equal to their
  * upper neighbour bit for bit, as the flat far field of a steep front is,

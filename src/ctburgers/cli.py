@@ -23,7 +23,10 @@ of printing them, and return 0 or 3.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
+import io
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -352,6 +355,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+class _ClosedStdout(io.TextIOBase):
+    """``sys.stdout`` of a process started with fd 1 closed, which Python
+    sets to None: every write is an output error, a flush succeeds."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "stdout is closed")
+
+
 def _discard_unwritable_stdout() -> None:
     """Flush stdout; if the process's own stdout cannot take the text,
     point it at ``os.devnull``, so the flush at exit does not fail on the
@@ -376,7 +387,13 @@ def main(argv: list[str] | None = None) -> int:
     half the cost.  The top-level parser parses only an argv with no
     command, where it prints its help and 1 is returned, ``-h`` and an
     unknown command.
+
+    With stdout closed, a command that prints reports that it cannot
+    write output, and one that prints nothing succeeds.
     """
+    if sys.stdout is None:
+        with contextlib.redirect_stdout(_ClosedStdout()):
+            return main(argv)
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
         argv.insert(0, "run")  # bare flags imply the run command

@@ -1,24 +1,22 @@
-"""Direct solvers for the small banded systems of the collocation method.
+"""The banded solve of the initial fit, and the pivot rule it shares with the step.
 
-Both solvers run plain Gaussian elimination without pivoting.  Nothing
-checks that a matrix is diagonally dominant, and the step matrices are
-not for every accepted input; a pivot below ``PIVOT_TOL`` in magnitude
-raises :class:`ZeroPivotError` instead of being repaired.
+:func:`banded_solve` and the step's tridiagonal elimination in
+``scheme._StepKernel`` run plain Gaussian elimination without pivoting.
+Nothing checks that a matrix is diagonally dominant, and the step
+matrices are not for every accepted input; a pivot below ``PIVOT_TOL`` in
+magnitude raises :class:`ZeroPivotError` instead of being repaired.
 
-:func:`thomas_sweep` is the tridiagonal solve of the Python step, after
-the row loop of ``_StepKernel.assemble``, and :func:`banded_solve` the
-solver of the initial spline fit.  The compiled library (``_finish.c``,
-see :mod:`ctburgers._native`) has the same statements in the same order
-and the same ``PIVOT_TOL``, ``march`` for the whole step and ``fit`` for
-the band elimination, and is used only where it gives the same bits.
-Both functions stay the fallback and the reference.
+The compiled ``fit`` of ``_finish.c`` (see :mod:`ctburgers._native`) has
+the statements of :func:`banded_solve` in the same order and the same
+``PIVOT_TOL``, and is used only where it gives the same bits;
+:func:`banded_solve` stays the fallback and the reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ZeroPivotError", "thomas_sweep", "banded_solve"]
+__all__ = ["ZeroPivotError", "banded_solve"]
 
 PIVOT_TOL = 1e-300
 
@@ -29,37 +27,6 @@ class ZeroPivotError(ArithmeticError):
     def __init__(self, row: int):
         super().__init__(f"zero pivot in row {row}")
         self.row = row
-
-
-def thomas_sweep(
-    sub: list[float], diag: list[float], sup: list[float], rhs: list[float]
-) -> list[float]:
-    """Thomas elimination on plain float lists; the one tridiagonal kernel.
-
-    ``sub``/``sup`` have length n-1 (``sub[i-1]`` couples row i to unknown
-    i-1, ``sup[i]`` row i to unknown i+1).  ``diag`` and ``rhs`` are
-    overwritten with the eliminated pivots and the solution, which is
-    returned (it is the ``rhs`` list itself).
-    """
-    n = len(diag)
-    piv = diag[0]
-    acc = rhs[0]
-    for i in range(1, n):
-        if abs(piv) < PIVOT_TOL:
-            raise ZeroPivotError(i - 1)
-        m = sub[i - 1] / piv
-        piv = diag[i] - m * sup[i - 1]
-        acc = rhs[i] - m * acc
-        diag[i] = piv
-        rhs[i] = acc
-    if abs(piv) < PIVOT_TOL:
-        raise ZeroPivotError(n - 1)
-    x = acc / piv
-    rhs[n - 1] = x
-    for i in range(n - 2, -1, -1):
-        x = (rhs[i] - sup[i] * x) / diag[i]
-        rhs[i] = x
-    return rhs
 
 
 def banded_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:

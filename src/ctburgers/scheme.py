@@ -8,9 +8,9 @@ the domain are removed with the Dirichlet boundary values before the
 solve and reconstructed afterwards.
 
 One kernel, built once per march with the step constants, takes the
-steps.  Each step computes U, U_x and the four bands of the square
-system from the current parameters, folds the phantoms into the end
-rows, solves the tridiagonal system and writes the new parameters,
+steps.  Each step forms each row of the square tridiagonal system from
+the current parameters, folds a phantom into an end row and eliminates
+the row at once, then back-substitutes and writes the new parameters,
 phantoms restored, back into the state buffer.
 
 The steps and the fit run in the compiled ``march`` and ``fit`` of
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _native
 from .basis import SchemeCoefficients, UniformPartition, knot_coefficients
-from .linalg import PIVOT_TOL, ZeroPivotError, banded_solve, thomas_sweep
+from .linalg import PIVOT_TOL, ZeroPivotError, banded_solve
 
 __all__ = [
     "ProblemSpec",
@@ -242,13 +242,8 @@ class _StepKernel:
     ``delta`` is the state buffer (N+3 parameters) the kernel steps in
     place.  ``native`` is the compiled march (see :func:`ctburgers._native.compiled`),
     which runs whole steps in C on ``delta`` and a band buffer allocated
-    here, or None to take each step on Python floats.
-
-    The Python step is :meth:`assemble` (one loop over the collocation
-    rows, then the phantom fold), :func:`~ctburgers.linalg.thomas_sweep`
-    and the phantom restore.  ``march`` in ``_finish.c`` assembles each
-    row and eliminates it at once, but every value has the expression
-    and operand order of the Python step, so both give the same bits.
+    here, or None to take each step in :meth:`_step` on Python floats, to
+    the same bits.
     """
 
     def __init__(
@@ -280,50 +275,74 @@ class _StepKernel:
                 at(self._bands), at(self.delta), at(self._native_constants), rows,
             )
 
-    def assemble(self) -> tuple[list[float], list[float], list[float], list[float]]:
-        """The square (N+1) x (N+1) tridiagonal system of one step from ``delta``.
+    def _step(self, delta: list[float]) -> None:
+        """One step on the parameter list ``delta``, in place.
 
         Collocating the trapezoidal-in-time, Rubin-Graves-linearized
-        equation at knot m gives left-hand coefficients
-        ``alpha_k + dt/2 (alpha_k U'_m + beta_k U_m - lam gamma_k)`` on the
+        equation at knot i gives left-hand coefficients
+        ``alpha_k + dt/2 (alpha_k U'_i + beta_k U_i - lam gamma_k)`` on the
         new-level parameters and ``(alpha_k + lam dt/2 gamma_k)`` on the
-        old ones, with U_m, U'_m taken from ``delta``.  Row m couples
-        parameters m-1, m, m+1, so the N+1 rows have two unknowns too
+        old ones, with U_i, U'_i taken from ``delta``.  Row i couples
+        parameters i-1, i, i+1, so the N+1 rows have two unknowns too
         many; the Dirichlet values fix the phantoms ``delta_{-1}`` and
         ``delta_{N+1}`` in terms of their two interior neighbours, and
         substituting them into the first and last rows squares the system.
 
-        Returns plain float lists ``(sub, diag, sup, rhs)`` in the layout
-        of :func:`~ctburgers.linalg.thomas_sweep`.
+        These are the statements of ``step()`` in ``_finish.c`` without
+        reuse, in its order (its row 0, formed before its loop, is this
+        loop's first pass), so both give the same bits.  A zero pivot
+        raises :class:`~ctburgers.linalg.ZeroPivotError` with ``delta``
+        untouched.
         """
         (a1, a2, b1, b2, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre,
          bc_left, bc_right) = self._constants
-        lower, upper, diag, rhs = [], [], [], []
-        d = self.delta.tolist()
-        for d0, d1, d2 in zip(d, d[1:], d[2:]):
+        n = len(delta) - 2
+        upper, diag, rhs = [], [], []
+        for i, (d0, d1, d2) in enumerate(zip(delta, delta[1:], delta[2:])):
             # U = (a1 d0 + a2 d1) + a1 d2,  U_x = b1 d0 + b2 d2
             u = a1 * d0 + a2 * d1 + a1 * d2
             ux = b1 * d0 + b2 * d2
             # lower, upper = a1 + dt/2 ((a1 U_x + beta U) - lam g1)
             a1_ux = a1 * ux
-            lower.append(a1 + half_dt * (a1_ux + b1 * u - lam_g1))
-            upper.append(a1 + half_dt * (a1_ux + b2 * u - lam_g1))
+            lo = a1 + half_dt * (a1_ux + b1 * u - lam_g1)
+            up = a1 + half_dt * (a1_ux + b2 * u - lam_g1)
             # diag = a2 + dt/2 (a2 U_x - lam g2)
-            diag.append(a2 + half_dt * (a2 * ux - lam_g2))
+            dg = a2 + half_dt * (a2 * ux - lam_g2)
             # rhs = (a1 + dt/2 lam g1)(d0 + d2) + (a2 + dt/2 lam g2) d1
-            rhs.append(rhs_outer * (d0 + d2) + rhs_centre * d1)
-        # delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1
-        first = lower[0]
-        diag[0] -= first * a2 / a1
-        upper[0] -= first
-        rhs[0] -= first * bc_left / a1
-        # delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1
-        last = upper.pop()
-        diag[-1] -= last * a2 / a1
-        lower[-1] -= last
-        rhs[-1] -= last * bc_right / a1
-        del lower[0]
-        return lower, diag, upper, rhs
+            rh = rhs_outer * (d0 + d2) + rhs_centre * d1
+            if i == 0:
+                # delta_{-1} = (U_a - alpha2 d0 - alpha1 d1)/alpha1
+                first = lo
+                dg -= first * a2 / a1
+                up -= first
+                rh -= first * bc_left / a1
+                # Thomas sweep: row i's lower multiplies parameter i-1
+                piv = dg
+                acc = rh
+            else:
+                if i == n - 1:
+                    # delta_{N+1} = (U_b - alpha1 d_{N-1} - alpha2 d_N)/alpha1
+                    last = up
+                    dg -= last * a2 / a1
+                    lo -= last
+                    rh -= last * bc_right / a1
+                if abs(piv) < PIVOT_TOL:
+                    raise ZeroPivotError(i - 1)
+                m = lo / piv
+                piv = dg - m * upper[i - 1]
+                acc = rh - m * acc
+            upper.append(up)
+            diag.append(piv)
+            rhs.append(acc)
+        if abs(piv) < PIVOT_TOL:
+            raise ZeroPivotError(n - 1)
+        x = acc / piv
+        delta[n] = x
+        for i in range(n - 2, -1, -1):
+            x = (rhs[i] - upper[i] * x) / diag[i]
+            delta[i + 1] = x
+        delta[0] = (bc_left - a2 * delta[1] - a1 * delta[2]) / a1
+        delta[n + 1] = (bc_right - a1 * delta[n - 1] - a2 * delta[n]) / a1
 
     def march(self, steps: int) -> None:
         """Advance ``delta`` in place by ``steps`` time steps.
@@ -336,13 +355,12 @@ class _StepKernel:
             if row >= 0:
                 raise ZeroPivotError(row)
             return
-        a1, a2 = self._constants[:2]
-        bc_left, bc_right = self._constants[9:]
-        for _ in range(steps):
-            mid = thomas_sweep(*self.assemble())
-            mid.insert(0, (bc_left - a2 * mid[0] - a1 * mid[1]) / a1)
-            mid.append((bc_right - a1 * mid[-2] - a2 * mid[-1]) / a1)
-            self.delta[:] = mid
+        d = self.delta.tolist()
+        try:
+            for _ in range(steps):
+                self._step(d)
+        finally:
+            self.delta[:] = d  # a step that raises leaves d as it was
 
 
 def step_finisher() -> str:
@@ -358,7 +376,7 @@ def step_finisher() -> str:
 def advance(
     c: CoefficientVector, p: ProblemSpec, sc: SchemeCoefficients
 ) -> CoefficientVector:
-    """One time step: assemble the square system, solve it, restore the phantoms.
+    """One time step: form and eliminate the rows, back-substitute, restore the phantoms.
 
     Exactly one linear solve per step; the linearization uses the previous
     level only, with no inner iteration.

@@ -81,6 +81,11 @@ class TestUniformPartition:
             with pytest.raises(ValueError, match="n_cells"):
                 UniformPartition(0.0, 1.0, n)
 
+    def test_numpy_count_is_stored_as_an_int(self):
+        p = UniformPartition(0, 1, np.int64(40))
+        assert type(p.n_cells) is int and p.n_cells == 40
+        assert p == UniformPartition(0, 1, 40)
+
     def test_rejects_more_cells_than_the_cap(self):
         UniformPartition(0.0, 1.0, MAX_CELLS)
         with pytest.raises(ValueError, match=r"n_cells must be <= 1e\+07, got 10000001"):
@@ -101,6 +106,13 @@ class TestUniformPartition:
             UniformPartition(0.0, 7.0, 3)
         with pytest.raises(ValueError):
             UniformPartition(1.0, 0.0, 5)
+
+    def test_underflowed_normalizer_rejected_by_the_basis(self):
+        # h = 3.3e-301 is a legal spacing, but theta ~ (3/4) h^3 underflows to 0
+        p = UniformPartition(0.0, 1e-300, 3)
+        assert p.theta == 0.0
+        with pytest.raises(ValueError, match="basis normalizer is zero"):
+            ctb_eval(1, 0.0, p)
 
     def test_knot_index_bounds(self):
         p = UniformPartition(0.0, 1.0, 10)

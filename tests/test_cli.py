@@ -6,6 +6,7 @@ import io
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -266,6 +267,13 @@ class TestRunCommand:
         assert captured.err == (
             f"error: invalid config: {flag[2:]} set, but only the traveling problem takes them\n"
         )
+
+    def test_unknown_problem_rejected_by_the_library(self):
+        # the command line's choices stop it first; a library caller's
+        # RunConfig meets the check in build_problem
+        message = "problem must be 'sine' or 'traveling', got 'nope'"
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.RunConfig(problem="nope").validate()
 
     def test_front_constants_reach_the_factory(self):
         config = cli.RunConfig(problem="traveling", lam=0.01, n_cells=36, dt=1e-3, mu=0.5)
@@ -550,6 +558,31 @@ def test_unwritable_stdout_is_an_output_error(argv, error, tmp_path, monkeypatch
     assert err == f"error: cannot write output: {error}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--n-cells", "4", "--dt", "0.01", "--t-end", "0.02"], ["reproduce", "fig7"]],
+    ids=["run", "reproduce"],
+)
+def test_closed_stdout_is_an_output_error(argv, tmp_path, monkeypatch, capsys):
+    # a process started with fd 1 closed has sys.stdout None
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run_main(argv) == cli.EXIT_CONFIG
+    assert sys.stdout is None
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output: {OSError(errno.EBADF, 'stdout is closed')}\n"
+
+
+def test_closed_stdout_run_that_prints_nothing_succeeds(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    argv = ["run", "--n-cells", "4", "--dt", "0.01", "--t-end", "0.02", "--outputs", "csv",
+            "--output-dir", str(tmp_path)]
+    assert run_main(argv) == cli.EXIT_OK
+    assert sys.stdout is None
+    assert capsys.readouterr().err == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["sine_lam1_t0.02.csv"]
+
+
 def reference_snapshot_text(t, xs, nums, exacts):
     """A snapshot CSV written row by row with f-strings."""
     lines = ["x,t,numerical,exact,abs_error"]
@@ -599,6 +632,20 @@ class TestCsvWriter:
                 [path], np.array(xs), [t], [np.array(nums)], [np.array(exacts)]
             )
             assert path.read_text() == want
+
+
+@pytest.mark.parametrize("n_u,n_exact", [(4, 5), (5, 4)])
+def test_snapshot_rows_of_the_wrong_length_are_rejected(n_u, n_exact):
+    # the guard in front of the compiled snapshot, which would read past
+    # a short row, holds on both paths
+    xs = np.linspace(0.0, 1.0, 5)
+    message = f"5 knots, but {n_u} numerical and {n_exact} exact values"
+    for compiled in (_native._PYTHON, _native.compiled()):
+        files = csvtext._snapshot_files(
+            compiled, xs, [np.zeros(n_u)], np.zeros((1, n_exact)), ["0.1"]
+        )
+        with pytest.raises(ValueError, match=message):
+            next(files)
 
 
 SNAPSHOT_RUN = ["run", "--problem", "sine", "--lambda", "0.01", "--n-cells", "40", "--dt", "0.01",
@@ -1338,6 +1385,35 @@ class TestProcessExitCodes:
         assert proc.returncode == cli.EXIT_CONFIG
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write output: "), lines
+
+    @pytest.mark.parametrize(
+        "args,code,files",
+        [
+            (("run", "--n-cells", "4", "--dt", "0.01", "--t-end", "0.02"), cli.EXIT_CONFIG, []),
+            (("reproduce", "fig7"), cli.EXIT_CONFIG, ["fig7_error_profile.csv"]),
+            (("run", "--n-cells", "4", "--dt", "0.01", "--t-end", "0.02", "--outputs", "csv"),
+             cli.EXIT_OK, ["sine_lam1_t0.02.csv"]),
+        ],
+        ids=["run", "reproduce", "csv-run"],
+    )
+    def test_closed_stdout(self, args, code, files, tmp_path):
+        # sh starts the program with fd 1 closed; the files go to tmp_path
+        if shutil.which("sh") is None:
+            pytest.skip("no sh on PATH")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            ["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "ctburgers.cli", *args],
+            env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        if code == cli.EXIT_OK:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: cannot write output: "), lines
+        assert proc.stdout == ""
+        assert [path.name for path in tmp_path.iterdir()] == files
 
     def test_invalid_config_exits_one(self):
         proc = self.ctburgers("run", "--dt", "nan")
