@@ -16,13 +16,13 @@ from .exact import (
     sine_wave_exact,
     traveling_wave_exact,
 )
-from .linalg import ZeroPivotError, banded_solve
 from .metrics import ErrorReport, error_norms, table_report
 from .problems import sine_problem, traveling_problem
 from .scheme import (
     CoefficientVector,
     NodalState,
     ProblemSpec,
+    ZeroPivotError,
     advance,
     initialize_coefficients,
     nodal_values,
@@ -45,7 +45,6 @@ __all__ = [
     "advance",
     "solve_to_time",
     "ZeroPivotError",
-    "banded_solve",
     "SeriesControl",
     "SeriesConvergenceError",
     "bessel_i",

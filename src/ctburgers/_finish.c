@@ -18,7 +18,7 @@
  * for 0.0 and would hand on a quotient or a difference of the wrong sign.
  *
  * fit solves the bandwidth-2 system of the initial spline fit with the
- * statements of ctburgers.linalg.banded_solve in the same order.
+ * statements of ctburgers.scheme._banded_solve in the same order.
  *
  * front evaluates ctburgers.exact.traveling_wave_exact on an array of
  * points with the expressions of its numpy column, and with libm's exp,

@@ -57,7 +57,6 @@ import numpy as np
 
 from . import csvtext, exact, scheme
 from .basis import SchemeCoefficients, UniformPartition, knot_coefficients
-from .linalg import ZeroPivotError
 
 SOURCE = Path(__file__).with_name("_finish.c")
 
@@ -211,10 +210,10 @@ def _known_answer_cases():
     They hold +-0.0 and subnormals in the state and the boundary values,
     the smallest mesh (N=3) and a larger one (N=64), non-zero boundary
     values at both ends of a non-trivial state, a zero pivot in the first
-    row and in an interior one, and one in the second step.  Two states of
-    N=200 start every step from enough parameters equal to their
-    neighbour bit for bit that ``march`` reuses work, on rows where a
-    pivot or a forward update has not yet settled beside rows where it
+    row, in an interior one and in the last, and one in the second step.
+    Two states of N=200 start every step from enough parameters equal to
+    their neighbour bit for bit that ``march`` reuses work, on rows where
+    a pivot or a forward update has not yet settled beside rows where it
     has, and on -0.0 beside +0.0, which compare equal with == but differ
     in bits.
     """
@@ -242,6 +241,11 @@ def _known_answer_cases():
         alpha1=1.0, alpha2=2.0, beta1=-1.0, beta2=1.0, gamma1=-1.0, gamma2=-2.0
     )
     steep = [0.25, -0.0, 1.0, _SMALLEST, -1.0, 0.0]
+    # U = 0 at the last knot, alpha2 = 2 alpha1 and gamma2 = 2 gamma1:
+    # lower equals upper and diag is 2 upper, so the fold leaves a last
+    # pivot of exactly 0, in row N
+    last_zero = replace(vanishing, gamma1=1.0, gamma2=2.0)
+    zero_at_b = [0.5, 0.25, 0.0, 1.0, -1.0, 1.0]
     # N = 200 with more than REUSE_MIN repeated parameters in _finish.c, so
     # that march reuses work: a wave, a plateau, and a plateau that reaches
     # the right boundary; then runs of -0.0 beside runs of +0.0, whose
@@ -260,12 +264,14 @@ def _known_answer_cases():
         (np.zeros(8), spec(5, 1.0, 2.0, 0.0, 0.0), flat, 3),
         (np.zeros(8), spec(5, 1.0, 1e-4, 0.0, 0.0), replace(flat, alpha2=1.0, gamma2=0.0), 3),
         (np.linspace(-1.0, 1.0, 8), spec(5, 1.0, 2.0, 0.0, 0.0), vanishing, 3),
+        (np.array(zero_at_b), spec(3, 1.0, 0.5, 0.25, -0.5), last_zero, 1),
     ]
 
 
 def _known_answer_fits():
     """Fixed systems for the fit check: (bands, rhs) in the layout of
-    :func:`~ctburgers.linalg.banded_solve`.
+    :func:`~ctburgers.scheme._fit_bands`, which
+    :func:`~ctburgers.scheme._banded_solve` reads.
 
     They hold the fit matrices of N=3 and N=64, a full band, +-0.0 and
     subnormals in the rhs, a -0.0 below a pivot row holding inf (an
@@ -499,13 +505,13 @@ def _known_answer_outcomes(compiled: _Compiled):
         row = None
         try:
             kernel.march(steps)
-        except ZeroPivotError as err:
+        except scheme.ZeroPivotError as err:
             row = err.row
         yield row, kernel.delta.view(np.int64).tolist()
     for bands, rhs in _known_answer_fits():
         try:
             x = scheme._fit(compiled.fit, bands.copy(), rhs.copy())
-        except ZeroPivotError as err:
+        except scheme.ZeroPivotError as err:
             yield err.row, None
         else:
             yield None, x.view(np.int64).tolist()

@@ -38,10 +38,9 @@ import numpy as np
 from . import reference as ref
 from .csvtext import _fmt12, _write_csv, _write_snapshots
 from .exact import SeriesConvergenceError
-from .linalg import ZeroPivotError
-from .metrics import _knot_index, table_report
+from .metrics import _knot_index, _sample_knots, table_report
 from .problems import sine_problem, traveling_problem
-from .scheme import _step_schedule, solve_to_time
+from .scheme import ZeroPivotError, _step_schedule, solve_to_time
 
 __all__ = ["RunConfig", "ConfigError", "run", "reproduce", "main"]
 
@@ -104,10 +103,8 @@ class RunConfig:
             raise ConfigError("sample_times: no time given")
         p = self.build_problem()
         p.validate()
-        part = p.partition()
         if self.sample_xs != "all-knots":
-            for x in self.sample_xs:
-                _knot_index(x, part)
+            _sample_knots(self.sample_xs, p.partition())
         # the times that solve_to_time would reject, before run makes a directory
         _step_schedule(p, self.t_end, self.sample_times)
         return p

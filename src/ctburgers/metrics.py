@@ -60,6 +60,27 @@ def _knot_index(x: float, part: UniformPartition) -> int:
     raise ValueError(f"sample x={x} is not a knot of the partition (h={part.h})")
 
 
+def _sample_knots(
+    sample_xs: list[float], part: UniformPartition
+) -> tuple[list[float], list[int]]:
+    """The sample points in ascending order, and the knot each matches.
+
+    A point of -0.0 is taken as +0.0.  A point that is not a knot, or two
+    points on one knot, equal ones included, raise ``ValueError``.
+    """
+    # -0.0 + 0.0 is +0.0, so no table reads -0.000
+    xs = sorted(x + 0.0 for x in sample_xs)
+    indices = [_knot_index(x, part) for x in xs]
+    # the match keeps the order of the points, so two on one knot are neighbours
+    for k in range(1, len(xs)):
+        if indices[k] == indices[k - 1]:
+            raise ValueError(
+                f"sample xs {xs[k - 1]} and {xs[k]} both fall on the knot "
+                f"x={part.knot(indices[k])}"
+            )
+    return xs, indices
+
+
 def table_report(
     states: dict[float, NodalState],
     sample_xs: list[float],
@@ -71,7 +92,8 @@ def table_report(
 
     Rows are grouped by x (ascending) with times ascending inside each
     group, matching the layout of the published benchmark tables.  Sample
-    points must coincide with knots.  The exact values of every time come
+    points must coincide with knots, one point to a knot (see
+    :func:`_sample_knots`).  The exact values of every time come
     from one call ``exact_fn.columns(xs, times)`` when ``exact_fn`` has
     it, as the exact solution of each problem factory does, whose row k
     has the bits of ``exact_fn(xs, times[k])``; any other callable is
@@ -84,8 +106,7 @@ def table_report(
         + (f" {'exact':>{width}}" if exact_fn is not None else "")
     )
     lines = [header]
-    xs = sorted(sample_xs)
-    indices = [_knot_index(x, part) for x in xs]
+    xs, indices = _sample_knots(sample_xs, part)
     times = sorted(states)
     numerical = [np.asarray(states[t].u)[indices].tolist() for t in times]
     if exact_fn is not None:

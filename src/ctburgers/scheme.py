@@ -19,6 +19,12 @@ floats otherwise, to the same bits; :func:`step_finisher` says which.
 :func:`solve_to_time` marches on one kernel and copies the state out
 only at sample times; :func:`advance` is a one-step wrapper over the
 same kernel.
+
+Both eliminations, the step's and the fit's, run plain Gaussian
+elimination without pivoting.  Nothing checks that a matrix is
+diagonally dominant, and the step matrices are not for every accepted
+input; a pivot below ``PIVOT_TOL`` in magnitude raises
+:class:`ZeroPivotError` instead of being repaired.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ import numpy as np
 
 from . import _native
 from .basis import SchemeCoefficients, UniformPartition, knot_coefficients
-from .linalg import PIVOT_TOL, ZeroPivotError, banded_solve
 
 __all__ = [
     "ProblemSpec",
@@ -42,7 +47,10 @@ __all__ = [
     "advance",
     "solve_to_time",
     "step_finisher",
+    "ZeroPivotError",
 ]
+
+PIVOT_TOL = 1e-300
 
 # sample times must sit on the step grid to within this fraction of dt
 TIME_ALIGN_TOL = 1e-9
@@ -51,6 +59,14 @@ TIME_ALIGN_TOL = 1e-9
 # cell-step, half an hour of marching; it also keeps every step count far
 # inside the 64-bit count of the compiled march
 MAX_CELL_STEPS = 10**11
+
+
+class ZeroPivotError(ArithmeticError):
+    """Raised when forward elimination meets a (numerically) zero pivot."""
+
+    def __init__(self, row: int):
+        super().__init__(f"zero pivot in row {row}")
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -189,8 +205,8 @@ def initialize_coefficients(
     matches its analytic derivative at both ends, which squares the
     system; the matrix has bandwidth two (the derivative rows skip a
     column) and is solved in-band, by the compiled ``fit`` when the
-    library passed its check and by
-    :func:`~ctburgers.linalg.banded_solve` otherwise, to the same bits.
+    library passed its check and by :func:`_banded_solve` otherwise, to
+    the same bits.
     The initial condition is evaluated in one call on the knot array.
     """
     n = part.n_cells + 3
@@ -204,8 +220,9 @@ def initialize_coefficients(
 
 
 def _fit_bands(sc: SchemeCoefficients, n: int) -> np.ndarray:
-    """The (n, 5) bands of the fit matrix, in the layout of
-    :func:`~ctburgers.linalg.banded_solve`."""
+    """The (n, 5) bands of the fit matrix: column j holds the coefficient
+    at offset j - 2 from the diagonal, and entries that would fall
+    outside the matrix are zero."""
     bands = np.zeros((n, 5))
     # derivative condition at the left end: row 0 couples unknowns 0 and 2
     bands[0, 2] = sc.beta1
@@ -219,14 +236,14 @@ def _fit_bands(sc: SchemeCoefficients, n: int) -> np.ndarray:
 
 
 def _fit(native: Callable | None, bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """:func:`~ctburgers.linalg.banded_solve` of ``bands`` and ``rhs``, in
-    the compiled ``fit`` when ``native`` is given.
+    """:func:`_banded_solve` of ``bands`` and ``rhs``, in the compiled
+    ``fit`` when ``native`` is given.
 
     The compiled fit eliminates in place, so ``bands`` and ``rhs`` must be
     C-contiguous float arrays the caller does not need any more.
     """
     if native is None:
-        return banded_solve(bands, rhs)
+        return _banded_solve(bands, rhs)
     x = np.empty(len(rhs))
     at = _native.address
     # bands, rhs and x stay bound to names here, so alive, for the whole call
@@ -234,6 +251,50 @@ def _fit(native: Callable | None, bands: np.ndarray, rhs: np.ndarray) -> np.ndar
     if row >= 0:
         raise ZeroPivotError(row)
     return x
+
+
+def _banded_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a bandwidth-2 system in the layout of :func:`_fit_bands` by
+    elimination restricted to the band.
+
+    Each pivot row eliminates the two rows below it, offset 1 then 0 in
+    their band rows; an entry that is exactly zero is skipped.  The
+    compiled ``fit`` of ``_finish.c`` has these statements in the same
+    order.
+    """
+    n = len(rhs)
+    band = np.asarray(bands, dtype=float).tolist()
+    rhs = np.asarray(rhs, dtype=float).tolist()
+    for col in range(n - 1):
+        _, _, piv, p3, p4 = band[col]
+        if abs(piv) < PIVOT_TOL:
+            raise ZeroPivotError(col)
+        b = rhs[col]
+        row = band[col + 1]
+        if row[1] != 0.0:
+            m = row[1] / piv
+            row[2] -= m * p3
+            row[3] -= m * p4  # outside the matrix, and never read, in the last row
+            rhs[col + 1] -= m * b
+        if col + 2 < n:
+            row = band[col + 2]
+            if row[0] != 0.0:
+                m = row[0] / piv
+                row[1] -= m * p3
+                # column col + 2 is inside the matrix whenever row col + 2 is
+                row[2] -= m * p4
+                rhs[col + 2] -= m * b
+    if abs(band[n - 1][2]) < PIVOT_TOL:
+        raise ZeroPivotError(n - 1)
+    x = [0.0] * n
+    x[n - 1] = rhs[n - 1] / band[n - 1][2]
+    if n > 1:
+        r = band[n - 2]
+        x[n - 2] = (rhs[n - 2] - r[3] * x[n - 1]) / r[2]
+    for i in range(n - 3, -1, -1):
+        r = band[i]
+        x[i] = ((rhs[i] - r[3] * x[i + 1]) - r[4] * x[i + 2]) / r[2]
+    return np.array(x)
 
 
 class _StepKernel:
@@ -291,8 +352,7 @@ class _StepKernel:
         These are the statements of ``step()`` in ``_finish.c`` without
         reuse, in its order (its row 0, formed before its loop, is this
         loop's first pass), so both give the same bits.  A zero pivot
-        raises :class:`~ctburgers.linalg.ZeroPivotError` with ``delta``
-        untouched.
+        raises :class:`ZeroPivotError` with ``delta`` untouched.
         """
         (a1, a2, b1, b2, half_dt, lam_g1, lam_g2, rhs_outer, rhs_centre,
          bc_left, bc_right) = self._constants
@@ -347,8 +407,8 @@ class _StepKernel:
     def march(self, steps: int) -> None:
         """Advance ``delta`` in place by ``steps`` time steps.
 
-        A zero pivot raises :class:`~ctburgers.linalg.ZeroPivotError` and
-        leaves ``delta`` as it was after the last completed step.
+        A zero pivot raises :class:`ZeroPivotError` and leaves ``delta``
+        as it was after the last completed step.
         """
         if self._native is not None:
             row = self._native(*self._native_args, steps)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from ctburgers import _native, cli, csvtext, exact, problems, scheme
 from ctburgers.exact import SeriesConvergenceError
-from ctburgers.linalg import ZeroPivotError
+from ctburgers.scheme import ZeroPivotError
 
 
 def run_main(args):
@@ -354,6 +354,37 @@ class TestRunCommand:
         assert code == cli.EXIT_CONFIG
         assert f"error: invalid config: sample x={x} is not a knot" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "xs, pair",
+        [("0.5,0.5", "0.5 and 0.5"), ("0.5,0.25,0.5000000001", "0.5 and 0.5000000001"),
+         ("-0,0", "0.0 and 0.0")],
+        ids=["equal", "within-tolerance", "signed-zeros"],
+    )
+    def test_two_sample_xs_on_one_knot_rejected_before_the_march(
+        self, xs, pair, monkeypatch, capsys
+    ):
+        def fail(*a, **k):
+            raise AssertionError("marched with two sample xs on one knot")
+
+        monkeypatch.setattr(cli, "solve_to_time", fail)
+        code = run_main(
+            ["run", "--problem", "sine", "--lambda", "1", "--n-cells", "4", "--dt", "0.01",
+             "--t-end", "0.02", f"--sample-xs={xs}"]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert f"error: invalid config: sample xs {pair} both fall on the knot" in captured.err
+        assert captured.out == ""
+
+    def test_negative_zero_sample_x_reads_as_zero(self, capsys):
+        code = run_main(
+            ["run", "--problem", "sine", "--lambda", "1", "--n-cells", "4", "--dt", "0.01",
+             "--t-end", "0.02", "--sample-xs=-0,0.5"]
+        )
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert code == cli.EXIT_OK
+        assert [row.split()[:2] for row in rows] == [["0.000", "0.020"], ["0.500", "0.020"]]
 
     def test_nan_initial_condition_exits_config_error(self, monkeypatch, capsys):
         def fail(*a, **k):

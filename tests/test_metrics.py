@@ -165,6 +165,17 @@ class TestTableReport:
         with pytest.raises(ValueError, match="not a knot"):
             table_report({0.0: state_from(np.zeros(5))}, [0.3], None, part)
 
+    @pytest.mark.parametrize("xs", [[0.5, 0.25, 0.5], [0.75, 0.5 - 1e-10, 0.5]])
+    def test_two_samples_on_one_knot_rejected(self, xs):
+        part = UniformPartition(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match=r"both fall on the knot x=0\.5$"):
+            table_report({0.0: state_from(np.zeros(5))}, xs, None, part)
+
+    def test_negative_zero_sample_reads_as_zero(self):
+        part = UniformPartition(0.0, 1.0, 4)
+        text = table_report({0.0: state_from(np.zeros(5))}, [-0.0], None, part)
+        assert text.splitlines()[1].split()[0] == "0.000"
+
     def test_formatting_round_trip(self):
         part = UniformPartition(0.0, 1.0, 4)
         u = [0.123456789, -0.5, 0.25, 1.0, 0.0]

@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from ctburgers import _native, csvtext, exact, scheme
 from ctburgers.basis import SchemeCoefficients, UniformPartition, knot_coefficients
 from ctburgers.exact import sine_wave_exact, traveling_wave_exact
-from ctburgers.linalg import ZeroPivotError
 from ctburgers.problems import sine_problem, traveling_problem
 from ctburgers.scheme import (
     CoefficientVector,
     NodalState,
     ProblemSpec,
+    ZeroPivotError,
     _StepKernel,
     advance,
     initialize_coefficients,
@@ -602,6 +602,24 @@ class TestStepKernelBitIdentity:
         assert err.value.row == 2
         assert bits(k.delta) == bits(delta)
 
+    def test_last_row_zero_pivot_names_row(self):
+        # U = 0 at the last knot, alpha2 = 2 alpha1 and gamma2 = 2 gamma1:
+        # lower equals upper and diag is 2 upper, so the fold leaves a last
+        # pivot of exactly 0, in row N
+        sc = SchemeCoefficients(
+            alpha1=1.0, alpha2=2.0, beta1=-1.0, beta2=1.0, gamma1=1.0, gamma2=2.0
+        )
+        p = replace(
+            constant_problem(0.0, n_cells=3, lam=1.0, dt=0.5),
+            boundary_left=0.25, boundary_right=-0.5,
+        )
+        delta = np.array([0.5, 0.25, 0.0, 1.0, -1.0, 1.0])
+        k = _StepKernel(delta, p, sc, _native.compiled().march)
+        with pytest.raises(ZeroPivotError, match="row 3") as err:
+            k.march(1)
+        assert err.value.row == p.n_cells
+        assert bits(k.delta) == bits(delta)
+
 
 class TestStepKernelBitIdentityPythonFinisher(TestStepKernelBitIdentity):
     """The same tests with every step finished, and every fit solved, on
@@ -635,7 +653,9 @@ class TestNativeFinisher:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "breakage", ["failing-compile", "missing-compiler", "unwritable-cache"]
+        "breakage",
+        ["failing-compile", "missing-compiler", "unwritable-cache", "missing-source",
+         "unloadable-library"],
     )
     def test_failed_build_falls_back_to_identical_bits(self, breakage, tmp_path, monkeypatch):
         problem = traveling_problem(0.005, 36, 1e-3)
@@ -648,6 +668,16 @@ class TestNativeFinisher:
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
         if breakage == "unwritable-cache":
             cache.write_text("a file where the cache directory should be")
+        elif breakage == "missing-source":
+            # as in a wheel built without its package data
+            monkeypatch.setattr(_native, "SOURCE", tmp_path / "no-such-source.c")
+        elif breakage == "unloadable-library":
+            # a file at the cached library's path that ctypes cannot load
+            planted = _native.library_path(
+                _native.SOURCE.read_bytes(), _native.compile_command("library", "source")
+            )
+            planted.parent.mkdir(parents=True)
+            planted.write_text("not a shared library")
         else:
             command = {
                 "failing-compile": [sys.executable, "-c", "raise SystemExit(1)"],
@@ -661,7 +691,12 @@ class TestNativeFinisher:
             got_fit = initialize_coefficients(problem, part, sc).delta
         finally:
             _native.compiled.cache_clear()
-        if breakage != "unwritable-cache":
+        if breakage == "unloadable-library":
+            # the planted file is kept, and nothing is built beside it
+            assert list((cache / "ctburgers").iterdir()) == [planted]
+        elif breakage == "missing-source":
+            assert not cache.exists()
+        elif breakage != "unwritable-cache":
             assert list((cache / "ctburgers").iterdir()) == []  # no partial build left
         assert bits(got_fit) == bits(expected_fit)
         for t in expected:
@@ -790,10 +825,15 @@ class TestNativeFinisher:
                 "reuse && flat && same(rhs[i], rhs[i + 1])",
                 "reuse && same(rhs[i], rhs[i + 1])",
             ),
+            # no check of the last row's pivot
+            (
+                "if (fabs(piv) < tol)\n        return n - 1;\n    x = acc / piv;",
+                "x = acc / piv;",
+            ),
         ],
         ids=["regrouped-u", "regrouped-lower", "distributed-rhs", "left-fold-ratio",
              "regrouped-left-restore", "reuse-by-equality", "reuse-m-without-pivot",
-             "reuse-acc-without-acc", "reuse-x-without-x"],
+             "reuse-acc-without-acc", "reuse-x-without-x", "no-last-pivot-check"],
     )
     def test_known_answer_check_rejects_a_mutant_finisher(self, statement, mutant, tmp_path):
         if _native.compiled().march is None:
